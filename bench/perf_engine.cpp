@@ -240,6 +240,20 @@ void fold_rss(PerfResult& r, double rss, bool first) {
   r.peak_rss_mb = r.rss_max_mb;
 }
 
+/// Folds one run's engine telemetry into the preset's sum.
+void add_phases(sim::EnginePhases& sum, const sim::EnginePhases& p) {
+  sum.fault_s += p.fault_s;
+  sum.deliver_s += p.deliver_s;
+  sum.generate_s += p.generate_s;
+  sum.walk_s += p.walk_s;
+  sum.commit_s += p.commit_s;
+  sum.parallel_cycles += p.parallel_cycles;
+  sum.serial_cycles += p.serial_cycles;
+  sum.routers_walked += p.routers_walked;
+  sum.skips += p.skips;
+  sum.cycles_skipped += p.cycles_skipped;
+}
+
 PerfResult run_tenants_preset(const std::string& preset,
                               const core::ScenarioSpec& spec) {
   PerfResult r;
@@ -286,7 +300,8 @@ PerfResult run_workload_preset(const std::string& preset,
 }
 
 PerfResult run_specs(const std::string& preset,
-                     const std::vector<core::ScenarioSpec>& specs) {
+                     const std::vector<core::ScenarioSpec>& specs,
+                     bool phase_timers) {
   PerfResult r;
   r.preset = preset;
   const auto t0 = std::chrono::steady_clock::now();
@@ -303,6 +318,7 @@ PerfResult run_specs(const std::string& preset,
       core::ScenarioSpec pt_spec = spec;
       pt_spec.rates = {rates[i]};
       pt_spec.sim.seed = spec.sim.seed + i;
+      pt_spec.sim.phase_timers = phase_timers;
       rss_tracker().reset();
       const core::SweepSeries series = core::run_scenario(pt_spec);
       fold_rss(r, rss_tracker().peak_mb(), r.points == 0);
@@ -311,6 +327,7 @@ PerfResult run_specs(const std::string& preset,
       r.cycles += res.cycles_run;
       r.flit_hops += res.flit_hops;
       r.delivered += res.delivered_total;
+      add_phases(r.phases, res.phases);
       if (i == 0) zero_load = res.avg_latency;
       if (spec.stop_latency_factor > 0 && zero_load > 0 &&
           res.avg_latency > zero_load * spec.stop_latency_factor)
@@ -332,7 +349,7 @@ PerfResult run_specs(const std::string& preset,
 struct PresetDef {
   PresetInfo info;
   bool in_quick;
-  std::function<PerfResult(bool quick, std::uint64_t seed)> run;
+  std::function<PerfResult(const SuiteOptions&)> run;
 };
 
 const std::vector<PresetDef>& preset_defs() {
@@ -340,10 +357,10 @@ const std::vector<PresetDef>& preset_defs() {
     std::vector<PresetDef> d;
     const auto point = [](const char* name, const char* topology,
                           double rate, int shards) {
-      return [name, topology, rate, shards](bool quick, std::uint64_t seed) {
-        core::ScenarioSpec s = point_spec(topology, rate, quick, seed);
+      return [name, topology, rate, shards](const SuiteOptions& o) {
+        core::ScenarioSpec s = point_spec(topology, rate, o.quick, o.seed);
         s.sim.shards = shards;
-        return run_specs(name, {s});
+        return run_specs(name, {s}, o.phases);
       };
     };
     d.push_back({{"radix16-low", "quick+full",
@@ -357,16 +374,16 @@ const std::vector<PresetDef>& preset_defs() {
                   "cycles/sec is dominated by idle-cycle elision jumping "
                   "between isolated packets"},
                  true,
-                 [](bool quick, std::uint64_t seed) {
+                 [](const SuiteOptions& o) {
                    core::ScenarioSpec s =
-                       point_spec("radix16-swless", 1e-5, quick, seed);
+                       point_spec("radix16-swless", 1e-5, o.quick, o.seed);
                    // Long, almost-empty window: the full scan engine pays
                    // every cycle, the event-driven engine only the ~0.3%
                    // with work in flight.
-                   s.sim.warmup = quick ? 500 : 2000;
-                   s.sim.measure = quick ? 4000 : 40000;
-                   s.sim.drain = quick ? 1000 : 3000;
-                   return run_specs("radix16-trickle", {s});
+                   s.sim.warmup = o.quick ? 500 : 2000;
+                   s.sim.measure = o.quick ? 4000 : 40000;
+                   s.sim.drain = o.quick ? 1000 : 3000;
+                   return run_specs("radix16-trickle", {s}, o.phases);
                  }});
     d.push_back({{"radix16-sat", "quick+full",
                   "saturation-regime engine throughput: radix-16 "
@@ -375,8 +392,8 @@ const std::vector<PresetDef>& preset_defs() {
                  point("radix16-sat", "radix16-swless", 0.9, 1)});
     d.push_back({{"radix16-sat-sh2", "quick+full",
                   "the radix16-sat point on the sharded engine (shards=2): "
-                  "same simulation bit-for-bit, two-thread two-phase "
-                  "execution — cycles/sec vs radix16-sat is the intra-sim "
+                  "same simulation bit-for-bit, two threads every "
+                  "cycle — cycles/sec vs radix16-sat is the intra-sim "
                   "speedup"},
                  true,
                  point("radix16-sat-sh2", "radix16-swless", 0.9, 2)});
@@ -385,17 +402,18 @@ const std::vector<PresetDef>& preset_defs() {
                   "time-to-completion on one radix-16 W-group (`cycles` is "
                   "the completion time)"},
                  true,
-                 [](bool quick, std::uint64_t seed) {
+                 [](const SuiteOptions& o) {
                    return run_workload_preset("allreduce-ttc",
-                                              allreduce_spec(quick, seed));
+                                              allreduce_spec(o.quick, o.seed));
                  }});
     d.push_back({{"resilience-f10", "quick+full",
                   "degraded-fabric engine path: fig16a saturation point "
                   "with 10% of global cables failed, fault-aware routing"},
                  true,
-                 [](bool quick, std::uint64_t seed) {
+                 [](const SuiteOptions& o) {
                    return run_specs("resilience-f10",
-                                    {resilience_spec(quick, seed)});
+                                    {resilience_spec(o.quick, o.seed)},
+                                    o.phases);
                  }});
     d.push_back({{"resilience-online", "quick+full",
                   "online-fault engine path: the resilience-f10 point with "
@@ -403,9 +421,10 @@ const std::vector<PresetDef>& preset_defs() {
                   "globals, repair half later) — fault-step sweep, packet "
                   "rescue, and live rerouting"},
                  true,
-                 [](bool quick, std::uint64_t seed) {
+                 [](const SuiteOptions& o) {
                    return run_specs("resilience-online",
-                                    {resilience_online_spec(quick, seed)});
+                                    {resilience_online_spec(o.quick, o.seed)},
+                                    o.phases);
                  }});
     d.push_back({{"tenants-mix3", "quick+full",
                   "multi-tenant serving path: 3 co-located jobs "
@@ -413,17 +432,18 @@ const std::vector<PresetDef>& preset_defs() {
                   "merged-DAG run plus isolation baselines (`cycles` sums "
                   "the shared makespan and the baselines)"},
                  true,
-                 [](bool quick, std::uint64_t seed) {
+                 [](const SuiteOptions& o) {
                    return run_tenants_preset("tenants-mix3",
-                                             tenants_spec(quick, seed));
+                                             tenants_spec(o.quick, o.seed));
                  }});
     d.push_back({{"planes-k2", "quick+full",
                   "multi-plane engine path: the tiny switch-less fabric as "
                   "two independent planes with hash per-packet plane "
                   "selection, uniform traffic at offered load 0.5"},
                  true,
-                 [](bool quick, std::uint64_t seed) {
-                   return run_specs("planes-k2", {planes_spec(quick, seed)});
+                 [](const SuiteOptions& o) {
+                   return run_specs("planes-k2", {planes_spec(o.quick, o.seed)},
+                                    o.phases);
                  }});
     d.push_back({{"wafer2-radix16", "quick+full",
                   "wafer-stack engine path: two radix-16 switch-less "
@@ -431,9 +451,10 @@ const std::vector<PresetDef>& preset_defs() {
                   "vertical hop per cross-wafer packet), uniform traffic "
                   "at offered load 0.5"},
                  true,
-                 [](bool quick, std::uint64_t seed) {
+                 [](const SuiteOptions& o) {
                    return run_specs("wafer2-radix16",
-                                    {wafer_stack_spec(quick, seed)});
+                                    {wafer_stack_spec(o.quick, o.seed)},
+                                    o.phases);
                  }});
     d.push_back({{"radix32-low", "full",
                   "latency-regime throughput at the paper's radix-32 scale, "
@@ -445,18 +466,19 @@ const std::vector<PresetDef>& preset_defs() {
                   "serial engine"},
                  false,
                  point("radix32-sat", "radix32-swless", 0.9, 1)});
-    d.push_back({{"radix32-sat-sh4", "full",
-                  "the radix32-sat point on the sharded engine (shards=4): "
+    d.push_back({{"radix32-sat-sh2", "full",
+                  "the radix32-sat point on the sharded engine (shards=2): "
                   "the single-large-point scaling lever at the paper's "
                   "full-wafer scale"},
                  false,
-                 point("radix32-sat-sh4", "radix32-swless", 0.9, 4)});
+                 point("radix32-sat-sh2", "radix32-swless", 0.9, 2)});
     d.push_back({{"fig11a-sweep", "full",
                   "end-to-end figure reproduction: the three-series "
                   "radix-16 fig11a sweep (the repo's headline perf number)"},
                  false,
-                 [](bool, std::uint64_t seed) {
-                   return run_specs("fig11a-sweep", fig11a_specs(seed));
+                 [](const SuiteOptions& o) {
+                   return run_specs("fig11a-sweep", fig11a_specs(o.seed),
+                                    o.phases);
                  }});
     return d;
   }();
@@ -482,14 +504,23 @@ std::string render_preset_table() {
   return out;
 }
 
-std::vector<PerfResult> run_perf_suite(bool quick, std::uint64_t seed) {
+std::vector<PerfResult> run_perf_suite(const SuiteOptions& opts) {
   std::vector<PerfResult> out;
+  bool found = opts.preset.empty();
   for (const auto& d : preset_defs()) {
-    if (quick && !d.in_quick) continue;
+    if (!opts.preset.empty()) {
+      if (d.info.name != opts.preset) continue;
+      found = true;
+    } else if (opts.quick && !d.in_quick) {
+      continue;
+    }
     std::fprintf(stderr, "sldf-bench: running %s ...\n",
                  d.info.name.c_str());
-    out.push_back(d.run(quick, seed));
+    out.push_back(d.run(opts));
   }
+  if (!found)
+    throw std::invalid_argument("unknown preset '" + opts.preset +
+                                "' (see --list)");
   return out;
 }
 

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/simulator.hpp"
+
 namespace sldf::bench {
 
 struct PerfResult {
@@ -40,6 +42,16 @@ struct PerfResult {
   /// single-point presets.
   double rss_min_mb = 0.0;
   double rss_max_mb = 0.0;
+  /// Engine phase split summed over the preset's open-loop runs (host
+  /// times only with SuiteOptions::phases; zero for closed-loop presets).
+  sim::EnginePhases phases;
+};
+
+struct SuiteOptions {
+  bool quick = false;    ///< Short windows, quick presets only.
+  std::uint64_t seed = 1;
+  std::string preset;    ///< Run only this preset (any mode); "" = suite.
+  bool phases = false;   ///< SimConfig::phase_timers on every open-loop run.
 };
 
 /// Documentation row of one preset — the single source the suite runner,
@@ -59,11 +71,12 @@ std::string render_preset_table();
 
 /// Runs the preset suite. `quick` restricts to the radix-16 point presets
 /// with short windows (CI smoke); the full suite adds radix-32 and the
-/// fig11a sweep. Deterministic for a fixed `seed`: the per-preset `cycles`,
+/// fig11a sweep; `preset` runs one preset alone (throws on an unknown
+/// name). Deterministic for a fixed `seed`: the per-preset `cycles`,
 /// `flit_hops`, and `delivered_packets` counters are bit-identical run
 /// over run (and across `shards` — the sharded presets re-run a serial
 /// preset's exact simulation, so any counter divergence is an engine bug).
-std::vector<PerfResult> run_perf_suite(bool quick, std::uint64_t seed);
+std::vector<PerfResult> run_perf_suite(const SuiteOptions& opts);
 
 /// Writes BENCH_sim.json (schema documented in docs/PERFORMANCE.md).
 void write_bench_json(const std::string& path,

@@ -3,13 +3,27 @@
 #include <atomic>
 #include <exception>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace sldf {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
+unsigned usable_cores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<unsigned>(n);
   }
+#endif
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = usable_cores();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -60,10 +74,7 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n, std::size_t threads,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
+  if (threads == 0) threads = usable_cores();
   if (threads <= 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

@@ -14,9 +14,15 @@
 
 namespace sldf {
 
+/// CPUs this process may run on: the size of its scheduler affinity set
+/// where the platform reports one (containers and `taskset` narrow it below
+/// the machine's count), else std::thread::hardware_concurrency(); at
+/// least 1. The one core count behind every `auto` thread/shard default.
+unsigned usable_cores();
+
 class ThreadPool {
  public:
-  /// `threads == 0` selects std::thread::hardware_concurrency() (min 1).
+  /// `threads == 0` selects usable_cores().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

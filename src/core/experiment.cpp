@@ -1,16 +1,23 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <thread>
 
 #include "common/thread_pool.hpp"
 
 namespace sldf::core {
 
 unsigned resolve_threads(unsigned threads) {
-  if (threads != 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return threads != 0 ? threads : usable_cores();
+}
+
+sim::SimConfig point_config(const SweepConfig& cfg, std::size_t i,
+                            unsigned threads) {
+  sim::SimConfig sc = cfg.base;
+  sc.inj_rate_per_chip = cfg.rates[i];
+  sc.seed = cfg.base.seed + i;
+  if (threads > 1) sc.shards = sim::resolve_shards(sc.shards, 1);
+  return sc;
 }
 
 std::vector<double> linspace_rates(double max, int n) {
@@ -26,7 +33,11 @@ SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
                       const SweepConfig& cfg) {
   SweepSeries series;
   series.label = label;
-  const unsigned threads = resolve_threads(cfg.threads);
+  // Workers beyond the point count would only idle, and would keep a lone
+  // point from sharding over the cores they leave unused.
+  const auto threads = static_cast<unsigned>(
+      std::min<std::size_t>(resolve_threads(cfg.threads),
+                            std::max<std::size_t>(cfg.rates.size(), 1)));
 
   if (threads <= 1) {
     // Serial: network, traffic, and engine context are built once and
@@ -37,12 +48,9 @@ SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
     sim::SimContext ctx;
     double zero_load = 0.0;
     for (std::size_t i = 0; i < cfg.rates.size(); ++i) {
-      sim::SimConfig sc = cfg.base;
-      sc.inj_rate_per_chip = cfg.rates[i];
-      sc.seed = cfg.base.seed + i;
       SweepPoint pt;
       pt.rate = cfg.rates[i];
-      pt.res = sim::run_sim(ctx, net, sc, *traffic);
+      pt.res = sim::run_sim(ctx, net, point_config(cfg, i, threads), *traffic);
       series.points.push_back(pt);
       if (i == 0) zero_load = pt.res.avg_latency;
       if (cfg.stop_latency_factor > 0 && zero_load > 0 &&
@@ -60,12 +68,10 @@ SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
                              sim::Network net;
                              make_net(net);
                              auto traffic = make_traffic(net);
-                             sim::SimConfig sc = cfg.base;
-                             sc.inj_rate_per_chip = cfg.rates[i];
-                             sc.seed = cfg.base.seed + i;
                              SweepPoint& pt = series.points[i];
                              pt.rate = cfg.rates[i];
-                             pt.res = sim::run_sim(net, sc, *traffic);
+                             pt.res = sim::run_sim(
+                                 net, point_config(cfg, i, threads), *traffic);
                            });
   // Apply the early-stop rule post hoc for consistent output.
   if (cfg.stop_latency_factor > 0 && !series.points.empty()) {

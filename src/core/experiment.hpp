@@ -27,9 +27,18 @@ struct SweepConfig {
   double stop_latency_factor = 8.0;
   /// Number of worker threads; each builds its own network. 1 = serial
   /// (network + engine context built once and reused across points);
-  /// 0 = auto (hardware concurrency).
+  /// 0 = auto (usable_cores()).
   unsigned threads = 1;
 };
+
+/// The engine config of sweep point `i` when the sweep runs on `threads`
+/// workers (resolved, >= 1): `base` with the point's rate and seed
+/// (base seed + i). With more than one worker the workers already fill the
+/// cores, so an `auto` shard count resolves as if each worker had one core
+/// (sim::resolve_shards(shards, 1)): threads x shards never exceeds the
+/// cores unless `shards` or `SLDF_SHARDS` asks for it explicitly.
+sim::SimConfig point_config(const SweepConfig& cfg, std::size_t i,
+                            unsigned threads);
 
 struct SweepPoint {
   double rate = 0.0;
@@ -49,7 +58,8 @@ SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
 /// Evenly spaced rates in (0, max]: {max/n, 2*max/n, ..., max}.
 std::vector<double> linspace_rates(double max, int n);
 
-/// Maps the thread-count convention (0 = auto) to a concrete count >= 1.
+/// Maps the thread-count convention (0 = auto = usable_cores()) to a
+/// concrete count >= 1.
 unsigned resolve_threads(unsigned threads);
 
 /// Prints a series as an aligned table (offered, latency, accepted) and

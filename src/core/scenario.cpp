@@ -269,7 +269,7 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
   } else if (key == "stop_factor") {
     stop_latency_factor = to_double(key, value);
   } else if (key == "threads") {
-    // Sweep-point parallelism: a count, or "auto"/0 for hardware concurrency.
+    // Sweep-point parallelism: a count, or "auto"/0 for the usable cores.
     if (value == "auto") {
       threads = 0;
     } else {
@@ -280,11 +280,11 @@ void ScenarioSpec::set(const std::string& key, const std::string& value) {
       threads = static_cast<unsigned>(n);
     }
   } else if (key == "shards") {
-    // Intra-simulation engine shards: a count, or "auto"/0 to defer to the
-    // SLDF_SHARDS environment variable (sim::resolve_shards). Orthogonal
-    // to `threads`: threads parallelizes across sweep points, shards
-    // parallelizes inside each simulation — results are bit-identical
-    // either way.
+    // Intra-simulation engine shards: a count, or "auto"/0 for the
+    // SLDF_SHARDS environment variable or the usable cores behind the
+    // per-cycle work gate (sim::resolve_shards). Orthogonal to `threads`:
+    // threads parallelizes across sweep points, shards parallelizes inside
+    // each simulation — results are bit-identical either way.
     if (value == "auto") {
       sim.shards = 0;
     } else {
@@ -464,12 +464,14 @@ const std::vector<ScenarioKeyDoc>& scenario_key_docs() {
          "Early-stop when latency exceeds this x zero-load latency",
          num(d.stop_latency_factor)},
         {"threads",
-         "Sweep-point parallelism within one series (`auto`/0 = hardware)",
+         "Sweep-point parallelism within one series (`auto`/0 = usable "
+         "cores)",
          integer(d.threads)},
         {"shards",
          "Intra-simulation engine shards — N threads per simulation, "
-         "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env "
-         "or 1)",
+         "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env, "
+         "else the usable cores, used only on cycles with large router "
+         "snapshots; 1 per worker when `threads` > 1)",
          "auto"},
         {"warmup", "Warmup cycles (Table IV: 5000)", integer(d.sim.warmup)},
         {"measure", "Measured cycles (Table IV: 10000)",
@@ -875,8 +877,14 @@ void append_workload_csv(CsvWriter& csv, const WorkloadRun& run) {
 std::vector<SweepSeries> run_scenarios(const std::vector<ScenarioSpec>& specs,
                                        unsigned threads) {
   std::vector<SweepSeries> out(specs.size());
-  ThreadPool::parallel_for(specs.size(), threads == 0 ? 1 : threads,
-                           [&](std::size_t i) { out[i] = run_scenario(specs[i]); });
+  ThreadPool::parallel_for(
+      specs.size(), threads == 0 ? 1 : threads, [&](std::size_t i) {
+        ScenarioSpec s = specs[i];
+        // Concurrent series already fill the cores (see point_config()).
+        if (threads > 1 && specs.size() > 1)
+          s.sim.shards = sim::resolve_shards(s.sim.shards, 1);
+        out[i] = run_scenario(s);
+      });
   return out;
 }
 

@@ -1,7 +1,8 @@
-// Unidirectional channel: static wiring plus a token bucket modeling the
-// (possibly fractional) bandwidth. In-flight flits and credits live in the
-// Simulator's timing wheel, which preserves per-channel FIFO order because
-// latency is constant per channel.
+// Unidirectional channel: static wiring, latency and (possibly fractional)
+// bandwidth. The dynamic token bucket metering that bandwidth lives in the
+// output port's packed record (Network::port_rec); in-flight flits and
+// credits live in the Simulator's timing wheel, which preserves
+// per-channel FIFO order because latency is constant per channel.
 #pragma once
 
 #include <cstdint>
@@ -30,33 +31,6 @@ struct Channel {
   // arrays (FIFO arena / ivc_meta). Deliveries use it directly instead of
   // re-deriving router/port offsets.
   std::uint32_t dst_vc_base = 0;
-
-  // Token bucket (micro-tokens scaled by width_den): each cycle adds
-  // width_num tokens, capped at width_num + width_den so idle periods do
-  // not accumulate unbounded burst; sending one flit costs width_den.
-  // The bucket starts full.
-  std::uint32_t tokens = 0;
-  Cycle token_cycle = 0;
-
-  [[nodiscard]] std::uint32_t token_cap() const {
-    return static_cast<std::uint32_t>(width_num) +
-           static_cast<std::uint32_t>(width_den);
-  }
-  void reset_tokens() {
-    tokens = token_cap();
-    token_cycle = 0;
-  }
-  void refresh_tokens(Cycle now) {
-    if (now > token_cycle) {
-      const std::uint64_t add =
-          static_cast<std::uint64_t>(now - token_cycle) * width_num + tokens;
-      const std::uint32_t cap = token_cap();
-      tokens = static_cast<std::uint32_t>(add > cap ? cap : add);
-      token_cycle = now;
-    }
-  }
-  [[nodiscard]] int flit_allowance() const { return tokens / width_den; }
-  void consume_token() { tokens -= width_den; }
 };
 
 }  // namespace sldf::sim

@@ -63,7 +63,6 @@ ChanId Network::add_channel(NodeId src, NodeId dst, LinkType type, int latency,
   c.latency = static_cast<std::uint8_t>(latency);
   c.width_num = static_cast<std::uint16_t>(width_num);
   c.width_den = static_cast<std::uint16_t>(width_den);
-  c.reset_tokens();
 
   Router& rs = router(src);
   Router& rd = router(dst);
@@ -292,7 +291,6 @@ void Network::reset_dynamic_state() {
   restore_fault_baseline();
   fifos_.reset(pack_ivc(kInvalidPort, kInvalidVc, IvcState::Idle));
   init_port_dynamic_state();
-  for (auto& c : channels_) c.reset_tokens();
 }
 
 void Network::enable_fault_mask() {
@@ -375,11 +373,6 @@ void Network::save_dynamic_state(std::ostream& out) const {
   put_raw(out, f.slots_data(), f.slots_size());
   put_u64(out, port_state_.size());
   put_raw(out, port_state_.data(), port_state_.size());
-  put_u64(out, channels_.size());
-  for (const Channel& c : channels_) {
-    put_raw(out, &c.tokens, 1);
-    put_u64(out, c.token_cycle);
-  }
   put_u64(out, chan_alive_.size());
   put_raw(out, chan_alive_.data(), chan_alive_.size());
   put_u64(out, node_alive_.size());
@@ -397,11 +390,6 @@ void Network::load_dynamic_state(std::istream& in) {
   get_raw(in, f.slots_data(), f.slots_size());
   check_size(get_u64(in), port_state_.size(), "port record");
   get_raw(in, port_state_.data(), port_state_.size());
-  check_size(get_u64(in), channels_.size(), "channel");
-  for (Channel& c : channels_) {
-    get_raw(in, &c.tokens, 1);
-    c.token_cycle = get_u64(in);
-  }
   // The mask arrays may legitimately be empty on both sides (no faults).
   check_size(get_u64(in), chan_alive_.size(), "channel mask");
   get_raw(in, chan_alive_.data(), chan_alive_.size());

@@ -181,7 +181,7 @@ class Network {
 
   // ---- checkpointing -----------------------------------------------------
   /// Serializes every mutable word of the network (FIFO arena, port
-  /// records, channel token mirrors, fault mask + epoch) to `out`.
+  /// records with their token buckets, fault mask + epoch) to `out`.
   /// Topology and static wiring are NOT written: a checkpoint restores
   /// only onto an identically-built network (the Simulator's checkpoint
   /// header fingerprints the shape).

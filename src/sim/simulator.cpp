@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <istream>
@@ -148,24 +149,74 @@ inline bool gen_event_after(const GenEvent& a, const GenEvent& b) {
   return a.when > b.when;
 }
 
+/// The `SLDF_SHARDS` override: a positive integer, or 0 when unset or
+/// malformed (ignored).
+int env_shards() {
+  const char* env = std::getenv("SLDF_SHARDS");
+  if (env == nullptr) return 0;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  return (end != env && *end == '\0' && v >= 1 && v <= 0xffff)
+             ? static_cast<int>(v)
+             : 0;
+}
+
+/// Host-time stopwatch of SimConfig::phase_timers: lap() charges the time
+/// since the previous lap to one accumulator. Switched off it reads no
+/// clock.
+class PhaseClock {
+ public:
+  explicit PhaseClock(bool on) : on_(on) {
+    if (on_) t_ = Clock::now();
+  }
+  void lap(double& acc) {
+    if (!on_) return;
+    const Clock::time_point t = Clock::now();
+    acc += std::chrono::duration<double>(t - t_).count();
+    t_ = t;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  bool on_;
+  Clock::time_point t_{};
+};
+
+/// Visits the `list` records of every shard in ascending `pos` order — the
+/// order one serial pass produces them in. Each shard's list is ascending
+/// already, so this is a k-way merge over the shards' heads.
+template <typename Rec, typename Visit>
+void merge_by_pos(ShardScratch* shards, int n,
+                  std::vector<Rec> ShardScratch::*list, Visit&& visit) {
+  for (int k = 0; k < n; ++k) shards[k].cur = 0;
+  for (;;) {
+    ShardScratch* best = nullptr;
+    for (int k = 0; k < n; ++k) {
+      ShardScratch& s = shards[k];
+      if (s.cur < (s.*list).size() &&
+          (best == nullptr ||
+           (s.*list)[s.cur].pos < (best->*list)[best->cur].pos))
+        best = &s;
+    }
+    if (best == nullptr) return;
+    visit(*best, (best->*list)[best->cur++]);
+  }
+}
+
 }  // namespace
 
-int resolve_shards(int requested) {
+int resolve_shards(int requested, unsigned cores) {
   if (requested >= 1) return requested;
-  if (const char* env = std::getenv("SLDF_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 0xffff)
-      return static_cast<int>(v);
-  }
-  return 1;
+  if (const int env = env_shards()) return env;
+  return static_cast<int>(std::clamp<unsigned>(cores, 1, 0xffff));
 }
 
 /// The per-cycle worker team of a sharded engine. One thread per shard
-/// beyond shard 0 (which the driving thread runs itself). Workers park on
-/// a C++20 atomic wait after a short spin, so an oversubscribed host (or
-/// the serial phases of every cycle) is not burned by busy-waiting, while
-/// a multi-core host pays only the spin on the hot hand-off.
+/// beyond shard 0 (which the driving thread runs itself). Between phases a
+/// worker spins for up to kSpinBudget before parking on a C++20 atomic
+/// wait: a parallel cycle's serial stretches (generation, the merges) are
+/// shorter than that, so its two hand-offs never pay a futex wake-up,
+/// while a run of serial cycles below the work gate parks the team.
 class Simulator::ShardTeam {
  public:
   ShardTeam(Simulator& sim, int nshards) : sim_(sim) {
@@ -173,6 +224,8 @@ class Simulator::ShardTeam {
     for (int k = 1; k < nshards; ++k)
       workers_.emplace_back([this, k] { worker(k); });
   }
+  ShardTeam(const ShardTeam&) = delete;
+  ShardTeam& operator=(const ShardTeam&) = delete;
 
   ~ShardTeam() {
     stop_.store(true, std::memory_order_relaxed);
@@ -181,18 +234,20 @@ class Simulator::ShardTeam {
     for (auto& t : workers_) t.join();
   }
 
-  /// Runs one compute phase across all shards and returns when every
-  /// shard is done. The epoch release publishes the serial phases'
-  /// writes to the workers; the done-count acquire publishes the shards'
-  /// writes back to the committing thread.
-  void run_phase() {
+  /// Runs `phase` across all shards and returns when every shard is done.
+  /// The epoch release publishes the driving thread's writes (and the
+  /// phase) to the workers; the done-count acquire publishes the shards'
+  /// writes back to the driving thread.
+  void run_phase(ShardPhase phase) {
+    phase_ = phase;
     done_.store(0, std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
     epoch_.notify_all();
-    sim_.run_shard_phase(0);
+    (sim_.*phase)(0);
     const auto need = static_cast<int>(workers_.size());
     int spins = 0;
     while (done_.load(std::memory_order_acquire) != need) {
+      cpu_relax();
       if (++spins > 1024) {
         std::this_thread::yield();
         spins = 0;
@@ -201,6 +256,14 @@ class Simulator::ShardTeam {
   }
 
  private:
+  static constexpr std::chrono::microseconds kSpinBudget{5000};
+
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+
   void worker(int k) {
     // The team is constructed at epoch 0, so that is the last epoch this
     // worker has (vacuously) processed — reading the counter here instead
@@ -208,25 +271,34 @@ class Simulator::ShardTeam {
     std::uint64_t seen = 0;
     for (;;) {
       std::uint64_t e;
+      auto since = std::chrono::steady_clock::now();
       int spins = 0;
       while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-        if (++spins > 4096) {
+        cpu_relax();
+        if (++spins < 256) continue;
+        spins = 0;
+        // Cede the core now and then: until the scheduler spreads the team
+        // (or while the host takes a core away), a spinner can share a
+        // core with the very thread it waits for.
+        std::this_thread::yield();
+        if (std::chrono::steady_clock::now() - since > kSpinBudget) {
           epoch_.wait(seen, std::memory_order_acquire);
-          spins = 0;
+          since = std::chrono::steady_clock::now();
         }
       }
       seen = e;
       if (stop_.load(std::memory_order_relaxed)) return;
-      sim_.run_shard_phase(k);
+      (sim_.*phase_)(k);
       done_.fetch_add(1, std::memory_order_release);
     }
   }
 
   Simulator& sim_;
-  std::vector<std::thread> workers_;
+  ShardPhase phase_ = nullptr;  ///< Published by the epoch release.
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<int> done_{0};
   std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;
 };
 
 Simulator::Simulator(Network& net, const SimConfig& cfg, TrafficSource& traffic)
@@ -316,28 +388,12 @@ void Simulator::init() {
 
   // Sharded engine setup. More shards than chips cannot be chip-aligned
   // and would only add empty phases, so the resolved count is clamped.
+  // The team and its scratch start lazily, on the first parallel cycle.
   shards_ = std::min<int>(resolve_shards(cfg_.shards),
                           static_cast<int>(net_.num_chips()));
-  if (shards_ > 1) {
-    const std::vector<std::uint32_t> bounds = net_.shard_bounds(shards_);
-    ctx_->shard_of.assign(net_.num_routers(), 0);
-    for (int k = 0; k < shards_; ++k)
-      for (std::uint32_t r = bounds[static_cast<std::size_t>(k)];
-           r < bounds[static_cast<std::size_t>(k) + 1]; ++r)
-        ctx_->shard_of[r] = static_cast<std::uint16_t>(k);
-    if (ctx_->shard_scratch.size() < static_cast<std::size_t>(shards_))
-      ctx_->shard_scratch.resize(static_cast<std::size_t>(shards_));
-    for (auto& sc : ctx_->shard_scratch) {
-      sc.snap.clear();
-      sc.events.clear();
-      sc.tails.clear();
-      sc.runs.clear();
-      sc.flit_hops = 0;
-      sc.accepted_flits = 0;
-      sc.ejected_flits = 0;
-    }
-    team_ = std::make_unique<ShardTeam>(*this, shards_);
-  }
+  gate_ = (cfg_.shards == 0 && env_shards() == 0) ? kShardGateRouters : 0;
+  parallel_ = shards_ > 1 && gate_ == 0;
+  if (shards_ > 1) shard_bounds_ = net_.shard_bounds(shards_);
 }
 
 void Simulator::gen_and_inject_terminal(std::size_t ti) {
@@ -554,7 +610,12 @@ Cycle Simulator::next_event_cycle(Cycle limit) {
 
 Cycle Simulator::try_skip_idle(Cycle limit) {
   if (!cfg_.idle_skip || limit <= now_) return now_;
+  const Cycle before = now_;
   now_ = next_event_cycle(limit);
+  if (now_ != before) {
+    ++phases_.skips;
+    phases_.cycles_skipped += now_ - before;
+  }
   return now_;
 }
 
@@ -603,26 +664,57 @@ bool Simulator::inject_packet(NodeId src, NodeId dst, int len,
   return true;
 }
 
-void Simulator::deliver_channels() {
+template <bool Sharded>
+void Simulator::deliver_impl(std::uint32_t lo, std::uint32_t hi,
+                             ShardScratch* ss) {
   auto& slot = ctx_->wheel[now_ & wheel_mask_];
   FlitFifoArena& fifos = net_.fifos();
   const std::size_t n = slot.size();
   constexpr std::size_t kPf = 8;  // prefetch distance (events are 16 bytes)
-  // Pass 1: flit arrivals (before credits, matching router-activation order).
+  // One branch-free pass splits the slot into flit and credit index lists
+  // (a shard keeps only its own routers' events): the flit/credit and
+  // shard tests are coin flips, so testing them per pass mispredicts.
+  std::vector<std::uint32_t>& idx = Sharded ? ss->deliver_idx
+                                            : ctx_->deliver_idx;
+  if (idx.size() < 2 * n) idx.resize(2 * n);
+  std::uint32_t* const fl = idx.data();
+  std::uint32_t* const cr = idx.data() + n;
+  std::size_t nf = 0;
+  std::size_t nc = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + kPf < n) {
-      const auto& pe = slot[i + kPf];
-      if (pe.flit.carries_packet())  // vc_flat indexes the VC arrays
-        __builtin_prefetch(fifos.word_addr(pe.vc_flat));
-    }
-    const auto& ev = slot[i];
-    if (!ev.flit.carries_packet()) continue;
+    const WheelEvent& ev = slot[i];
+    bool mine = true;
+    if constexpr (Sharded)
+      mine = static_cast<std::uint32_t>(ev.node) - lo < hi - lo;
+    const bool flit = ev.flit.carries_packet();
+    fl[nf] = cr[nc] = static_cast<std::uint32_t>(i);
+    nf += mine & flit;
+    nc += mine & !flit;
+  }
+  // Sets the in-active-list flag; a first activation joins the active list
+  // (serial) or the shard's log at its serial-order position `pos`.
+  const auto activate = [&](NodeId id, std::uint32_t add, std::size_t pos) {
+    std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(id)];
+    const bool was = a & 1;
+    a = (a + add) | 1;
+    if (was) return;
+    if constexpr (Sharded)
+      ss->woken.push_back(Wake{static_cast<std::uint32_t>(pos), id});
+    else
+      ctx_->active.push_back(id);
+  };
+  // Pass 1: flit arrivals (before credits, matching router-activation order).
+  for (std::size_t j = 0; j < nf; ++j) {
+    if (j + kPf < nf)  // vc_flat indexes the VC arrays
+      __builtin_prefetch(fifos.word_addr(slot[fl[j + kPf]].vc_flat));
+    const WheelEvent& ev = slot[fl[j]];
     assert(!fifos.full(ev.vc_flat) && "credit protocol violated");
     fifos.push(ev.vc_flat, ev.flit);
     if (fifos.size(ev.vc_flat) == 1) {
       const std::uint32_t meta = fifos.meta(ev.vc_flat);
       if (Network::ivc_state_of(meta) == IvcState::Idle) {
-        set_bit(ctx_->ivc_pending, ev.vc_flat);  // fresh head: needs RC/VA
+        // Fresh head: needs RC/VA.
+        set_bit<Sharded>(ctx_->ivc_pending, ev.vc_flat);
         // RC will read this packet next cycle — pull its line in now.
         __builtin_prefetch(&ctx_->pool[ev.flit.pkt()]);
         mark_work(ev.node);
@@ -630,14 +722,14 @@ void Simulator::deliver_channels() {
         // Refilled an Active VC: its output port may have been parked on
         // an empty FIFO — wake it for SA.
         assert(Network::ivc_state_of(meta) == IvcState::Active);
-        set_bit(ctx_->port_pending,
-                net_.out_port_index(
-                    ev.node,
-                    static_cast<PortIx>(Network::ivc_port_of(meta))));
+        set_bit<Sharded>(ctx_->port_pending,
+                         net_.out_port_index(
+                             ev.node,
+                             static_cast<PortIx>(Network::ivc_port_of(meta))));
         mark_work(ev.node);
       }
     }
-    activate_router_buffered(ev.node);
+    activate(ev.node, 4, fl[j]);  // one more buffered flit
   }
   // Pass 2: credit returns. A credit can unblock the output port that owns
   // the VC, so wake it if it has requesters. A credit event's `vc_flat` is
@@ -645,28 +737,24 @@ void Simulator::deliver_channels() {
   // cache line, so the count check is free after the credit bump.
   auto& ps = net_.port_state();
   const std::uint32_t stride = net_.port_stride();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kPf < n) {
-      const auto& pe = slot[i + kPf];
-      if (!pe.flit.carries_packet())  // vc_flat addresses a port record
-        __builtin_prefetch(
-            &ps[static_cast<std::size_t>(pe.vc_flat >>
-                                         Network::kPortLaneBits) *
-                stride]);
-    }
-    const auto& ev = slot[i];
-    if (ev.flit.carries_packet()) continue;
+  for (std::size_t j = 0; j < nc; ++j) {
+    if (j + kPf < nc)  // vc_flat addresses a port record
+      __builtin_prefetch(
+          &ps[static_cast<std::size_t>(slot[cr[j + kPf]].vc_flat >>
+                                       Network::kPortLaneBits) *
+              stride]);
+    const WheelEvent& ev = slot[cr[j]];
     const std::uint32_t pflat = ev.vc_flat >> Network::kPortLaneBits;
     std::uint32_t* rec = &ps[static_cast<std::size_t>(pflat) * stride];
     reinterpret_cast<std::uint16_t*>(rec)[ev.vc_flat & Network::kLaneMask] +=
         2;  // ++credits (bit 0 of the lane is the busy flag)
     if ((rec[0] & 0xff) != 0) {
-      set_bit(ctx_->port_pending, pflat);
+      set_bit<Sharded>(ctx_->port_pending, pflat);
       mark_work(ev.node);
     }
-    activate_router(ev.node);
+    activate(ev.node, 0, n + cr[j]);
   }
-  slot.clear();
+  if constexpr (!Sharded) slot.clear();
 }
 
 void Simulator::commit_tail(PacketId pid) {
@@ -1421,144 +1509,159 @@ void Simulator::prefetch_snapshot(const std::vector<NodeId>& snap,
   }
 }
 
-void Simulator::run_shard_phase(int k) {
+void Simulator::run_team(ShardPhase phase) {
+  if (!team_) {
+    if (ctx_->shard_scratch.size() < static_cast<std::size_t>(shards_))
+      ctx_->shard_scratch.resize(static_cast<std::size_t>(shards_));
+    team_ = std::make_unique<ShardTeam>(*this, shards_);
+  }
+  team_->run_phase(phase);
+}
+
+void Simulator::deliver_shard(int k) {
   ShardScratch& sc = ctx_->shard_scratch[static_cast<std::size_t>(k)];
-  const auto& snap = sc.snap;
-  const std::size_t n = snap.size();
+  sc.woken.clear();
+  deliver_impl<true>(shard_bounds_[static_cast<std::size_t>(k)],
+                     shard_bounds_[static_cast<std::size_t>(k) + 1], &sc);
+}
+
+void Simulator::merge_woken() {
+  merge_by_pos(ctx_->shard_scratch.data(), shards_, &ShardScratch::woken,
+               [&](ShardScratch&, const Wake& w) {
+                 ctx_->active.push_back(w.node);
+               });
+  ctx_->wheel[now_ & wheel_mask_].clear();
+}
+
+void Simulator::walk_shard(int k) {
+  ShardScratch& sc = ctx_->shard_scratch[static_cast<std::size_t>(k)];
+  const std::uint32_t lo = shard_bounds_[static_cast<std::size_t>(k)];
+  const std::uint32_t hi = shard_bounds_[static_cast<std::size_t>(k) + 1];
+  sc.snap.clear();
+  sc.snap_pos.clear();
+  sc.events.clear();
+  sc.tails.clear();
+  sc.runs.clear();
+  sc.flit_hops = sc.accepted_flits = sc.ejected_flits = 0;
+  // This shard's slice of the global snapshot, in snapshot order.
+  const auto& global = ctx_->scratch;
+  for (std::size_t j = 0; j < global.size(); ++j) {
+    const auto rid = static_cast<std::uint32_t>(global[j]);
+    if (rid < lo || rid >= hi) continue;
+    ctx_->ract[rid] &= ~1u;
+    sc.snap.push_back(global[j]);
+    sc.snap_pos.push_back(static_cast<std::uint32_t>(j));
+  }
+  const std::size_t n = sc.snap.size();
   for (std::size_t i = 0; i < n; ++i) {
-    prefetch_snapshot(snap, i);
-    const NodeId rid = snap[i];
-    if (ctx_->ract[static_cast<std::size_t>(rid)] & 2) {
-      const std::size_t ev0 = sc.events.size();
-      const std::size_t tl0 = sc.tails.size();
-      process_router_impl<true>(rid, &sc);
+    prefetch_snapshot(sc.snap, i);
+    std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(sc.snap[i])];
+    const std::size_t ev0 = sc.events.size();
+    const std::size_t tl0 = sc.tails.size();
+    if (a & 2) process_router_impl<true>(sc.snap[i], &sc);
+    // Keep-alive, as in the serial walk: the flag is set here, the list
+    // entry at commit.
+    const bool keep = a > 3;
+    if (keep) a |= 1;
+    if (keep || sc.events.size() != ev0 || sc.tails.size() != tl0)
       sc.runs.push_back(
-          ShardRun{rid, static_cast<std::uint32_t>(sc.events.size() - ev0),
-                   static_cast<std::uint32_t>(sc.tails.size() - tl0)});
-    }
+          ShardRun{sc.snap_pos[i],
+                   static_cast<std::uint32_t>(sc.events.size() - ev0),
+                   static_cast<std::uint16_t>(sc.tails.size() - tl0), keep});
   }
 }
 
-// One sharded cycle. Serial and sharded execution differ only in *where*
-// the router phase's effects are applied, never in what they are:
-//
-//   1. deliver + generate run serially, exactly as in step() — so the RNG
-//      stream, injection decisions, and (adaptive) injection-time
-//      occupancy reads observe the identical engine state.
-//   2. The snapshot is split by the chip-aligned shard map and every shard
-//      runs the router pipeline over its slice concurrently. Per-router
-//      work is provably shard-local (routing reads only immutable topology
-//      + the packet + the router's own SoA slices); the only cross-shard
-//      effects — wheel pushes, tail deliveries — are buffered per shard.
-//   3. The commit pass walks the *global* snapshot in its original order
-//      and drains each router's buffered run, which reconstructs the
-//      serial engine's exact wheel-slot event order, ejection-stat
-//      accumulation order (fp sums are order-sensitive), listener-callback
-//      order, and packet-pool free-list order. Keep-alive re-activation
-//      happens here too, in the same per-router position as in step().
-//
-// Hence fixed-seed results are bit-identical for every shard count.
-void Simulator::step_sharded() {
-  deliver_channels();
-  generate_and_inject();
-
-  ctx_->scratch.clear();
-  ctx_->scratch.swap(ctx_->active);
-  for (auto& sc : ctx_->shard_scratch) {
-    sc.snap.clear();
-    sc.events.clear();
-    sc.tails.clear();
-    sc.runs.clear();
-    sc.flit_hops = 0;
-    sc.accepted_flits = 0;
-    sc.ejected_flits = 0;
-    sc.run_cur = sc.ev_cur = sc.tail_cur = 0;
-  }
-  for (NodeId rid : ctx_->scratch) {
-    ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
-    ctx_->shard_scratch[ctx_->shard_of[static_cast<std::size_t>(rid)]]
-        .snap.push_back(rid);
-  }
-
-  if (!ctx_->scratch.empty()) team_->run_phase();
-
+void Simulator::commit_runs() {
+  ShardScratch* shards = ctx_->shard_scratch.data();
   // Integer tallies first, so a PacketListener fired from commit_tail()
   // below observes the cycle's full counts (the documented sharded-engine
   // observability; the sums are order-insensitive).
-  for (const auto& sc : ctx_->shard_scratch) {
-    flit_hops_ += sc.flit_hops;
-    accepted_flits_ += sc.accepted_flits;
-    ejected_flits_ += sc.ejected_flits;
+  for (int k = 0; k < shards_; ++k) {
+    flit_hops_ += shards[k].flit_hops;
+    accepted_flits_ += shards[k].accepted_flits;
+    ejected_flits_ += shards[k].ejected_flits;
+    shards[k].ev_cur = shards[k].tail_cur = 0;
   }
-  // Cheap-commit fast paths. The full replay below exists only to
-  // interleave the shards' buffered effects back into global snapshot
-  // order; when at most one shard buffered anything there is nothing to
-  // interleave, so drain in one merged pass and keep only the keep-alive
-  // re-activation walk. Both paths are order-equivalent to the replay:
-  // commit_tail() touches stats / the listener / the packet pool but never
-  // `ract` or the active list, and the re-activation walk touches only
-  // those — so "drain everything, then walk" commutes with the
-  // interleaved walk as long as the per-tail and per-event order is
-  // preserved (it is: a single shard's buffer order IS the global order).
-  std::size_t traffic_shards = 0;
-  ShardScratch* only = nullptr;
-  for (auto& sc : ctx_->shard_scratch)
-    if (!sc.events.empty() || !sc.tails.empty()) {
-      ++traffic_shards;
-      only = &sc;
-    }
-  if (traffic_shards <= 1) {
-    if (only != nullptr) {
-      for (const PendingEvent& pe : only->events)
-        ctx_->wheel[pe.slot].push_back(pe.ev);
-      for (PacketId pid : only->tails) commit_tail(pid);
-    }
-    for (NodeId rid : ctx_->scratch)
-      if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
-    ++now_;
-    return;
-  }
-  for (NodeId rid : ctx_->scratch) {
-    ShardScratch& sc =
-        ctx_->shard_scratch[ctx_->shard_of[static_cast<std::size_t>(rid)]];
-    if (sc.run_cur < sc.runs.size() && sc.runs[sc.run_cur].rid == rid) {
-      const ShardRun& run = sc.runs[sc.run_cur++];
-      for (std::uint32_t e = 0; e < run.num_events; ++e) {
-        const PendingEvent& pe = sc.events[sc.ev_cur++];
-        ctx_->wheel[pe.slot].push_back(pe.ev);
-      }
-      for (std::uint32_t t = 0; t < run.num_tails; ++t)
-        commit_tail(sc.tails[sc.tail_cur++]);
-    }
-    if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
-  }
-  ++now_;
+  merge_by_pos(shards, shards_, &ShardScratch::runs,
+               [&](ShardScratch& sc, const ShardRun& run) {
+                 for (std::uint32_t e = 0; e < run.num_events; ++e) {
+                   const PendingEvent& pe = sc.events[sc.ev_cur++];
+                   ctx_->wheel[pe.slot].push_back(pe.ev);
+                 }
+                 for (std::uint16_t t = 0; t < run.num_tails; ++t)
+                   commit_tail(sc.tails[sc.tail_cur++]);
+                 if (run.keep) ctx_->active.push_back(ctx_->scratch[run.pos]);
+               });
 }
 
+// One cycle. A parallel cycle differs from a serial one only in *where*
+// the delivery and router phases run, never in what they do:
+//
+//   1. Delivery. Each shard drains the slot's events addressed to its own
+//      routers, flits then credits (their state is shard-local; shared
+//      pending-bitmask boundary words take atomic bit ops), and logs every
+//      first activation with its serial-order position. The driving thread
+//      merges the logs on position, which appends to the active list in
+//      the serial engine's order.
+//   2. Generation stays serial, after delivery: the RNG stream, injection
+//      decisions and (adaptive) injection-time credit reads observe the
+//      identical engine state.
+//   3. Router walk. Every shard walks its slice of the snapshot in snapshot
+//      order. Per-router work is shard-local (routing reads only immutable
+//      topology, the packet, and the router's own SoA slices); the only
+//      cross-shard effects — wheel pushes, tail deliveries, keep-alive list
+//      entries — are buffered per shard, tagged with snapshot positions.
+//   4. Commit. The driving thread merges the shards' runs on position,
+//      which reconstructs the serial engine's wheel-slot event order,
+//      ejection-stat accumulation order (fp sums are order-sensitive),
+//      listener-callback order, packet-pool free-list order, and keep-alive
+//      re-activation order.
+//
+// Hence fixed-seed results (and checkpoints) are bit-identical for every
+// shard count and for every gate decision.
 void Simulator::step() {
+  PhaseClock clock(cfg_.phase_timers);
   // Fault timeline transitions happen at the cycle boundary, before any
-  // engine phase — and always serially, even on the sharded path, so every
-  // shard count observes the identical post-event state.
+  // engine phase — and always serially, so every shard count observes the
+  // identical post-event state.
   if (fault_sched_ != nullptr && next_fault_ < fault_sched_->steps.size() &&
-      fault_sched_->steps[next_fault_].at <= now_)
+      fault_sched_->steps[next_fault_].at <= now_) {
     apply_fault_steps();
-  if (shards_ > 1) {
-    step_sharded();
-    return;
+    clock.lap(phases_.fault_s);
   }
-  deliver_channels();
+  if (parallel_ && !ctx_->wheel[now_ & wheel_mask_].empty()) {
+    run_team(&Simulator::deliver_shard);
+    clock.lap(phases_.deliver_s);
+    merge_woken();
+    clock.lap(phases_.commit_s);
+  } else {
+    deliver_impl<false>(0, 0, nullptr);
+    clock.lap(phases_.deliver_s);
+  }
   generate_and_inject();
+  clock.lap(phases_.generate_s);
 
   // Snapshot: routers activated during this pass run next cycle. The two
   // lists ping-pong so neither ever re-allocates in steady state.
   ctx_->scratch.clear();
   ctx_->scratch.swap(ctx_->active);
-  for (NodeId rid : ctx_->scratch)
-    ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
-  // The active list gives exact lookahead, so the per-router state lines
-  // (scattered in L3) are prefetched in two stages (prefetch_snapshot).
   const auto& snap = ctx_->scratch;
   const std::size_t nsnap = snap.size();
+  phases_.routers_walked += nsnap;
+  parallel_ = shards_ > 1 && nsnap >= gate_;
+  if (parallel_ && nsnap > 0) {
+    ++phases_.parallel_cycles;
+    run_team(&Simulator::walk_shard);
+    clock.lap(phases_.walk_s);
+    commit_runs();
+    clock.lap(phases_.commit_s);
+    ++now_;
+    return;
+  }
+  ++phases_.serial_cycles;
+  for (NodeId rid : snap) ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
+  // The active list gives exact lookahead, so the per-router state lines
+  // (scattered in L3) are prefetched in stages (prefetch_snapshot).
   for (std::size_t i = 0; i < nsnap; ++i) {
     prefetch_snapshot(snap, i);
     const NodeId rid = snap[i];
@@ -1569,6 +1672,7 @@ void Simulator::step() {
     // Keep the router live while any input VC holds flits.
     if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
   }
+  clock.lap(phases_.walk_s);
   ++now_;
 }
 
@@ -1663,12 +1767,14 @@ SimResult Simulator::run() {
     }
   }
   res.avg_hops_total = total;
+  res.phases = phases_;
   return res;
 }
 
 namespace {
-/// Checkpoint stream magic ("sldfckp1" little-endian).
-constexpr std::uint64_t kCkMagic = 0x736c6466636b7031ULL;
+/// Checkpoint stream magic ("sldfckp2" little-endian; version 2 dropped the
+/// per-channel token words from the network state).
+constexpr std::uint64_t kCkMagic = 0x736c6466636b7032ULL;
 }  // namespace
 
 void Simulator::save_checkpoint(std::ostream& out) const {

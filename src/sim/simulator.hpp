@@ -20,6 +20,7 @@
 #include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "sim/network.hpp"
 
@@ -70,12 +71,38 @@ struct SimConfig {
   bool idle_skip = true;
   /// Intra-simulation engine shards: N > 1 partitions one network's routers
   /// into N chip-aligned shards (Network::shard_bounds) processed by N
-  /// threads per cycle under a two-phase compute/commit protocol; 1 runs
-  /// the serial engine; 0 = auto (the `SLDF_SHARDS` environment variable,
-  /// or 1 when unset — see resolve_shards()). Fixed-seed SimResults are
-  /// bit-identical across every shard count; see docs/ARCHITECTURE.md,
-  /// "Threading & determinism model".
+  /// threads every cycle; 1 runs the serial engine; 0 = auto: the
+  /// `SLDF_SHARDS` environment variable (every cycle parallel, like an
+  /// explicit N), else the usable cores behind a per-cycle work gate — a
+  /// cycle runs on the shard team only when its router snapshot reaches
+  /// kShardGateRouters, so small fabrics never start a thread (see
+  /// resolve_shards()). Fixed-seed SimResults are bit-identical across
+  /// every shard count; see docs/ARCHITECTURE.md, "Threading & determinism
+  /// model".
   int shards = 0;
+  /// Accumulate host time per engine phase into SimResult::phases (a few
+  /// clock reads per cycle). Changes no simulation counter.
+  bool phase_timers = false;
+};
+
+/// Where one run's engine time went. The cycle counts are always kept; the
+/// `*_s` host-time fields only with SimConfig::phase_timers. Telemetry, not
+/// simulation output: the parallel/serial split depends on the shard count
+/// and the times on the host, so equality checks and result digests leave
+/// this struct out.
+struct EnginePhases {
+  double fault_s = 0.0;     ///< Fault-timeline steps.
+  double deliver_s = 0.0;   ///< Timing-wheel delivery (parallel or serial).
+  double generate_s = 0.0;  ///< Generation + injection (always serial).
+  double walk_s = 0.0;      ///< Router pipeline over the snapshot.
+  /// Driving-thread-only work of a parallel cycle: the activation merge
+  /// after parallel delivery and the snapshot-order commit after the walk.
+  double commit_s = 0.0;
+  std::uint64_t parallel_cycles = 0;  ///< Walks run on the shard team.
+  std::uint64_t serial_cycles = 0;    ///< Walks run by the driving thread.
+  std::uint64_t routers_walked = 0;   ///< Snapshot sizes, summed.
+  std::uint64_t skips = 0;            ///< Idle-elision jumps.
+  std::uint64_t cycles_skipped = 0;   ///< Cycles those jumps covered.
 };
 
 struct SimResult {
@@ -126,6 +153,8 @@ struct SimResult {
   std::vector<std::uint64_t> wafer_delivered;
   std::vector<std::uint64_t> wafer_dropped;
   std::vector<std::uint64_t> wafer_inflight;
+  /// Engine telemetry, excluded from result equality (see EnginePhases).
+  EnginePhases phases;
 };
 
 /// One timing-wheel record: a flit arriving at an input VC, or (when
@@ -174,30 +203,44 @@ struct PendingEvent {
   WheelEvent ev;
 };
 
-/// Commit-replay bookkeeping for one router processed by a shard during
-/// one cycle: how many wheel events and delivered tail packets it
-/// produced. The commit pass walks the *global* snapshot in order and
-/// consumes each router's run, which reconstructs the serial engine's
-/// exact wheel-push / ejection / listener / pool-release interleaving.
-struct ShardRun {
-  NodeId rid = kInvalidNode;
-  std::uint32_t num_events = 0;
-  std::uint32_t num_tails = 0;
+/// A router's first activation during a shard's delivery pass. `pos` is
+/// the event's position in the serial delivery order (flit pass: its slot
+/// index; credit pass: slot size + its index), so merging every shard's
+/// log on `pos` rebuilds the serial engine's active-list order.
+struct Wake {
+  std::uint32_t pos = 0;
+  NodeId node = kInvalidNode;
 };
 
-/// Per-shard compute-phase scratch (sharded engine only). Cache-line
-/// aligned so shards never false-share their cursors; all vectors keep
-/// their high-water capacities across cycles and runs.
+/// Commit bookkeeping for one snapshot router a shard processed or kept
+/// alive: its position in the *global* snapshot, how many wheel events and
+/// delivered tail packets it produced, and whether it stays active. The
+/// commit merges every shard's runs on `pos`, which reconstructs the
+/// serial engine's exact wheel-push / ejection / listener / pool-release /
+/// re-activation interleaving.
+struct ShardRun {
+  std::uint32_t pos = 0;
+  std::uint32_t num_events = 0;
+  std::uint16_t num_tails = 0;
+  bool keep = false;
+};
+
+/// Per-shard scratch (sharded engine only). Cache-line aligned so shards
+/// never false-share their cursors; all vectors keep their high-water
+/// capacities across cycles and runs.
 struct alignas(64) ShardScratch {
+  std::vector<Wake> woken;           ///< Delivery-pass activations, in order.
+  std::vector<std::uint32_t> deliver_idx;  ///< Delivery split scratch.
   std::vector<NodeId> snap;          ///< This shard's slice of the snapshot.
+  std::vector<std::uint32_t> snap_pos;  ///< Global position of each entry.
   std::vector<PendingEvent> events;  ///< Deferred wheel pushes, in order.
   std::vector<PacketId> tails;       ///< Delivered tail packets, in order.
-  std::vector<ShardRun> runs;        ///< Per processed router, in order.
+  std::vector<ShardRun> runs;        ///< Per processed/kept router, in order.
   std::uint64_t flit_hops = 0;       ///< Order-insensitive counters, summed
   std::uint64_t accepted_flits = 0;  ///< into the globals at commit.
   std::uint64_t ejected_flits = 0;   ///< Same (conservation ledger).
-  // Commit-pass consumption cursors (only the committing thread moves them).
-  std::size_t run_cur = 0;
+  // Merge cursors (only the driving thread moves them).
+  std::size_t cur = 0;
   std::size_t ev_cur = 0;
   std::size_t tail_cur = 0;
 };
@@ -217,6 +260,8 @@ struct SimContext {
   /// process_router() clears it when it leaves no pending bits behind.
   std::vector<std::uint32_t> ract;
   std::vector<std::vector<WheelEvent>> wheel;  ///< Timing-wheel slots.
+  /// Serial delivery scratch: the slot's flit and credit event indices.
+  std::vector<std::uint32_t> deliver_idx;
   /// One bit per input VC: non-empty and not yet Active, i.e. needs RC/VA.
   /// Scanned in ascending index order, so arbitration matches a full scan.
   std::vector<std::uint64_t> ivc_pending;
@@ -249,37 +294,44 @@ struct SimContext {
   /// Scratch bitmask of terminals whose generation clock fires this cycle
   /// (always zero between cycles).
   std::vector<std::uint64_t> gen_due;
-  // ---- sharded engine (shards > 1 only; empty otherwise) ----
+  // ---- sharded engine (created on the first parallel cycle) ----
   std::vector<ShardScratch> shard_scratch;  ///< One per shard.
-  std::vector<std::uint16_t> shard_of;      ///< Router -> owning shard.
 };
 
 inline constexpr std::uint32_t kNoWaiter = 0xffffffffu;
 
+/// The per-cycle work gate of `shards = auto`: a cycle runs on the shard
+/// team only when its router snapshot holds at least this many routers.
+/// Below it a parallel cycle's fixed costs (two team hand-offs, the merges,
+/// atomic pending-bit traffic) outweigh the split work. Measured on a
+/// 2-core host; docs/PERFORMANCE.md has the crossover table.
+inline constexpr std::size_t kShardGateRouters = 3072;
+
 /// Maps the shard-count convention to a concrete count >= 1: an explicit
 /// `requested >= 1` is returned as-is; `requested == 0` (auto) reads the
 /// `SLDF_SHARDS` environment variable (a positive integer; anything else
-/// is ignored) and falls back to 1. The env hook lets an unmodified test
-/// or tool suite be re-run entirely on the sharded engine
+/// is ignored) and falls back to `cores`. The env hook lets an unmodified
+/// test or tool suite be re-run entirely on the sharded engine
 /// (`SLDF_SHARDS=2 ctest ...` — the CI does exactly this), which is only
 /// sound because fixed-seed results are shard-count-invariant.
-int resolve_shards(int requested);
+int resolve_shards(int requested, unsigned cores = usable_cores());
 
 /// The cycle engine. Every cycle runs three phases in a fixed order:
 ///
-///   1. deliver_channels() — drain the current timing-wheel slot: flit
-///      arrivals into input-VC FIFOs, then credit returns to output ports.
+///   1. delivery — drain the current timing-wheel slot: flit arrivals into
+///      input-VC FIFOs, then credit returns to output ports.
 ///   2. generate_and_inject() — rate-driven packet generation (one global
 ///      RNG, terminals in index order) and one-flit-per-cycle injection.
 ///   3. router pipeline — RC/VA/SA/ST for every router with pending work,
 ///      in active-list order (exact event-driven subset of a full scan).
 ///
-/// With cfg.shards > 1 phase 3 is executed by a shard team under a
-/// two-phase compute/commit protocol that reproduces the serial engine's
-/// observable orderings exactly (see step_sharded() in simulator.cpp and
-/// docs/ARCHITECTURE.md, "Threading & determinism model"); phases 1 and 2
-/// stay serial. Fixed-seed results are bit-identical for every shard
-/// count, so `shards` is purely a wall-clock knob.
+/// With more than one shard, phases 1 and 3 of a parallel cycle run on a
+/// shard team, each shard over its own routers, and the driving thread
+/// merges their logs back into the serial engine's exact orders (see
+/// step() in simulator.cpp and docs/ARCHITECTURE.md, "Threading &
+/// determinism model"); phase 2 stays serial. Fixed-seed results are
+/// bit-identical for every shard count, so `shards` is purely a
+/// wall-clock knob.
 class Simulator {
  public:
   /// Owns a private SimContext (one-shot runs, tests).
@@ -361,9 +413,15 @@ class Simulator {
   /// Resolved shard count this engine runs with (>= 1; clamped to the
   /// network's chip count).
   [[nodiscard]] int shards() const { return shards_; }
+  /// Whether the shard team's threads exist (they start lazily, on the
+  /// first cycle that runs in parallel).
+  [[nodiscard]] bool team_started() const { return team_ != nullptr; }
+  /// Engine telemetry so far (run() also reports it in SimResult::phases).
+  [[nodiscard]] const EnginePhases& phases() const { return phases_; }
 
  private:
   class ShardTeam;
+  using ShardPhase = void (Simulator::*)(int);
 
   void init();
   void generate_and_inject();
@@ -379,7 +437,12 @@ class Simulator {
   /// Generation + one-flit injection for terminal `ti` (the shared
   /// per-terminal body of the two paths above).
   void gen_and_inject_terminal(std::size_t ti);
-  void deliver_channels();
+  /// Drains the current wheel slot: flit arrivals first, then credits.
+  /// The `Sharded` instantiation delivers only the events addressed to
+  /// routers [lo, hi) (shard-local state, atomic pending-bit ops) and logs
+  /// first activations into `ss->woken` instead of the active list.
+  template <bool Sharded>
+  void deliver_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
   /// Applies every due FaultStep of the network's fault schedule (called
   /// at the top of step(), before any engine phase — always serial).
   void apply_fault_steps();
@@ -395,17 +458,26 @@ class Simulator {
   void process_router_impl(NodeId rid, ShardScratch* ss);
   void process_router(NodeId rid) { process_router_impl<false>(rid, nullptr); }
   void handle_eject(const Flit& f);
-  /// Compute phase of one sharded cycle for shard `k` (runs concurrently
-  /// with the other shards' phases; touches only shard-local state).
-  void run_shard_phase(int k);
-  /// Two-stage lookahead prefetch for position `i` of a snapshot walk
+  // Shard-team phases of a parallel cycle: each runs concurrently for
+  // every shard `k` and touches only shard `k`'s routers and scratch.
+  void deliver_shard(int k);
+  void walk_shard(int k);
+  /// Runs `phase` on every shard (starting the team on first use) and
+  /// returns when all are done.
+  void run_team(ShardPhase phase);
+  /// Driving-thread merges after the two team phases: first activations
+  /// into the active list (and the delivered slot cleared), then the
+  /// walk's runs into the wheel, the tail commits and the keep-alive
+  /// re-activations, in serial-engine order.
+  void merge_woken();
+  void commit_runs();
+  /// Rolling lookahead prefetch for position `i` of a snapshot walk
   /// (far = per-router offset entries, near = the state lines those
   /// offsets point at), shared by the serial and sharded snapshot loops.
   void prefetch_snapshot(const std::vector<NodeId>& snap, std::size_t i);
   /// Commit + stats for one delivered tail packet (shared by the serial
   /// handle_eject path and the sharded commit pass; `p` == pool[pid]).
   void commit_tail(PacketId pid);
-  void step_sharded();
 
   void activate_router(NodeId id) {
     std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(id)];
@@ -460,8 +532,17 @@ class Simulator {
   /// cache (large fabrics); on small ones every line is resident and the
   /// extra reads/prefetches are measured pure overhead (~10%).
   bool deep_prefetch_ = false;
-  int shards_ = 1;                    ///< Resolved count (see shards()).
-  std::unique_ptr<ShardTeam> team_;   ///< Worker threads (shards_ > 1).
+  int shards_ = 1;  ///< Resolved count (see shards()).
+  /// Minimum snapshot for a parallel walk: kShardGateRouters under auto
+  /// shards, 0 (every cycle) for an explicit count or SLDF_SHARDS.
+  std::size_t gate_ = 0;
+  /// The last snapshot crossed the gate, so this cycle delivers on the
+  /// team: delivery precedes the snapshot, and consecutive snapshots are
+  /// close in size.
+  bool parallel_ = false;
+  std::vector<std::uint32_t> shard_bounds_;  ///< Network::shard_bounds.
+  std::unique_ptr<ShardTeam> team_;  ///< Started by the first run_team().
+  EnginePhases phases_;
 
   // Online fault timeline (nullptr when the network has none). Steps are
   // consumed in order as now_ reaches them; next_fault_ is checkpointed.

@@ -80,7 +80,7 @@ TEST(ScenarioSpec, ThreadsAcceptsAutoAndCounts) {
   s.set("threads", "4");
   EXPECT_EQ(s.threads, 4u);
   s.set("threads", "auto");
-  EXPECT_EQ(s.threads, 0u);  // 0 = hardware concurrency at run time
+  EXPECT_EQ(s.threads, 0u);  // 0 = usable cores at run time
   EXPECT_EQ(s.to_kv().at("threads"), "auto");
   EXPECT_EQ(ScenarioSpec::from_kv(s.to_kv()).threads, 0u);
   EXPECT_THROW(s.set("threads", "-2"), std::invalid_argument);

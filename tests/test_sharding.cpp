@@ -1,13 +1,18 @@
 // Sharded-engine determinism suite: fixed-seed SimResults must be
-// bit-identical across shards=1 (the serial engine), shards=N, and repeat
-// runs — open loop in every routing mode, on both fabrics, with faults
-// armed, and under the closed-loop workload runner — plus the partition
-// invariants of Network::shard_bounds and the resolve_shards convention.
+// bit-identical across shards=1 (the serial engine), shards=N, auto shards
+// behind the per-cycle work gate, and repeat runs — open loop in every
+// routing mode, on both fabrics, with faults armed, and under the
+// closed-loop workload runner — plus the partition invariants of
+// Network::shard_bounds, the resolve_shards convention, and the gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "common/thread_pool.hpp"
 #include "core/scenario.hpp"
 #include "test_fixtures.hpp"
 #include "topo/faults.hpp"
@@ -133,19 +138,53 @@ TEST(ShardBounds, RequiresFinalizeAndValidCount) {
 
 // ---- resolve_shards ------------------------------------------------------
 
-TEST(ResolveShards, ExplicitAndEnvConvention) {
+namespace {
+
+/// Sets (or, with nullptr, unsets) SLDF_SHARDS for one scope and restores
+/// the caller's value after it — CI re-runs this suite under
+/// SLDF_SHARDS=2, and later tests must still see that.
+class ScopedShardsEnv {
+ public:
+  explicit ScopedShardsEnv(const char* value) {
+    if (const char* old = std::getenv("SLDF_SHARDS")) saved_ = old;
+    had_ = std::getenv("SLDF_SHARDS") != nullptr;
+    if (value)
+      setenv("SLDF_SHARDS", value, 1);
+    else
+      unsetenv("SLDF_SHARDS");
+  }
+  ~ScopedShardsEnv() {
+    if (had_)
+      setenv("SLDF_SHARDS", saved_.c_str(), 1);
+    else
+      unsetenv("SLDF_SHARDS");
+  }
+  ScopedShardsEnv(const ScopedShardsEnv&) = delete;
+  ScopedShardsEnv& operator=(const ScopedShardsEnv&) = delete;
+
+ private:
+  std::string saved_;
+  bool had_ = false;
+};
+
+}  // namespace
+
+TEST(ResolveShards, ExplicitEnvAndAutoConvention) {
+  ScopedShardsEnv env(nullptr);
   EXPECT_EQ(sim::resolve_shards(1), 1);
   EXPECT_EQ(sim::resolve_shards(4), 4);
-  unsetenv("SLDF_SHARDS");
-  EXPECT_EQ(sim::resolve_shards(0), 1);
+  // auto: the usable cores (or the caller's core budget).
+  EXPECT_EQ(sim::resolve_shards(0), static_cast<int>(usable_cores()));
+  EXPECT_EQ(sim::resolve_shards(0, 5), 5);
+  EXPECT_EQ(sim::resolve_shards(0, 1), 1);
   setenv("SLDF_SHARDS", "3", 1);
-  EXPECT_EQ(sim::resolve_shards(0), 3);
-  EXPECT_EQ(sim::resolve_shards(2), 2);  // explicit beats env
+  EXPECT_EQ(sim::resolve_shards(0), 3);     // env beats the cores
+  EXPECT_EQ(sim::resolve_shards(0, 1), 3);  // ... and a core budget
+  EXPECT_EQ(sim::resolve_shards(2), 2);     // explicit beats env
   setenv("SLDF_SHARDS", "garbage", 1);
-  EXPECT_EQ(sim::resolve_shards(0), 1);
+  EXPECT_EQ(sim::resolve_shards(0, 6), 6);
   setenv("SLDF_SHARDS", "-2", 1);
-  EXPECT_EQ(sim::resolve_shards(0), 1);
-  unsetenv("SLDF_SHARDS");
+  EXPECT_EQ(sim::resolve_shards(0, 6), 6);
 }
 
 TEST(ResolveShards, ClampedToChipCount) {
@@ -154,8 +193,134 @@ TEST(ResolveShards, ClampedToChipCount) {
   auto traffic = traffic::make_pattern("uniform", net, {});
   net.reset_dynamic_state();
   sim::Simulator s(net, sc, *traffic);
-  EXPECT_GE(s.shards(), 1);
-  EXPECT_LE(s.shards(), static_cast<int>(net.num_chips()));
+  EXPECT_EQ(s.shards(), static_cast<int>(net.num_chips()));
+}
+
+TEST(ResolveShards, AutoIsUsableCoresClampedToChips) {
+  ScopedShardsEnv env(nullptr);
+  auto net = tiny_net();
+  auto traffic = traffic::make_pattern("uniform", net, {});
+  net.reset_dynamic_state();
+  const sim::Simulator s(net, short_cfg(0), *traffic);
+  EXPECT_EQ(s.shards(), std::min(static_cast<int>(usable_cores()),
+                                 static_cast<int>(net.num_chips())));
+}
+
+TEST(ResolveShards, SweepWorkersResolveAutoToOne) {
+  ScopedShardsEnv env(nullptr);
+  core::SweepConfig cfg;
+  cfg.rates = {0.1, 0.2};
+  cfg.base.seed = 7;
+  const sim::SimConfig serial = core::point_config(cfg, 1, 1);
+  EXPECT_EQ(serial.shards, 0);  // a lone worker keeps auto
+  EXPECT_EQ(serial.seed, 8u);
+  EXPECT_EQ(serial.inj_rate_per_chip, 0.2);
+  EXPECT_EQ(core::point_config(cfg, 0, 2).shards, 1);
+  cfg.base.shards = 3;  // explicit counts are honoured
+  EXPECT_EQ(core::point_config(cfg, 0, 2).shards, 3);
+  cfg.base.shards = 0;
+  setenv("SLDF_SHARDS", "2", 1);  // so is the env override
+  EXPECT_EQ(core::point_config(cfg, 0, 2).shards, 2);
+}
+
+// ---- per-cycle work gate -------------------------------------------------
+
+TEST(ShardGate, SmallFabricAutoNeverStartsTheTeam) {
+  ScopedShardsEnv env(nullptr);
+  auto net = tiny_net();
+  ASSERT_LT(net.num_routers(), sim::kShardGateRouters);
+  auto traffic = traffic::make_pattern("uniform", net, {});
+  net.reset_dynamic_state();
+  sim::Simulator s(net, short_cfg(0), *traffic);
+  const sim::SimResult r = s.run();
+  EXPECT_EQ(r.phases.parallel_cycles, 0u);
+  EXPECT_GT(r.phases.serial_cycles, 0u);
+  EXPECT_FALSE(s.team_started());
+}
+
+namespace {
+
+/// One run of the gate-crossing spec, stepped by hand so the parallel /
+/// serial decision of every cycle is visible.
+struct GateRun {
+  sim::SimResult res;
+  std::string mid_checkpoint;
+  std::vector<bool> parallel;  ///< Per stepped cycle.
+};
+
+/// radix16-swless g=21 (4704 routers) at 0.5: the snapshot climbs past
+/// the gate during warmup (~cycle 30) and falls back below it once
+/// generation stops at cycle 100 (~cycle 110). Each run builds its own
+/// network: checkpoints carry the raw FIFO arena, stale slots included.
+GateRun gate_run(int shards) {
+  core::ScenarioSpec spec;
+  spec.topology = "radix16-swless";
+  spec.set("topo.g", "21");
+  sim::Network net;
+  core::build_network(net, spec);
+  auto traffic = traffic::make_pattern("uniform", net, {});
+  sim::SimConfig sc;
+  sc.inj_rate_per_chip = 0.5;
+  sc.warmup = 40;
+  sc.measure = 40;
+  sc.drain = 20;
+  sc.seed = 3;
+  sc.shards = shards;
+  sim::Simulator s(net, sc, *traffic);
+  GateRun out;
+  while (s.now() < 130) {
+    if (s.now() == 70) {
+      std::ostringstream ck;
+      s.save_checkpoint(ck);
+      out.mid_checkpoint = ck.str();
+    }
+    const std::uint64_t before = s.phases().parallel_cycles;
+    s.step();
+    out.parallel.push_back(s.phases().parallel_cycles != before);
+  }
+  out.res = s.run();  // the drain of whatever is left
+  return out;
+}
+
+}  // namespace
+
+TEST(ShardGate, CrossingBothWaysBitIdentical) {
+  ScopedShardsEnv env(nullptr);
+  const GateRun serial = gate_run(1);
+  const GateRun sh2 = gate_run(2);
+  const GateRun automatic = gate_run(0);
+  for (const GateRun* r : {&sh2, &automatic}) {
+    expect_bit_identical(serial.res, r->res);
+    EXPECT_TRUE(serial.mid_checkpoint == r->mid_checkpoint)
+        << "mid-run checkpoint bytes differ";
+  }
+  EXPECT_TRUE(std::all_of(sh2.parallel.begin() + 1, sh2.parallel.end(),
+                          [](bool p) { return p; }))
+      << "an explicit shard count runs every cycle in parallel";
+  if (usable_cores() < 2) GTEST_SKIP() << "auto resolves to 1 shard here";
+  // auto: serial ramp-up, parallel middle, serial ramp-down.
+  const auto& p = automatic.parallel;
+  const auto first = std::find(p.begin(), p.end(), true);
+  ASSERT_NE(first, p.end()) << "the snapshot never reached the gate";
+  EXPECT_NE(first, p.begin());
+  EXPECT_FALSE(p.back());
+  EXPECT_GT(automatic.res.phases.parallel_cycles, 0u);
+  EXPECT_GT(automatic.res.phases.serial_cycles, 0u);
+}
+
+TEST(ShardGate, PhaseTimersChangeNoCounter) {
+  auto net = tiny_net();
+  auto traffic = traffic::make_pattern("uniform", net, {});
+  for (const int shards : {1, 2}) {
+    sim::SimConfig sc = short_cfg(shards);
+    const sim::SimResult plain = sim::run_sim(net, sc, *traffic);
+    sc.phase_timers = true;
+    const sim::SimResult timed = sim::run_sim(net, sc, *traffic);
+    expect_bit_identical(plain, timed);
+    EXPECT_EQ(plain.phases.walk_s, 0.0);
+    EXPECT_GT(timed.phases.walk_s, 0.0);
+    EXPECT_EQ(plain.phases.parallel_cycles, timed.phases.parallel_cycles);
+  }
 }
 
 // ---- open-loop bit-identity ----------------------------------------------

@@ -230,22 +230,6 @@ TEST(SimCore, NetworkValidationThrows) {
   EXPECT_THROW(Simulator(empty, cfg, tr), std::logic_error);
 }
 
-TEST(SimCore, ChannelTokenBucket) {
-  Channel c;
-  c.width_num = 3;
-  c.width_den = 4;
-  c.reset_tokens();
-  int sent = 0;
-  for (Cycle t = 0; t < 400; ++t) {
-    c.refresh_tokens(t);
-    while (c.flit_allowance() > 0) {
-      c.consume_token();
-      ++sent;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(sent) / 400.0, 0.75, 0.02);
-}
-
 TEST(SimCore, FifoArenaRing) {
   FlitFifoArena a;
   a.init(/*num_fifos=*/3, /*capacity=*/4, /*meta_init=*/0);

@@ -82,13 +82,14 @@ void print_usage() {
       "  with plane.count.\n"
       "\n"
       "  --threads=N runs N sweep points of every series concurrently\n"
-      "  (N=auto or 0 picks the hardware thread count); it overrides the\n"
+      "  (N=auto or 0 picks the usable core count); it overrides the\n"
       "  config file's threads key, like any scenario key.\n"
       "\n"
       "  --shards=N shards each simulation across N threads (deterministic\n"
-      "  two-phase engine; results are bit-identical for every N). auto/0\n"
-      "  defers to the SLDF_SHARDS environment variable. Use shards for one\n"
-      "  big point, threads for many points.\n"
+      "  engine; results are bit-identical for every N). auto/0 (default)\n"
+      "  uses SLDF_SHARDS if set, else the usable cores on cycles with at\n"
+      "  least 3072 active routers (1 per worker when points or series run\n"
+      "  concurrently). Use shards for one big point, threads for many.\n"
       "\n"
       "  workload=NAME switches a series from open-loop rate sweeps to one\n"
       "  closed-loop message-level run reporting completion cycles and\n"
