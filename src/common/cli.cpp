@@ -102,6 +102,18 @@ bool Cli::parse_long(const std::string& s, long& out) {
   return true;
 }
 
+bool Cli::parse_u64(const std::string& s, std::uint64_t& out) {
+  const std::string t = trim(s);
+  if (t.empty() || !std::isdigit(static_cast<unsigned char>(t[0])))
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
+  if (errno != 0 || end != t.c_str() + t.size()) return false;
+  out = v;
+  return true;
+}
+
 bool Cli::parse_double(const std::string& s, double& out) {
   const std::string t = trim(s);
   if (t.empty()) return false;

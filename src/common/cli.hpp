@@ -6,6 +6,7 @@
 // silent last-wins hid typos like `--seed=1 ... --seed=2`).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,6 +44,9 @@ class Cli {
   /// Strict whole-string numeric parses (leading/trailing spaces allowed,
   /// trailing garbage rejected). Return false on failure.
   static bool parse_long(const std::string& s, long& out);
+  /// Digits only, over the full unsigned 64-bit range (no sign: strtoull
+  /// would wrap `-1` to 2^64 - 1).
+  static bool parse_u64(const std::string& s, std::uint64_t& out);
   static bool parse_double(const std::string& s, double& out);
   static bool parse_bool(const std::string& s, bool& out);
   /// Copy of `s` with leading/trailing whitespace removed.

@@ -33,8 +33,8 @@ std::string render_scenario_reference() {
 
   out += "### Scenario key reference\n\n";
   out += "| Key | Meaning | Default |\n| --- | --- | --- |\n";
-  for (const auto& d : scenario_key_docs())
-    out += "| `" + d.key + "` | " + d.meaning + " | `" + d.def + "` |\n";
+  for (const auto& row : scenario_key_table())
+    out += "| `" + row.key + "` | " + row.help + " | `" + row.def + "` |\n";
 
   out += "\n### Topologies\n\n";
   out +=

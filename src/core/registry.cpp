@@ -1,11 +1,13 @@
 #include "core/registry.hpp"
 
 #include <algorithm>
+#include <variant>
 
 #include "common/cli.hpp"
 #include "core/params.hpp"
 #include "topo/cgroup.hpp"
 #include "topo/dragonfly.hpp"
+#include "topo/labeling.hpp"
 #include "topo/swless.hpp"
 
 namespace sldf::core {
@@ -103,46 +105,154 @@ void require_no_faults(const TopoConfig& cfg, const char* name) {
         "fault-aware)");
 }
 
-void apply_labeling(KvReader& o, const char* key, topo::Labeling& field) {
-  if (const std::string* v = o.take(key)) {
-    if (*v == "snake")
-      field = topo::Labeling::Snake;
-    else if (*v == "row-major")
-      field = topo::Labeling::RowMajor;
-    else if (*v == "perimeter-arc")
-      field = topo::Labeling::PerimeterArc;
-    else
-      throw std::invalid_argument(
-          o.context() + ": option '" + std::string(key) +
-          "' expects snake|row-major|perimeter-arc, got '" + *v + "'");
-  }
+// ---- topology options: each param struct has one field list (key, member,
+// ---- help) that both its override applier and its option docs iterate,
+// ---- so every option is declared once and its documented default is
+// ---- rendered from the preset's own value -------------------------------
+
+template <typename P>
+struct ParamField {
+  const char* key;
+  std::variant<int P::*, bool P::*, topo::Labeling P::*> member;
+  const char* help;
+};
+
+void read_option(KvReader& o, const char* key, int& field) {
+  o.apply_int(key, field);
+}
+void read_option(KvReader& o, const char* key, bool& field) {
+  o.apply_bool(key, field);
+}
+void read_option(KvReader& o, const char* key, topo::Labeling& field) {
+  const std::string* v = o.take(key);
+  if (!v) return;
+  for (const auto l : {topo::Labeling::Snake, topo::Labeling::RowMajor,
+                       topo::Labeling::PerimeterArc})
+    if (*v == topo::to_string(l)) {
+      field = l;
+      return;
+    }
+  throw std::invalid_argument(
+      o.context() + ": option '" + std::string(key) +
+      "' expects snake|row-major|perimeter-arc, got '" + *v + "'");
+}
+
+OptionDoc option_doc(const char* key, int v, const char* help) {
+  return {key, "int", std::to_string(v), help};
+}
+OptionDoc option_doc(const char* key, bool v, const char* help) {
+  return {key, "bool", v ? "1" : "0", help};
+}
+OptionDoc option_doc(const char* key, topo::Labeling v, const char* help) {
+  return {key, "snake|row-major|perimeter-arc", topo::to_string(v), help};
+}
+
+template <typename P>
+void apply_fields(KvReader& o, P& p, const std::vector<ParamField<P>>& fields) {
+  for (const auto& f : fields)
+    std::visit([&](auto member) { read_option(o, f.key, p.*member); },
+               f.member);
+}
+
+template <typename P>
+std::vector<OptionDoc> field_docs(const P& p,
+                                  const std::vector<ParamField<P>>& fields) {
+  std::vector<OptionDoc> out;
+  for (const auto& f : fields)
+    std::visit(
+        [&](auto member) {
+          out.push_back(option_doc(f.key, p.*member, f.help));
+        },
+        f.member);
+  return out;
+}
+
+constexpr const char* kFaultTolerantHelp =
+    "reserve the fault-detour VC budget even without faults (resilience "
+    "baselines; implied by active fault.* keys)";
+
+const std::vector<ParamField<topo::SwlessParams>>& swless_fields() {
+  using P = topo::SwlessParams;
+  static const std::vector<ParamField<P>> fields = {
+      {"a", &P::a, "C-groups per wafer"},
+      {"b", &P::b, "wafers per W-group (a*b C-groups fully connected)"},
+      {"chip_gx", &P::chip_gx, "chiplet-grid columns per C-group"},
+      {"chip_gy", &P::chip_gy, "chiplet-grid rows per C-group"},
+      {"noc_x", &P::noc_x, "NoC routers per chiplet, x"},
+      {"noc_y", &P::noc_y, "NoC routers per chiplet, y"},
+      {"ports_per_chiplet", &P::ports_per_chiplet,
+       "paper's n; n/4 links per chiplet edge"},
+      {"local_ports", &P::local_ports,
+       "external ports toward sibling C-groups (a*b-1 for a full mesh)"},
+      {"global_ports", &P::global_ports, "paper's h: global ports per C-group"},
+      {"g", &P::g, "W-groups; 0 selects the maximum a*b*h+1"},
+      {"onchip_latency", &P::onchip_latency, "NoC link delay, cycles"},
+      {"sr_latency", &P::sr_latency, "on-wafer short-reach link delay, cycles"},
+      {"lr_latency", &P::lr_latency,
+       "long-reach (cable/optics) link delay, cycles"},
+      {"mesh_width", &P::mesh_width,
+       "intra-C-group bandwidth multiplier (2B/4B on-wafer links)"},
+      {"io_converters", &P::io_converters,
+       "model SR-LR converters as forwarding nodes"},
+      {"labeling", &P::labeling,
+       "chiplet-grid labeling scheme for the Hamiltonian ring"},
+      {"vc_buf", &P::vc_buf, "per-VC input buffer depth, flits"},
+      // An explicit override lets a zero-fault baseline build with the same
+      // fault-detour VC budget as the faulted points of a resilience sweep
+      // (the budget changes buffering, which would otherwise confound the
+      // sweep's first step).
+      {"fault_tolerant", &P::fault_tolerant, kFaultTolerantHelp},
+  };
+  return fields;
+}
+
+const std::vector<ParamField<topo::SwDragonflyParams>>& swdf_fields() {
+  using P = topo::SwDragonflyParams;
+  static const std::vector<ParamField<P>> fields = {
+      {"switches_per_group", &P::switches_per_group,
+       "switches per group (paper a)"},
+      {"terminals_per_switch", &P::terminals_per_switch,
+       "terminals per switch (paper t)"},
+      {"globals_per_switch", &P::globals_per_switch,
+       "global ports per switch (paper h)"},
+      {"groups", &P::groups, "groups; 0 selects the maximum S*h+1"},
+      {"g", &P::groups, "alias of groups, matching the switch-less spelling"},
+      {"term_latency", &P::term_latency,
+       "processor-to-switch link delay, cycles"},
+      {"local_latency", &P::local_latency, "intra-group link delay, cycles"},
+      {"global_latency", &P::global_latency, "inter-group link delay, cycles"},
+      {"vc_buf", &P::vc_buf, "per-VC input buffer depth, flits"},
+      {"vcs_per_class", &P::vcs_per_class,
+       "destination-hashed VCs per class (ideal-switch approximation)"},
+      {"fault_tolerant", &P::fault_tolerant, kFaultTolerantHelp},
+  };
+  return fields;
+}
+
+const std::vector<ParamField<topo::CGroupShape>>& cgroup_fields() {
+  using P = topo::CGroupShape;
+  static const std::vector<ParamField<P>> fields = {
+      {"chip_gx", &P::chip_gx, "chiplet columns"},
+      {"chip_gy", &P::chip_gy, "chiplet rows"},
+      {"noc_x", &P::noc_x, "NoC routers per chiplet, x"},
+      {"noc_y", &P::noc_y, "NoC routers per chiplet, y"},
+      {"ports_per_chiplet", &P::ports_per_chiplet,
+       "paper's n; n/4 links per chiplet edge"},
+      {"labeling", &P::labeling, "chiplet-grid labeling scheme"},
+      {"onchip_latency", &P::onchip_latency, "NoC link delay, cycles"},
+      {"sr_latency", &P::sr_latency, "on-wafer short-reach link delay, cycles"},
+      {"mesh_width", &P::mesh_width,
+       "bandwidth multiplier of the wafer mesh links"},
+      {"io_converters", &P::io_converters,
+       "model SR-LR converters as forwarding nodes"},
+  };
+  return fields;
 }
 
 void apply(topo::SwlessParams& p, const TopoConfig& cfg,
            const std::string& name) {
   KvReader o(cfg.params, "topology '" + name + "'");
-  o.apply_int("a", p.a);
-  o.apply_int("b", p.b);
-  o.apply_int("chip_gx", p.chip_gx);
-  o.apply_int("chip_gy", p.chip_gy);
-  o.apply_int("noc_x", p.noc_x);
-  o.apply_int("noc_y", p.noc_y);
-  o.apply_int("ports_per_chiplet", p.ports_per_chiplet);
-  o.apply_int("local_ports", p.local_ports);
-  o.apply_int("global_ports", p.global_ports);
-  o.apply_int("g", p.g);
-  o.apply_int("onchip_latency", p.onchip_latency);
-  o.apply_int("sr_latency", p.sr_latency);
-  o.apply_int("lr_latency", p.lr_latency);
-  o.apply_int("mesh_width", p.mesh_width);
-  o.apply_bool("io_converters", p.io_converters);
-  apply_labeling(o, "labeling", p.labeling);
-  o.apply_int("vc_buf", p.vc_buf);
-  // Explicit override so a zero-fault baseline can be built with the same
-  // fault-detour VC budget as the faulted points of a resilience sweep
-  // (the budget changes buffering, which would otherwise confound the
-  // sweep's first step).
-  o.apply_bool("fault_tolerant", p.fault_tolerant);
+  apply_fields(o, p, swless_fields());
   o.finish();
   p.mode = cfg.mode;
   p.scheme = cfg.scheme;
@@ -152,17 +262,7 @@ void apply(topo::SwlessParams& p, const TopoConfig& cfg,
 void apply(topo::SwDragonflyParams& p, const TopoConfig& cfg,
            const std::string& name) {
   KvReader o(cfg.params, "topology '" + name + "'");
-  o.apply_int("switches_per_group", p.switches_per_group);
-  o.apply_int("terminals_per_switch", p.terminals_per_switch);
-  o.apply_int("globals_per_switch", p.globals_per_switch);
-  o.apply_int("groups", p.groups);
-  o.apply_int("g", p.groups);  // alias, matching the switch-less spelling
-  o.apply_int("term_latency", p.term_latency);
-  o.apply_int("local_latency", p.local_latency);
-  o.apply_int("global_latency", p.global_latency);
-  o.apply_int("vc_buf", p.vc_buf);
-  o.apply_int("vcs_per_class", p.vcs_per_class);
-  o.apply_bool("fault_tolerant", p.fault_tolerant);
+  apply_fields(o, p, swdf_fields());
   o.finish();
   require_default_scheme(cfg, name.c_str(),
                          "switch-based Dragonfly uses its own VC classes");
@@ -188,125 +288,28 @@ TopologyBuilder swdf_preset(topo::SwDragonflyParams (*base)(),
   };
 }
 
-// ---- option docs (defaults rendered from each preset's param struct or
-// ---- the builder's shared constants, so the generated reference can
-// ---- never drift from the code) -----------------------------------------
-
-// Defaults shared by the cgroup-mesh / crossbar builders and their docs.
+// Defaults of the cgroup-mesh / crossbar builders' local options, shared
+// with their docs.
 constexpr int kCgroupMeshNumVcs = 1;
 constexpr int kCgroupMeshVcBuf = 32;
 constexpr int kCrossbarTerminals = 4;
 constexpr int kCrossbarTermLatency = 1;
 
-std::string istr(int v) { return std::to_string(v); }
-std::string bstr(bool v) { return v ? "1" : "0"; }
-
-const char* labeling_str(topo::Labeling l) {
-  switch (l) {
-    case topo::Labeling::Snake: return "snake";
-    case topo::Labeling::RowMajor: return "row-major";
-    case topo::Labeling::PerimeterArc: return "perimeter-arc";
-  }
-  return "?";
-}
-
-std::vector<OptionDoc> swless_docs(const topo::SwlessParams& p) {
-  return {
-      {"a", "int", istr(p.a), "C-groups per wafer"},
-      {"b", "int", istr(p.b),
-       "wafers per W-group (a*b C-groups fully connected)"},
-      {"chip_gx", "int", istr(p.chip_gx), "chiplet-grid columns per C-group"},
-      {"chip_gy", "int", istr(p.chip_gy), "chiplet-grid rows per C-group"},
-      {"noc_x", "int", istr(p.noc_x), "NoC routers per chiplet, x"},
-      {"noc_y", "int", istr(p.noc_y), "NoC routers per chiplet, y"},
-      {"ports_per_chiplet", "int", istr(p.ports_per_chiplet),
-       "paper's n; n/4 links per chiplet edge"},
-      {"local_ports", "int", istr(p.local_ports),
-       "external ports toward sibling C-groups (a*b-1 for a full mesh)"},
-      {"global_ports", "int", istr(p.global_ports),
-       "paper's h: global ports per C-group"},
-      {"g", "int", istr(p.g),
-       "W-groups; 0 selects the maximum a*b*h+1"},
-      {"onchip_latency", "int", istr(p.onchip_latency),
-       "NoC link delay, cycles"},
-      {"sr_latency", "int", istr(p.sr_latency),
-       "on-wafer short-reach link delay, cycles"},
-      {"lr_latency", "int", istr(p.lr_latency),
-       "long-reach (cable/optics) link delay, cycles"},
-      {"mesh_width", "int", istr(p.mesh_width),
-       "intra-C-group bandwidth multiplier (2B/4B on-wafer links)"},
-      {"io_converters", "bool", bstr(p.io_converters),
-       "model SR-LR converters as forwarding nodes"},
-      {"labeling", "snake|row-major|perimeter-arc",
-       labeling_str(p.labeling),
-       "chiplet-grid labeling scheme for the Hamiltonian ring"},
-      {"vc_buf", "int", istr(p.vc_buf), "per-VC input buffer depth, flits"},
-      {"fault_tolerant", "bool", bstr(p.fault_tolerant),
-       "reserve the fault-detour VC budget even without faults (resilience "
-       "baselines; implied by active fault.* keys)"},
-  };
-}
-
-std::vector<OptionDoc> swdf_docs(const topo::SwDragonflyParams& p) {
-  return {
-      {"switches_per_group", "int", istr(p.switches_per_group),
-       "switches per group (paper a)"},
-      {"terminals_per_switch", "int", istr(p.terminals_per_switch),
-       "terminals per switch (paper t)"},
-      {"globals_per_switch", "int", istr(p.globals_per_switch),
-       "global ports per switch (paper h)"},
-      {"groups", "int", istr(p.groups),
-       "groups; 0 selects the maximum S*h+1"},
-      {"g", "int", istr(p.groups),
-       "alias of groups, matching the switch-less spelling"},
-      {"term_latency", "int", istr(p.term_latency),
-       "processor-to-switch link delay, cycles"},
-      {"local_latency", "int", istr(p.local_latency),
-       "intra-group link delay, cycles"},
-      {"global_latency", "int", istr(p.global_latency),
-       "inter-group link delay, cycles"},
-      {"vc_buf", "int", istr(p.vc_buf), "per-VC input buffer depth, flits"},
-      {"vcs_per_class", "int", istr(p.vcs_per_class),
-       "destination-hashed VCs per class (ideal-switch approximation)"},
-      {"fault_tolerant", "bool", bstr(p.fault_tolerant),
-       "reserve the fault-detour VC budget even without faults (resilience "
-       "baselines; implied by active fault.* keys)"},
-  };
-}
-
 std::vector<OptionDoc> cgroup_mesh_docs() {
-  const topo::CGroupShape s;
-  return {
-      {"chip_gx", "int", istr(s.chip_gx), "chiplet columns"},
-      {"chip_gy", "int", istr(s.chip_gy), "chiplet rows"},
-      {"noc_x", "int", istr(s.noc_x), "NoC routers per chiplet, x"},
-      {"noc_y", "int", istr(s.noc_y), "NoC routers per chiplet, y"},
-      {"ports_per_chiplet", "int", istr(s.ports_per_chiplet),
-       "paper's n; n/4 links per chiplet edge"},
-      {"labeling", "snake|row-major|perimeter-arc",
-       labeling_str(s.labeling), "chiplet-grid labeling scheme"},
-      {"onchip_latency", "int", istr(s.onchip_latency),
-       "NoC link delay, cycles"},
-      {"sr_latency", "int", istr(s.sr_latency),
-       "on-wafer short-reach link delay, cycles"},
-      {"mesh_width", "int", istr(s.mesh_width),
-       "bandwidth multiplier of the wafer mesh links"},
-      {"io_converters", "bool", bstr(s.io_converters),
-       "model SR-LR converters as forwarding nodes"},
-      {"num_vcs", "int", istr(kCgroupMeshNumVcs),
-       "virtual channels (XY routing needs one)"},
-      {"vc_buf", "int", istr(kCgroupMeshVcBuf),
-       "per-VC input buffer depth, flits"},
-  };
+  std::vector<OptionDoc> docs =
+      field_docs(topo::CGroupShape{}, cgroup_fields());
+  docs.push_back(option_doc("num_vcs", kCgroupMeshNumVcs,
+                            "virtual channels (XY routing needs one)"));
+  docs.push_back(option_doc("vc_buf", kCgroupMeshVcBuf,
+                            "per-VC input buffer depth, flits"));
+  return docs;
 }
 
 std::vector<OptionDoc> crossbar_docs() {
-  return {
-      {"terminals", "int", istr(kCrossbarTerminals),
-       "endpoints on the single switch"},
-      {"term_latency", "int", istr(kCrossbarTermLatency),
-       "terminal link delay, cycles"},
-  };
+  return {option_doc("terminals", kCrossbarTerminals,
+                     "endpoints on the single switch"),
+          option_doc("term_latency", kCrossbarTermLatency,
+                     "terminal link delay, cycles")};
 }
 
 topo::SwlessParams default_swless() { return topo::SwlessParams{}; }
@@ -332,16 +335,7 @@ topo::WiredFabric build_cgroup_mesh(sim::Network& net, const TopoConfig& cfg) {
   int num_vcs = kCgroupMeshNumVcs;
   int vc_buf = kCgroupMeshVcBuf;
   KvReader o(cfg.params, "topology 'cgroup-mesh'");
-  o.apply_int("chip_gx", s.chip_gx);
-  o.apply_int("chip_gy", s.chip_gy);
-  o.apply_int("noc_x", s.noc_x);
-  o.apply_int("noc_y", s.noc_y);
-  o.apply_int("ports_per_chiplet", s.ports_per_chiplet);
-  apply_labeling(o, "labeling", s.labeling);
-  o.apply_int("onchip_latency", s.onchip_latency);
-  o.apply_int("sr_latency", s.sr_latency);
-  o.apply_int("mesh_width", s.mesh_width);
-  o.apply_bool("io_converters", s.io_converters);
+  apply_fields(o, s, cgroup_fields());
   o.apply_int("num_vcs", num_vcs);
   o.apply_int("vc_buf", vc_buf);
   o.finish();
@@ -370,12 +364,12 @@ topo::WiredFabric build_crossbar_net(sim::Network& net,
 TopologyRegistry::TopologyRegistry() {
   const auto swless = [this](const char* name, const char* summary,
                              topo::SwlessParams (*base)()) {
-    add(name, RegistryDoc{summary, swless_docs(base())},
+    add(name, RegistryDoc{summary, field_docs(base(), swless_fields())},
         swless_preset(base, name));
   };
   const auto swdf = [this](const char* name, const char* summary,
                            topo::SwDragonflyParams (*base)()) {
-    add(name, RegistryDoc{summary, swdf_docs(base())},
+    add(name, RegistryDoc{summary, field_docs(base(), swdf_fields())},
         swdf_preset(base, name));
   };
   swless("radix16-swless",

@@ -1,11 +1,16 @@
 #include "core/scenario.hpp"
 
-#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
@@ -25,382 +30,519 @@ std::string format_num(double v) {
   return buf;
 }
 
-long to_long(const std::string& key, const std::string& value) {
-  long v = 0;
-  if (!Cli::parse_long(value, v))
-    throw std::invalid_argument("scenario key '" + key +
-                                "' expects an integer, got '" + value + "'");
-  return v;
+[[noreturn]] void reject(const std::string& key, const std::string& expects,
+                         const std::string& value) {
+  throw std::invalid_argument("scenario key '" + key + "' expects " +
+                              expects + ", got '" + value + "'");
 }
 
-double to_double(const std::string& key, const std::string& value) {
-  double v = 0.0;
-  if (!Cli::parse_double(value, v))
-    throw std::invalid_argument("scenario key '" + key +
-                                "' expects a number, got '" + value + "'");
-  return v;
-}
+// ---- value codecs: parse(key, text) validates and converts, throwing
+// ---- std::invalid_argument naming the key; render() prints the value so
+// ---- that parse(render(v)) == v ------------------------------------------
 
-std::vector<double> to_rates(const std::string& value) {
-  std::vector<double> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = Cli::trim(item);
-    if (item.empty()) continue;
-    out.push_back(to_double("rates", item));
+/// An integer in [lo, hi]; hi defaults to the field type's maximum, so a
+/// value can never wrap or truncate on assignment. Unsigned fields (seeds,
+/// cycle counts) parse without a sign over their full range.
+template <typename T>
+struct Int {
+  T lo;
+  T hi = std::numeric_limits<T>::max();
+  T parse(const std::string& key, const std::string& v) const {
+    std::conditional_t<std::is_signed_v<T>, long, std::uint64_t> x = 0;
+    bool ok = false;
+    if constexpr (std::is_signed_v<T>)
+      ok = Cli::parse_long(v, x);
+    else
+      ok = Cli::parse_u64(v, x);
+    if (!ok)
+      reject(key, std::is_signed_v<T> ? "an integer" : "an unsigned integer",
+             v);
+    if (x < lo || x > hi)
+      reject(key,
+             "an integer in [" + render(lo) + ", " + render(hi) + "]", v);
+    return static_cast<T>(x);
   }
-  return out;
+  std::string render(T v) const { return std::to_string(v); }
+};
+
+/// A count where `auto` (stored as 0) resolves to the usable cores.
+template <typename T>
+struct AutoCount {
+  T parse(const std::string& key, const std::string& v) const {
+    return v == "auto" ? T{0} : Int<T>{0}.parse(key, v);
+  }
+  std::string render(T v) const { return v == 0 ? "auto" : std::to_string(v); }
+};
+
+/// A number in [lo, hi].
+struct Num {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  double parse(const std::string& key, const std::string& v) const {
+    double x = 0.0;
+    if (!Cli::parse_double(v, x)) reject(key, "a number", v);
+    if (x < lo || x > hi)
+      reject(key,
+             "a number in [" + format_num(lo) + ", " + format_num(hi) + "]",
+             v);
+    return x;
+  }
+  std::string render(double v) const { return format_num(v); }
+};
+
+struct Str {
+  std::string parse(const std::string&, const std::string& v) const {
+    return v;
+  }
+  std::string render(const std::string& v) const { return v; }
+};
+
+/// An online fault timeline. Parsed now so a malformed one fails at
+/// config-read time with its typed FaultError; the text is kept and
+/// re-resolved against the finalized network in build_network().
+struct Timeline : Str {
+  std::string parse(const std::string&, const std::string& v) const {
+    (void)topo::parse_fault_events(v);
+    return v;
+  }
+};
+
+/// One name of an enum, through the enum's own parse/to_string pair.
+template <typename E>
+struct Enum {
+  E (*from)(const std::string&);
+  const char* (*name)(E);
+  E parse(const std::string&, const std::string& v) const { return from(v); }
+  std::string render(E v) const { return name(v); }
+};
+
+/// A comma-separated list of `Elem` values; blank items are rejected.
+template <typename Elem>
+struct List {
+  Elem elem;
+  std::size_t min_items = 0;
+  auto parse(const std::string& key, const std::string& v) const {
+    std::vector<decltype(elem.parse(key, v))> out;
+    std::stringstream ss(v);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      item = Cli::trim(item);
+      if (item.empty()) reject(key, "comma-separated items, none blank", v);
+      out.push_back(elem.parse(key, item));
+    }
+    if (out.size() < min_items) reject(key, "a comma-separated list", v);
+    return out;
+  }
+  template <typename V>
+  std::string render(const V& values) const {
+    std::string out;
+    for (const auto& x : values) {
+      if (!out.empty()) out += ",";
+      out += elem.render(x);
+    }
+    return out;
+  }
+};
+
+/// A positive token width: `N`, or the fraction `N/D` of a flit per cycle.
+struct Fraction {
+  std::pair<int, int> parse(const std::string& key,
+                            const std::string& v) const {
+    const auto slash = v.find('/');
+    long num = 0, den = 1;
+    const bool ok = slash == std::string::npos
+                        ? Cli::parse_long(v, num)
+                        : Cli::parse_long(v.substr(0, slash), num) &&
+                              Cli::parse_long(v.substr(slash + 1), den);
+    constexpr long kMax = std::numeric_limits<int>::max();
+    if (!ok || num < 1 || den < 1 || num > kMax || den > kMax)
+      reject(key, "a positive width `N` or fraction `N/D`", v);
+    return {static_cast<int>(num), static_cast<int>(den)};
+  }
+  template <typename W>
+  std::string render(const W& width) const {
+    const auto& [num, den] = width;
+    return den == 1 ? std::to_string(num)
+                    : std::to_string(num) + "/" + std::to_string(den);
+  }
+};
+
+// ---- row builders ---------------------------------------------------------
+
+const ScenarioSpec& default_spec() {
+  static const ScenarioSpec d;
+  return d;
 }
 
-std::vector<ChipId> to_chips(const std::string& value) {
-  std::vector<ChipId> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = Cli::trim(item);
-    if (item.empty()) continue;
-    const long v = to_long("fault.chips", item);
-    if (v < 0)
-      throw std::invalid_argument(
-          "scenario key 'fault.chips' expects non-negative chip ids");
-    out.push_back(static_cast<ChipId>(v));
-  }
-  return out;
+/// Documentation and emission options of a fixed key.
+struct KeyOpts {
+  bool network = false;        ///< Shapes the finalized network.
+  bool elide_default = false;  ///< to_kv() omits the key at its default.
+  /// to_kv() writes the key only while this holds (its axis is engaged).
+  bool (*when)(const ScenarioSpec&) = nullptr;
+  const char* def = nullptr;  ///< Doc default; nullptr renders default_spec().
+};
+
+/// The fixed-key row for the field `get` (set) and `view` (emit) reach,
+/// converted by `codec`.
+template <typename Ref, typename ConstRef, typename Codec>
+ScenarioKey bound_key(const char* key, const char* help,
+                      Ref (*get)(ScenarioSpec&),
+                      ConstRef (*view)(const ScenarioSpec&), Codec codec,
+                      KeyOpts o) {
+  return {.key = key,
+          .help = help,
+          .def = o.def ? o.def : codec.render(view(default_spec())),
+          .network = o.network,
+          .set = [get, codec](ScenarioSpec& s, const std::string& name,
+                              const std::string& value) {
+            get(s) = codec.parse(name, value);
+          },
+          .emit = [view, codec, o, name = std::string(key)](
+                      const ScenarioSpec& s, KvMap& kv) {
+            if (o.when && !o.when(s)) return;
+            if (o.elide_default && view(s) == view(default_spec())) return;
+            kv[name] = codec.render(view(s));
+          }};
 }
+
+/// A fixed key: `Field` is a captureless lambda mapping a spec to the field
+/// (a reference, or a tuple of references for a compound value) that
+/// `codec` converts. It is reduced to two function pointers, so the row's
+/// closures are compiled once per field type and codec, not once per key.
+template <typename Field, typename Codec>
+ScenarioKey fixed(const char* key, const char* help, Field, Codec codec,
+                  KeyOpts o = {}) {
+  using Ref = decltype(Field{}(std::declval<ScenarioSpec&>()));
+  using ConstRef = decltype(Field{}(std::declval<const ScenarioSpec&>()));
+  Ref (*get)(ScenarioSpec&) = [](ScenarioSpec& s) -> Ref {
+    return Field{}(s);
+  };
+  ConstRef (*view)(const ScenarioSpec&) = [](const ScenarioSpec& s)
+      -> ConstRef { return Field{}(s); };
+  return bound_key(key, help, get, view, codec, o);
+}
+
+/// A `<prefix><name>` family stored verbatim in one of the spec's option
+/// maps; the registry entry that consumes the map validates it.
+ScenarioKey map_family(const char* key, const char* help, const char* def,
+                       KvMap ScenarioSpec::*map, bool network = false) {
+  const std::string prefix(key, std::string_view(key).find('<'));
+  return {.key = key,
+          .help = help,
+          .def = def,
+          .network = network,
+          .set = [map, n = prefix.size()](ScenarioSpec& s,
+                                          const std::string& name,
+                                          const std::string& value) {
+            (s.*map)[name.substr(n)] = value;
+          },
+          .emit = [map, prefix](const ScenarioSpec& s, KvMap& kv) {
+            for (const auto& [k, v] : s.*map) kv[prefix + k] = v;
+          }};
+}
+
+/// The tenant a `tenant<i>.<field>` key addresses. The vector grows on
+/// demand, so keys apply in any order (KvMap iteration delivers tenant0.*
+/// before the `tenants` count).
+ScenarioSpec::TenantKeys& tenant_of(ScenarioSpec& s, const std::string& name) {
+  long idx = 0;
+  if (!Cli::parse_long(name.substr(6, name.find('.') - 6), idx) || idx >= 64)
+    throw std::invalid_argument("scenario key '" + name +
+                                "': tenant index must be < 64");
+  if (s.tenant.size() <= static_cast<std::size_t>(idx))
+    s.tenant.resize(static_cast<std::size_t>(idx) + 1);
+  return s.tenant[static_cast<std::size_t>(idx)];
+}
+
+std::string tenant_prefix(std::size_t i) {
+  return "tenant" + std::to_string(i) + ".";
+}
+
+/// `tenant<i>.<field>` for one string member of TenantKeys. Free-form
+/// here; trace::tenant_specs() validates against `tenants` at run time.
+ScenarioKey tenant_key(const char* field, const char* help, const char* def,
+                       std::string ScenarioSpec::TenantKeys::*member) {
+  return {.key = std::string("tenant<i>.") + field,
+          .help = help,
+          .def = def,
+          .set = [member](ScenarioSpec& s, const std::string& name,
+                          const std::string& value) {
+            tenant_of(s, name).*member = value;
+          },
+          .emit = [member, field = std::string(field)](const ScenarioSpec& s,
+                                                       KvMap& kv) {
+            for (std::size_t i = 0; i < s.tenant.size(); ++i)
+              if (!(s.tenant[i].*member).empty())
+                kv[tenant_prefix(i) + field] = s.tenant[i].*member;
+          }};
+}
+
+/// `tenant<i>.<opt>`: the tenant's workload options.
+ScenarioKey tenant_opts(const char* help, const char* def) {
+  return {.key = "tenant<i>.<opt>",
+          .help = help,
+          .def = def,
+          .set = [](ScenarioSpec& s, const std::string& name,
+                    const std::string& value) {
+            tenant_of(s, name).opts[name.substr(name.find('.') + 1)] = value;
+          },
+          .emit = [](const ScenarioSpec& s, KvMap& kv) {
+            for (std::size_t i = 0; i < s.tenant.size(); ++i)
+              for (const auto& [k, v] : s.tenant[i].opts)
+                kv[tenant_prefix(i) + k] = v;
+          }};
+}
+
+bool rates_unset(const ScenarioSpec& s) { return s.rates.empty(); }
+bool planes_engaged(const ScenarioSpec& s) { return s.plane_count > 0; }
+bool wafers_engaged(const ScenarioSpec& s) { return s.wafer_count > 0; }
 
 }  // namespace
 
+bool ScenarioKey::matches(const std::string& name) const {
+  // A fixed key matches itself. In a family pattern `<i>` matches a tenant
+  // index (digits) and the trailing placeholder any non-empty rest.
+  std::size_t n = 0;
+  for (std::size_t p = 0; p < key.size(); ++p) {
+    if (key.compare(p, 3, "<i>") == 0) {
+      const std::size_t start = n;
+      while (n < name.size() &&
+             std::isdigit(static_cast<unsigned char>(name[n])))
+        ++n;
+      if (n == start) return false;
+      p += 2;
+    } else if (key[p] == '<') {
+      return n < name.size();
+    } else if (n >= name.size() || name[n++] != key[p]) {
+      return false;
+    }
+  }
+  return n == name.size();
+}
+
+std::span<const ScenarioKey> scenario_key_table() {
+  // Table order is the order of the generated reference and of the
+  // `sldf --help` key list. Lookup takes the first matching row, so a
+  // family row follows the specific rows it would otherwise shadow.
+  using route::RouteMode, route::VcScheme, route::PlanePolicy;
+  static const ScenarioKey table[] = {
+      fixed("label", "Series label in tables/CSV",
+            [](auto& s) -> auto& { return s.label; }, Str{}),
+      fixed("topology", "Topology registry name (see Topologies)",
+            [](auto& s) -> auto& { return s.topology; }, Str{},
+            {.network = true}),
+      map_family(
+          "topo.<param>",
+          "Topology parameter override, e.g. `topo.g = 15` (see Topologies)",
+          "preset values", &ScenarioSpec::topo, /*network=*/true),
+      fixed("mode", "Routing: `minimal` \\| `valiant` \\| `adaptive`",
+            [](auto& s) -> auto& { return s.mode; },
+            Enum<RouteMode>{&route::parse_route_mode, &route::to_string},
+            {.network = true}),
+      fixed("scheme", "VC scheme: `baseline` \\| `reduced` \\| `reduced-safe`",
+            [](auto& s) -> auto& { return s.scheme; },
+            Enum<VcScheme>{&route::parse_vc_scheme, &route::to_string},
+            {.network = true}),
+      fixed("traffic", "Traffic registry name (see Traffic patterns)",
+            [](auto& s) -> auto& { return s.traffic; }, Str{}),
+      map_family("traffic.<opt>",
+                 "Traffic pattern option, e.g. `traffic.scope = wgroup` (see "
+                 "Traffic patterns)",
+                 "pattern defaults", &ScenarioSpec::traffic_opts),
+      fixed("workload",
+            "Workload registry name; switches to one closed-loop "
+            "message-level run (see Workloads)",
+            [](auto& s) -> auto& { return s.workload; }, Str{},
+            {.elide_default = true, .def = "unset (rate sweep)"}),
+      map_family("workload.<opt>",
+                 "Workload generator/runner option, e.g. `workload.kib = 64` "
+                 "(see Workloads)",
+                 "workload defaults", &ScenarioSpec::workload_opts),
+      fixed("rates", "Explicit offered loads, comma-separated (rate sweeps)",
+            [](auto& s) -> auto& { return s.rates; }, List<Num>{},
+            {.elide_default = true, .def = "unset"}),
+      fixed("max_rate", "With `points`, linspace(0, max] when `rates` is unset",
+            [](auto& s) -> auto& { return s.max_rate; }, Num{},
+            {.when = rates_unset}),
+      fixed("points", "Sweep points when `rates` is unset",
+            [](auto& s) -> auto& { return s.points; }, Int<int>{1},
+            {.when = rates_unset}),
+      fixed("stop_factor",
+            "Early-stop when latency exceeds this x zero-load latency",
+            [](auto& s) -> auto& { return s.stop_latency_factor; }, Num{}),
+      fixed("threads",
+            "Sweep-point parallelism within one series (`auto`/0 = usable "
+            "cores)",
+            [](auto& s) -> auto& { return s.threads; }, AutoCount<unsigned>{}),
+      // Orthogonal to `threads`: threads parallelizes across sweep points,
+      // shards inside each simulation (sim::resolve_shards).
+      fixed("shards",
+            "Intra-simulation engine shards — N threads per simulation, "
+            "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env, "
+            "else the usable cores, used only on cycles with large router "
+            "snapshots; 1 per worker when `threads` > 1)",
+            [](auto& s) -> auto& { return s.sim.shards; }, AutoCount<int>{}),
+      fixed("warmup", "Warmup cycles (Table IV: 5000)",
+            [](auto& s) -> auto& { return s.sim.warmup; }, Int<Cycle>{0}),
+      fixed("measure", "Measured cycles (Table IV: 10000)",
+            [](auto& s) -> auto& { return s.sim.measure; }, Int<Cycle>{0}),
+      fixed("drain", "Extra cycles to let measured packets land",
+            [](auto& s) -> auto& { return s.sim.drain; }, Int<Cycle>{0}),
+      // Packet::len is 16 bits wide.
+      fixed("pkt_len", "Flits per packet",
+            [](auto& s) -> auto& { return s.sim.pkt_len; },
+            Int<int>{1, 65535}),
+      fixed("seed", "Base RNG seed",
+            [](auto& s) -> auto& { return s.sim.seed; }, Int<std::uint64_t>{0}),
+      fixed("max_src_queue", "Per-node source-queue cap (packets)",
+            [](auto& s) -> auto& { return s.sim.max_src_queue; },
+            Int<int>{1}),
+      // fault.* is typed here rather than a pass-through map: validation
+      // should fail at parse time, not at build time.
+      fixed("fault.rate",
+            "Fraction of candidate cables to fail (deterministic, seeded; see "
+            "Resilience)",
+            [](auto& s) -> auto& { return s.fault.rate; }, Num{0.0, 1.0},
+            {.network = true, .elide_default = true}),
+      fixed("fault.kind",
+            "Failed-link class: `any` \\| `intra` \\| `local` \\| `global`",
+            [](auto& s) -> auto& { return s.fault.kind; },
+            Enum<topo::FaultKind>{&topo::parse_fault_kind, &topo::to_string},
+            {.network = true, .elide_default = true}),
+      fixed("fault.seed", "Fault-set RNG seed (independent of `seed`)",
+            [](auto& s) -> auto& { return s.fault.seed; },
+            Int<std::uint64_t>{0},
+            {.network = true, .elide_default = true}),
+      fixed("fault.chips", "Chips to fail entirely, comma-separated ids",
+            [](auto& s) -> auto& { return s.fault.chips; },
+            List<Int<ChipId>>{{0}},
+            {.network = true, .elide_default = true, .def = "unset"}),
+      fixed("fault.events",
+            "Online fault timeline, `fail|repair@<cycle>:<kind>=<rate>` or "
+            "`...:chip<N>`, `;`-separated (see Resilience)",
+            [](auto& s) -> auto& { return s.fault.events; }, Timeline{},
+            {.network = true, .elide_default = true, .def = "unset"}),
+      // The file's existence and contents are checked at build time.
+      fixed("fault.schedule",
+            "Fault-timeline file (`sldf-faults 1` format); exclusive with "
+            "`fault.events`",
+            [](auto& s) -> auto& { return s.fault.schedule; }, Str{},
+            {.network = true, .elide_default = true, .def = "unset"}),
+      fixed("fault.rescue",
+            "Retransmit packets torn by an online failure (`0`: drop and "
+            "count them)",
+            [](auto& s) -> auto& { return s.fault.rescue; }, Int<bool>{0},
+            {.network = true, .elide_default = true}),
+      fixed("fault.plane",
+            "Restrict cable failures to one plane of a multi-plane fabric "
+            "(`-1` = all planes; `fault.chips` always spans planes)",
+            [](auto& s) -> auto& { return s.fault.plane; }, Int<int>{-1},
+            {.network = true, .elide_default = true, .def = "-1 (all planes)"}),
+      // Plane and wafer keys serialize only while their axis is engaged
+      // (count 0 = the classic single-fabric build path).
+      fixed("plane.count",
+            "Independent fabric planes (rails) sharing the logical chips; "
+            "packets pick a plane at injection (see Multi-plane fabrics)",
+            [](auto& s) -> auto& { return s.plane_count; }, Int<int>{1},
+            {.network = true,
+             .elide_default = true,
+             .def = "unset (classic single-fabric build)"}),
+      fixed("plane.mix",
+            "Per-plane topology registry names, comma-separated (length = "
+            "`plane.count`)",
+            [](auto& s) -> auto& { return s.plane_mix; }, List<Str>{{}, 1},
+            {.network = true,
+             .elide_default = true,
+             .when = planes_engaged,
+             .def = "`plane.count` copies of `topology`"}),
+      fixed("plane.policy",
+            "Plane selection: `hash` \\| `rr` \\| `adaptive` \\| `collective`",
+            [](auto& s) -> auto& { return s.plane_policy; },
+            Enum<PlanePolicy>{&route::parse_plane_policy, &route::to_string},
+            {.network = true, .when = planes_engaged}),
+      fixed("wafer.count",
+            "Wafer-on-wafer stack depth: that many copies of `topology` "
+            "bonded by vertical inter-wafer cables, one vertical hop max (see "
+            "Wafer stacks)",
+            [](auto& s) -> auto& { return s.wafer_count; }, Int<int>{1},
+            {.network = true,
+             .elide_default = true,
+             .def = "unset (classic single-fabric build)"}),
+      fixed("wafer.latency", "Vertical-bond channel latency, cycles",
+            [](auto& s) -> auto& { return s.wafer_latency; }, Int<int>{1},
+            {.network = true, .elide_default = true, .when = wafers_engaged}),
+      fixed("wafer.width",
+            "Vertical-bond token width, `N` or fraction `N/D` of a flit per "
+            "cycle",
+            [](auto& s) {
+              return std::tie(s.wafer_width_num, s.wafer_width_den);
+            },
+            Fraction{},
+            {.network = true, .elide_default = true, .when = wafers_engaged}),
+      fixed("tenants",
+            "Concurrent tenant jobs; > 0 switches to one shared multi-tenant "
+            "serving run (see Multi-tenancy)",
+            [](auto& s) -> auto& { return s.tenants; }, Int<int>{0},
+            {.elide_default = true, .def = "0 (single job)"}),
+      fixed("tenants.isolation",
+            "Also run each tenant alone on its placement and report the "
+            "interference ratio (`0` disables the baselines)",
+            [](auto& s) -> auto& { return s.tenants_isolation; }, Int<bool>{0},
+            {.elide_default = true}),
+      tenant_key("workload",
+                 "Tenant i's workload registry name (required for each "
+                 "tenant)",
+                 "unset", &ScenarioSpec::TenantKeys::workload),
+      tenant_key("placement",
+                 "Tenant i's chip placement: `contiguous` \\| `scattered`",
+                 "contiguous", &ScenarioSpec::TenantKeys::placement),
+      tenant_key("chips",
+                 "Tenant i's chips: a count to allocate, or explicit "
+                 "comma-separated ids",
+                 "unset", &ScenarioSpec::TenantKeys::chips),
+      tenant_opts(
+          "Workload option for tenant i, e.g. `tenant0.kib = 64` (see "
+          "Workloads)",
+          "workload defaults"),
+      fixed("trace.file",
+            "Trace file the `trace-replay` workload replays (see Multi-"
+            "tenancy)",
+            [](auto& s) -> auto& { return s.trace_file; }, Str{},
+            {.elide_default = true, .def = "unset"}),
+      fixed("trace.seed",
+            "Seed for synthesized `request-reply` arrivals (independent of "
+            "`seed`)",
+            [](auto& s) -> auto& { return s.trace_seed; },
+            Int<std::uint64_t>{0},
+            {.elide_default = true}),
+  };
+  return table;
+}
+
+const ScenarioKey* find_scenario_key(const std::string& name) {
+  for (const ScenarioKey& row : scenario_key_table())
+    if (row.matches(name)) return &row;
+  return nullptr;
+}
+
+std::string network_cache_key(const ScenarioSpec& spec) {
+  std::string key;
+  for (const auto& [k, v] : spec.to_kv())
+    if (const ScenarioKey* row = find_scenario_key(k); row && row->network)
+      key += k + "=" + v + ";";
+  return key;
+}
+
 void ScenarioSpec::set(const std::string& key, const std::string& value) {
-  if (key.rfind("topo.", 0) == 0) {
-    topo[key.substr(5)] = value;
-    return;
-  }
-  if (key.rfind("traffic.", 0) == 0) {
-    traffic_opts[key.substr(8)] = value;
-    return;
-  }
-  if (key.rfind("workload.", 0) == 0) {
-    workload_opts[key.substr(9)] = value;
-    return;
-  }
-  // tenant<i>.<field>: auto-grows the tenant vector, so keys apply in any
-  // order (KvMap iteration delivers tenant0.* before the `tenants` count).
-  if (key.rfind("tenant", 0) == 0 && key.size() > 6 &&
-      key[6] >= '0' && key[6] <= '9') {
-    std::size_t pos = 6;
-    while (pos < key.size() && key[pos] >= '0' && key[pos] <= '9') ++pos;
-    if (pos >= key.size() || key[pos] != '.' || pos + 1 == key.size())
-      throw std::invalid_argument("scenario key '" + key +
-                                  "' expects tenant<i>.<field>");
-    const auto idx =
-        static_cast<std::size_t>(to_long(key, key.substr(6, pos - 6)));
-    if (idx >= 64)
-      throw std::invalid_argument("scenario key '" + key +
-                                  "': tenant index must be < 64");
-    const std::string field = key.substr(pos + 1);
-    if (tenant.size() <= idx) tenant.resize(idx + 1);
-    TenantKeys& t = tenant[idx];
-    if (field == "workload") {
-      t.workload = value;
-    } else if (field == "placement") {
-      t.placement = value;
-    } else if (field == "chips") {
-      t.chips = value;
-    } else {
-      t.opts[field] = value;
-    }
-    return;
-  }
-  // The fault.* family is typed here (not a pass-through map): the keys are
-  // few and validation should fail at parse time, not at build time.
-  if (key == "fault.rate") {
-    const double r = to_double(key, value);
-    if (r < 0.0 || r > 1.0)
-      throw std::invalid_argument(
-          "scenario key 'fault.rate' expects a fraction in [0, 1]");
-    fault.rate = r;
-    return;
-  }
-  if (key == "fault.kind") {
-    fault.kind = topo::parse_fault_kind(value);
-    return;
-  }
-  if (key == "fault.seed") {
-    fault.seed = static_cast<std::uint64_t>(to_long(key, value));
-    return;
-  }
-  if (key == "fault.chips") {
-    fault.chips = to_chips(value);
-    return;
-  }
-  if (key == "fault.events") {
-    // Parse now so a malformed timeline fails at config-read time with the
-    // typed FaultError message; the string is kept and re-resolved against
-    // the finalized network in build_network().
-    topo::parse_fault_events(value);
-    fault.events = value;
-    return;
-  }
-  if (key == "fault.schedule") {
-    fault.schedule = value;  // file existence/contents checked at build time
-    return;
-  }
-  if (key == "fault.rescue") {
-    const long n = to_long(key, value);
-    if (n != 0 && n != 1)
-      throw std::invalid_argument(
-          "scenario key 'fault.rescue' expects 0 or 1");
-    fault.rescue = n != 0;
-    return;
-  }
-  if (key == "fault.plane") {
-    const long n = to_long(key, value);
-    if (n < -1)
-      throw std::invalid_argument(
-          "scenario key 'fault.plane' expects a plane index >= 0, or -1 "
-          "for all planes");
-    fault.plane = static_cast<int>(n);
-    return;
-  }
-  if (key == "plane.count") {
-    const long n = to_long(key, value);
-    if (n < 1)
-      throw std::invalid_argument(
-          "scenario key 'plane.count' expects a count >= 1");
-    plane_count = static_cast<int>(n);
-    return;
-  }
-  if (key == "plane.mix") {
-    plane_mix.clear();
-    std::stringstream ms(value);
-    std::string item;
-    while (std::getline(ms, item, ',')) {
-      item = Cli::trim(item);
-      if (item.empty())
-        throw std::invalid_argument(
-            "scenario key 'plane.mix' has an empty topology name");
-      plane_mix.push_back(item);
-    }
-    if (plane_mix.empty())
-      throw std::invalid_argument(
-          "scenario key 'plane.mix' expects comma-separated topology names");
-    return;
-  }
-  if (key == "plane.policy") {
-    plane_policy = route::parse_plane_policy(value);
-    return;
-  }
-  if (key == "wafer.count") {
-    const long n = to_long(key, value);
-    if (n < 1)
-      throw std::invalid_argument(
-          "scenario key 'wafer.count' expects a count >= 1");
-    wafer_count = static_cast<int>(n);
-    return;
-  }
-  if (key == "wafer.latency") {
-    const long n = to_long(key, value);
-    if (n < 1)
-      throw std::invalid_argument(
-          "scenario key 'wafer.latency' expects a cycle count >= 1");
-    wafer_latency = static_cast<int>(n);
-    return;
-  }
-  if (key == "wafer.width") {
-    // A token fraction: `num/den` or a plain integer multiplier.
-    long num = 0, den = 1;
-    const auto slash = value.find('/');
-    const bool ok =
-        slash == std::string::npos
-            ? Cli::parse_long(Cli::trim(value), num)
-            : Cli::parse_long(Cli::trim(value.substr(0, slash)), num) &&
-                  Cli::parse_long(Cli::trim(value.substr(slash + 1)), den);
-    if (!ok || num < 1 || den < 1)
-      throw std::invalid_argument(
-          "scenario key 'wafer.width' expects a positive width `N` or "
-          "fraction `N/D`, got '" + value + "'");
-    wafer_width_num = static_cast<int>(num);
-    wafer_width_den = static_cast<int>(den);
-    return;
-  }
-  if (key == "trace.file") {
-    trace_file = value;
-    return;
-  }
-  if (key == "trace.seed") {
-    trace_seed = static_cast<std::uint64_t>(to_long(key, value));
-    return;
-  }
-  if (key == "tenants") {
-    const long n = to_long(key, value);
-    if (n < 0)
-      throw std::invalid_argument(
-          "scenario key 'tenants' expects a count >= 0");
-    tenants = static_cast<int>(n);
-    return;
-  }
-  if (key == "tenants.isolation") {
-    const long n = to_long(key, value);
-    if (n != 0 && n != 1)
-      throw std::invalid_argument(
-          "scenario key 'tenants.isolation' expects 0 or 1");
-    tenants_isolation = n != 0;
-    return;
-  }
-  if (key == "label") {
-    label = value;
-  } else if (key == "topology") {
-    topology = value;
-  } else if (key == "traffic") {
-    traffic = value;
-  } else if (key == "workload") {
-    workload = value;
-  } else if (key == "mode") {
-    mode = route::parse_route_mode(value);
-  } else if (key == "scheme") {
-    scheme = route::parse_vc_scheme(value);
-  } else if (key == "rates") {
-    rates = to_rates(value);
-  } else if (key == "max_rate") {
-    max_rate = to_double(key, value);
-  } else if (key == "points") {
-    points = static_cast<int>(to_long(key, value));
-  } else if (key == "stop_factor") {
-    stop_latency_factor = to_double(key, value);
-  } else if (key == "threads") {
-    // Sweep-point parallelism: a count, or "auto"/0 for the usable cores.
-    if (value == "auto") {
-      threads = 0;
-    } else {
-      const long n = to_long(key, value);
-      if (n < 0)
-        throw std::invalid_argument(
-            "scenario key 'threads' expects a count >= 0 or 'auto'");
-      threads = static_cast<unsigned>(n);
-    }
-  } else if (key == "shards") {
-    // Intra-simulation engine shards: a count, or "auto"/0 for the
-    // SLDF_SHARDS environment variable or the usable cores behind the
-    // per-cycle work gate (sim::resolve_shards). Orthogonal to `threads`:
-    // threads parallelizes across sweep points, shards parallelizes inside
-    // each simulation — results are bit-identical either way.
-    if (value == "auto") {
-      sim.shards = 0;
-    } else {
-      const long n = to_long(key, value);
-      if (n < 0)
-        throw std::invalid_argument(
-            "scenario key 'shards' expects a count >= 0 or 'auto'");
-      sim.shards = static_cast<int>(n);
-    }
-  } else if (key == "warmup") {
-    sim.warmup = to_long(key, value);
-  } else if (key == "measure") {
-    sim.measure = to_long(key, value);
-  } else if (key == "drain") {
-    sim.drain = to_long(key, value);
-  } else if (key == "pkt_len") {
-    sim.pkt_len = static_cast<int>(to_long(key, value));
-  } else if (key == "seed") {
-    sim.seed = static_cast<std::uint64_t>(to_long(key, value));
-  } else if (key == "max_src_queue") {
-    sim.max_src_queue = static_cast<int>(to_long(key, value));
-  } else {
-    throw std::invalid_argument("unknown scenario key '" + key + "'");
-  }
+  const ScenarioKey* row = find_scenario_key(key);
+  if (!row) throw std::invalid_argument("unknown scenario key '" + key + "'");
+  row->set(*this, key, value);
 }
 
 KvMap ScenarioSpec::to_kv() const {
   KvMap kv;
-  kv["label"] = label;
-  kv["topology"] = topology;
-  kv["traffic"] = traffic;
-  if (!workload.empty()) kv["workload"] = workload;
-  kv["mode"] = route::to_string(mode);
-  kv["scheme"] = route::to_string(scheme);
-  if (!rates.empty()) {
-    std::string joined;
-    for (double r : rates) {
-      if (!joined.empty()) joined += ",";
-      joined += format_num(r);
-    }
-    kv["rates"] = joined;
-  } else {
-    kv["max_rate"] = format_num(max_rate);
-    kv["points"] = std::to_string(points);
-  }
-  kv["stop_factor"] = format_num(stop_latency_factor);
-  kv["threads"] = threads == 0 ? "auto" : std::to_string(threads);
-  kv["shards"] = sim.shards == 0 ? "auto" : std::to_string(sim.shards);
-  kv["warmup"] = std::to_string(sim.warmup);
-  kv["measure"] = std::to_string(sim.measure);
-  kv["drain"] = std::to_string(sim.drain);
-  kv["pkt_len"] = std::to_string(sim.pkt_len);
-  kv["seed"] = std::to_string(sim.seed);
-  kv["max_src_queue"] = std::to_string(sim.max_src_queue);
-  // Fault keys serialize only when set, so fault-free specs round-trip to
-  // fault-free configs.
-  if (fault.rate > 0.0) kv["fault.rate"] = format_num(fault.rate);
-  if (fault.kind != topo::FaultKind::Any)
-    kv["fault.kind"] = topo::to_string(fault.kind);
-  if (fault.seed != topo::FaultSpec{}.seed)
-    kv["fault.seed"] = std::to_string(fault.seed);
-  if (!fault.chips.empty()) {
-    std::string joined;
-    for (const ChipId c : fault.chips) {
-      if (!joined.empty()) joined += ",";
-      joined += std::to_string(c);
-    }
-    kv["fault.chips"] = joined;
-  }
-  if (!fault.events.empty()) kv["fault.events"] = fault.events;
-  if (!fault.schedule.empty()) kv["fault.schedule"] = fault.schedule;
-  if (!fault.rescue) kv["fault.rescue"] = "0";
-  if (fault.plane >= 0) kv["fault.plane"] = std::to_string(fault.plane);
-  // Plane keys serialize only when engaged (count 0 = classic build path).
-  if (plane_count > 0) {
-    kv["plane.count"] = std::to_string(plane_count);
-    kv["plane.policy"] = std::string(route::to_string(plane_policy));
-    if (!plane_mix.empty()) {
-      std::string joined;
-      for (const std::string& t : plane_mix) {
-        if (!joined.empty()) joined += ",";
-        joined += t;
-      }
-      kv["plane.mix"] = joined;
-    }
-  }
-  // Wafer keys serialize only when engaged (count 0 = classic build path).
-  if (wafer_count > 0) {
-    kv["wafer.count"] = std::to_string(wafer_count);
-    const ScenarioSpec defaults;
-    if (wafer_latency != defaults.wafer_latency)
-      kv["wafer.latency"] = std::to_string(wafer_latency);
-    if (wafer_width_num != defaults.wafer_width_num ||
-        wafer_width_den != defaults.wafer_width_den)
-      kv["wafer.width"] = wafer_width_den == 1
-                              ? std::to_string(wafer_width_num)
-                              : std::to_string(wafer_width_num) + "/" +
-                                    std::to_string(wafer_width_den);
-  }
-  // Tenant/trace keys serialize only when set, mirroring the fault keys.
-  if (tenants > 0) kv["tenants"] = std::to_string(tenants);
-  if (!tenants_isolation) kv["tenants.isolation"] = "0";
-  for (std::size_t i = 0; i < tenant.size(); ++i) {
-    const std::string pfx = "tenant" + std::to_string(i) + ".";
-    const TenantKeys& t = tenant[i];
-    if (!t.workload.empty()) kv[pfx + "workload"] = t.workload;
-    if (!t.placement.empty()) kv[pfx + "placement"] = t.placement;
-    if (!t.chips.empty()) kv[pfx + "chips"] = t.chips;
-    for (const auto& [k, v] : t.opts) kv[pfx + k] = v;
-  }
-  if (!trace_file.empty()) kv["trace.file"] = trace_file;
-  if (trace_seed != ScenarioSpec{}.trace_seed)
-    kv["trace.seed"] = std::to_string(trace_seed);
-  for (const auto& [k, v] : topo) kv["topo." + k] = v;
-  for (const auto& [k, v] : traffic_opts) kv["traffic." + k] = v;
-  for (const auto& [k, v] : workload_opts) kv["workload." + k] = v;
+  for (const ScenarioKey& row : scenario_key_table()) row.emit(*this, kv);
   return kv;
 }
 
@@ -421,181 +563,14 @@ std::vector<double> ScenarioSpec::effective_rates() const {
   return linspace_rates(max_rate, points);
 }
 
-const std::vector<ScenarioKeyDoc>& scenario_key_docs() {
-  // The one table every rendering of the key vocabulary derives from:
-  // scenario_keys() (flag recognition) and the generated README reference
-  // (core::render_scenario_reference). Prefix families carry a '<' in the
-  // key and are excluded from scenario_keys(). Defaults are rendered from
-  // a default-constructed spec so they cannot drift from the code.
-  static const std::vector<ScenarioKeyDoc> docs = [] {
-    const ScenarioSpec d;
-    const auto num = [](double v) { return format_num(v); };
-    const auto integer = [](auto v) { return std::to_string(v); };
-    return std::vector<ScenarioKeyDoc>{
-        {"label", "Series label in tables/CSV", d.label},
-        {"topology", "Topology registry name (see Topologies)", d.topology},
-        {"topo.<param>",
-         "Topology parameter override, e.g. `topo.g = 15` (see Topologies)",
-         "preset values"},
-        {"mode", "Routing: `minimal` \\| `valiant` \\| `adaptive`",
-         std::string(route::to_string(d.mode))},
-        {"scheme", "VC scheme: `baseline` \\| `reduced` \\| `reduced-safe`",
-         std::string(route::to_string(d.scheme))},
-        {"traffic", "Traffic registry name (see Traffic patterns)",
-         d.traffic},
-        {"traffic.<opt>",
-         "Traffic pattern option, e.g. `traffic.scope = wgroup` (see "
-         "Traffic patterns)",
-         "pattern defaults"},
-        {"workload",
-         "Workload registry name; switches to one closed-loop "
-         "message-level run (see Workloads)",
-         "unset (rate sweep)"},
-        {"workload.<opt>",
-         "Workload generator/runner option, e.g. `workload.kib = 64` (see "
-         "Workloads)",
-         "workload defaults"},
-        {"rates", "Explicit offered loads, comma-separated (rate sweeps)",
-         "unset"},
-        {"max_rate", "With `points`, linspace(0, max] when `rates` is unset",
-         num(d.max_rate)},
-        {"points", "Sweep points when `rates` is unset", integer(d.points)},
-        {"stop_factor",
-         "Early-stop when latency exceeds this x zero-load latency",
-         num(d.stop_latency_factor)},
-        {"threads",
-         "Sweep-point parallelism within one series (`auto`/0 = usable "
-         "cores)",
-         integer(d.threads)},
-        {"shards",
-         "Intra-simulation engine shards — N threads per simulation, "
-         "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env, "
-         "else the usable cores, used only on cycles with large router "
-         "snapshots; 1 per worker when `threads` > 1)",
-         "auto"},
-        {"warmup", "Warmup cycles (Table IV: 5000)", integer(d.sim.warmup)},
-        {"measure", "Measured cycles (Table IV: 10000)",
-         integer(d.sim.measure)},
-        {"drain", "Extra cycles to let measured packets land",
-         integer(d.sim.drain)},
-        {"pkt_len", "Flits per packet", integer(d.sim.pkt_len)},
-        {"seed", "Base RNG seed", integer(d.sim.seed)},
-        {"max_src_queue", "Per-node source-queue cap (packets)",
-         integer(d.sim.max_src_queue)},
-        {"fault.rate",
-         "Fraction of candidate cables to fail (deterministic, seeded; see "
-         "Resilience)",
-         num(d.fault.rate)},
-        {"fault.kind",
-         "Failed-link class: `any` \\| `intra` \\| `local` \\| `global`",
-         std::string(topo::to_string(d.fault.kind))},
-        {"fault.seed", "Fault-set RNG seed (independent of `seed`)",
-         integer(d.fault.seed)},
-        {"fault.chips", "Chips to fail entirely, comma-separated ids",
-         "unset"},
-        {"fault.events",
-         "Online fault timeline, `fail|repair@<cycle>:<kind>=<rate>` or "
-         "`...:chip<N>`, `;`-separated (see Resilience)",
-         "unset"},
-        {"fault.schedule",
-         "Fault-timeline file (`sldf-faults 1` format); exclusive with "
-         "`fault.events`",
-         "unset"},
-        {"fault.rescue",
-         "Retransmit packets torn by an online failure (`0`: drop and "
-         "count them)",
-         d.fault.rescue ? "1" : "0"},
-        {"fault.plane",
-         "Restrict cable failures to one plane of a multi-plane fabric "
-         "(`-1` = all planes; `fault.chips` always spans planes)",
-         "-1 (all planes)"},
-        {"plane.count",
-         "Independent fabric planes (rails) sharing the logical chips; "
-         "packets pick a plane at injection (see Multi-plane fabrics)",
-         "unset (classic single-fabric build)"},
-        {"plane.mix",
-         "Per-plane topology registry names, comma-separated (length = "
-         "`plane.count`)",
-         "`plane.count` copies of `topology`"},
-        {"plane.policy",
-         "Plane selection: `hash` \\| `rr` \\| `adaptive` \\| `collective`",
-         std::string(route::to_string(d.plane_policy))},
-        {"wafer.count",
-         "Wafer-on-wafer stack depth: that many copies of `topology` bonded "
-         "by vertical inter-wafer cables, one vertical hop max (see "
-         "Wafer stacks)",
-         "unset (classic single-fabric build)"},
-        {"wafer.latency", "Vertical-bond channel latency, cycles",
-         integer(d.wafer_latency)},
-        {"wafer.width",
-         "Vertical-bond token width, `N` or fraction `N/D` of a flit per "
-         "cycle",
-         integer(d.wafer_width_num)},
-        {"tenants",
-         "Concurrent tenant jobs; > 0 switches to one shared multi-tenant "
-         "serving run (see Multi-tenancy)",
-         "0 (single job)"},
-        {"tenants.isolation",
-         "Also run each tenant alone on its placement and report the "
-         "interference ratio (`0` disables the baselines)",
-         d.tenants_isolation ? "1" : "0"},
-        {"tenant<i>.workload",
-         "Tenant i's workload registry name (required for each tenant)",
-         "unset"},
-        {"tenant<i>.placement",
-         "Tenant i's chip placement: `contiguous` \\| `scattered`",
-         "contiguous"},
-        {"tenant<i>.chips",
-         "Tenant i's chips: a count to allocate, or explicit "
-         "comma-separated ids",
-         "unset"},
-        {"tenant<i>.<opt>",
-         "Workload option for tenant i, e.g. `tenant0.kib = 64` (see "
-         "Workloads)",
-         "workload defaults"},
-        {"trace.file",
-         "Trace file the `trace-replay` workload replays (see Multi-"
-         "tenancy)",
-         "unset"},
-        {"trace.seed",
-         "Seed for synthesized `request-reply` arrivals (independent of "
-         "`seed`)",
-         integer(d.trace_seed)},
-    };
-  }();
-  return docs;
-}
-
-const std::vector<std::string>& scenario_keys() {
-  static const std::vector<std::string> keys = [] {
-    std::vector<std::string> out;
-    for (const auto& d : scenario_key_docs())
-      if (d.key.find('<') == std::string::npos) out.push_back(d.key);
-    return out;
-  }();
-  return keys;
-}
-
 ScenarioSpec spec_from_cli(const Cli& cli, const ScenarioSpec& defaults,
                            std::vector<std::string>* unused) {
   ScenarioSpec s = defaults;
   for (const auto& [key, value] : cli.entries()) {
-    const bool prefixed = key.rfind("topo.", 0) == 0 ||
-                          key.rfind("traffic.", 0) == 0 ||
-                          key.rfind("workload.", 0) == 0 ||
-                          key.rfind("fault.", 0) == 0 ||
-                          key.rfind("plane.", 0) == 0 ||
-                          key.rfind("wafer.", 0) == 0 ||
-                          key.rfind("trace.", 0) == 0 ||
-                          key.rfind("tenant", 0) == 0;
-    const auto& keys = scenario_keys();
-    const bool known =
-        prefixed || std::find(keys.begin(), keys.end(), key) != keys.end();
-    if (!known) {
-      if (unused) unused->push_back(key);
-      continue;
-    }
-    s.set(key, value);
+    if (find_scenario_key(key))
+      s.set(key, value);
+    else if (unused)
+      unused->push_back(key);
   }
   return s;
 }

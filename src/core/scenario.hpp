@@ -7,6 +7,8 @@
 // hand-wired main().
 #pragma once
 
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,13 +95,9 @@ struct ScenarioSpec {
   unsigned threads = 1;  ///< Sweep-point parallelism (0 = auto; see set()).
   sim::SimConfig sim;                ///< Cycle counts, packet length, seed.
 
-  /// Applies one `key = value` setting (the config/CLI vocabulary: label,
-  /// topology, traffic, workload, mode, scheme, rates, max_rate, points,
-  /// stop_factor, threads, warmup, measure, drain, pkt_len, seed,
-  /// max_src_queue, the fault.* / trace.* keys, tenants,
-  /// tenants.isolation, plus prefixed topo.* / traffic.* / workload.* /
-  /// tenant<i>.* entries). Throws std::invalid_argument on unknown keys
-  /// or malformed values.
+  /// Applies one `key = value` setting through its scenario_key_table()
+  /// row. Throws std::invalid_argument on unknown keys or malformed and
+  /// out-of-range values.
   void set(const std::string& key, const std::string& value);
 
   /// Serializes every setting back to the config vocabulary; a spec
@@ -118,19 +116,39 @@ struct ScenarioSpec {
   }
 };
 
-/// The non-prefixed keys ScenarioSpec::set understands (for flag warnings).
-const std::vector<std::string>& scenario_keys();
-
-/// Documentation row of one scenario key (or one prefix family like
-/// `topo.<param>`), the source of the generated key reference. Defaults
-/// are rendered from ScenarioSpec{}/SimConfig{} so the reference cannot
-/// drift from the code.
-struct ScenarioKeyDoc {
-  std::string key;
-  std::string meaning;
+/// One row of the scenario-key table, the single declaration of a config
+/// key: ScenarioSpec::set/to_kv, spec_from_cli, the generated reference
+/// (`sldf --doc-keys`), `sldf --help` and network_cache_key() all derive
+/// from it. A family row (`topo.<param>`, `tenant<i>.<opt>`, ...) stands
+/// for every key its placeholders match.
+struct ScenarioKey {
+  std::string key;   ///< Config name, or a family pattern.
+  std::string help;  ///< Markdown meaning.
+  /// Rendered default: ScenarioSpec{}'s value, or prose for unset keys.
   std::string def;
+  bool network = false;  ///< Shapes the finalized network.
+  /// Parses, range-checks and assigns `value`; `name` is the concrete key
+  /// (family rows take their map key or tenant index from it).
+  std::function<void(ScenarioSpec&, const std::string& name,
+                     const std::string& value)>
+      set;
+  /// Adds the row's setting(s) to `kv`; a key in its unset state adds
+  /// nothing, so unused axes stay out of `--print` output.
+  std::function<void(const ScenarioSpec&, KvMap& kv)> emit;
+
+  /// True when this row accepts the concrete key `name`.
+  [[nodiscard]] bool matches(const std::string& name) const;
 };
-const std::vector<ScenarioKeyDoc>& scenario_key_docs();
+
+/// Every scenario key, in reference order.
+std::span<const ScenarioKey> scenario_key_table();
+/// The row accepting `name` (the first match), or nullptr.
+const ScenarioKey* find_scenario_key(const std::string& name);
+
+/// The network-shaping subset of spec.to_kv() as one canonical string.
+/// `sldf --serve` reuses one finalized Network across requests with equal
+/// keys; per-run keys (traffic, rates, seed, workload, ...) never enter it.
+std::string network_cache_key(const ScenarioSpec& spec);
 
 /// Builds a spec from parsed CLI flags. Keys that are not scenario keys are
 /// appended to `unused` (when given) instead of throwing, so drivers can

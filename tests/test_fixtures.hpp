@@ -104,6 +104,50 @@ inline ::testing::AssertionResult audit_conservation(
   return ::testing::AssertionSuccess();
 }
 
+/// Every field of two SimResults must match exactly: the order-sensitive
+/// floating-point latency statistics, the fault accounting, the
+/// conservation ledger and the per-plane / per-wafer vectors. Only
+/// `phases` is left out: it is host-time and shard-split telemetry, not
+/// simulation output. Field by field rather than operator==, so a failure
+/// names the field that diverged.
+inline void expect_bit_identical(const sim::SimResult& a,
+                                 const sim::SimResult& b) {
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.avg_latency, b.avg_latency);
+  EXPECT_EQ(a.p50_latency, b.p50_latency);
+  EXPECT_EQ(a.p99_latency, b.p99_latency);
+  EXPECT_EQ(a.min_latency, b.min_latency);
+  EXPECT_EQ(a.max_latency, b.max_latency);
+  EXPECT_EQ(a.generated_measured, b.generated_measured);
+  EXPECT_EQ(a.delivered_measured, b.delivered_measured);
+  EXPECT_EQ(a.delivered_total, b.delivered_total);
+  EXPECT_EQ(a.suppressed, b.suppressed);
+  EXPECT_EQ(a.drained, b.drained);
+  for (int h = 0; h < kNumLinkTypes; ++h)
+    EXPECT_EQ(a.avg_hops[h], b.avg_hops[h]) << "link type " << h;
+  EXPECT_EQ(a.avg_hops_total, b.avg_hops_total);
+  EXPECT_EQ(a.cycles_run, b.cycles_run);
+  EXPECT_EQ(a.flit_hops, b.flit_hops);
+  EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+  EXPECT_EQ(a.dropped_flits, b.dropped_flits);
+  EXPECT_EQ(a.rescued_packets, b.rescued_packets);
+  EXPECT_EQ(a.generated_packets, b.generated_packets);
+  EXPECT_EQ(a.inflight_packets, b.inflight_packets);
+  EXPECT_EQ(a.generated_flits, b.generated_flits);
+  EXPECT_EQ(a.ejected_flits, b.ejected_flits);
+  EXPECT_EQ(a.lost_flits, b.lost_flits);
+  EXPECT_EQ(a.inflight_flits, b.inflight_flits);
+  EXPECT_EQ(a.plane_generated, b.plane_generated);
+  EXPECT_EQ(a.plane_delivered, b.plane_delivered);
+  EXPECT_EQ(a.plane_dropped, b.plane_dropped);
+  EXPECT_EQ(a.plane_inflight, b.plane_inflight);
+  EXPECT_EQ(a.wafer_generated, b.wafer_generated);
+  EXPECT_EQ(a.wafer_delivered, b.wafer_delivered);
+  EXPECT_EQ(a.wafer_dropped, b.wafer_dropped);
+  EXPECT_EQ(a.wafer_inflight, b.wafer_inflight);
+}
+
 /// The tiny switch-less instance (max g = 7; chip == router).
 inline topo::SwlessParams tiny_swless_params(
     route::VcScheme scheme = route::VcScheme::Baseline,

@@ -18,32 +18,11 @@
 #include "traffic/pattern.hpp"
 
 using namespace sldf;
+using sldf::testing::expect_bit_identical;
 using topo::FaultError;
 using topo::FaultKind;
 
 namespace {
-
-/// Every field of two SimResults must match exactly, including the
-/// order-sensitive latency statistics and the fault accounting.
-void expect_bit_identical(const sim::SimResult& a, const sim::SimResult& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.min_latency, b.min_latency);
-  EXPECT_EQ(a.max_latency, b.max_latency);
-  EXPECT_EQ(a.generated_measured, b.generated_measured);
-  EXPECT_EQ(a.delivered_measured, b.delivered_measured);
-  EXPECT_EQ(a.delivered_total, b.delivered_total);
-  EXPECT_EQ(a.suppressed, b.suppressed);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.cycles_run, b.cycles_run);
-  EXPECT_EQ(a.flit_hops, b.flit_hops);
-  EXPECT_EQ(a.dropped_packets, b.dropped_packets);
-  EXPECT_EQ(a.dropped_flits, b.dropped_flits);
-  EXPECT_EQ(a.rescued_packets, b.rescued_packets);
-}
 
 /// Base open-loop spec on the tiny switch-less instance.
 core::ScenarioSpec tiny_spec() {

@@ -4,9 +4,11 @@
 // unknown names/keys/values.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "common/cli.hpp"
+#include "core/docgen.hpp"
 #include "core/scenario.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -103,6 +105,203 @@ TEST(ScenarioSpec, MalformedValuesThrow) {
   EXPECT_THROW(s.set("rates", "0.1,oops"), std::invalid_argument);
 }
 
+// --------------------------------------------------------------- key table ---
+
+namespace {
+
+/// A non-default sample setting for one key-table row: the concrete key
+/// (the row's own name unless it is a family), its value, and the keys
+/// that engage the row's axis so to_kv() writes it.
+struct KeySample {
+  std::string name;
+  std::string value;
+  std::vector<std::pair<std::string, std::string>> needs;
+};
+
+/// One sample per row, keyed by row name. Adding a key row without a
+/// sample here fails KeyTable.EveryRowRoundTripsASample.
+const std::map<std::string, KeySample>& key_samples() {
+  static const std::map<std::string, KeySample> samples = [] {
+    std::map<std::string, KeySample> m;
+    const auto add = [&m](const std::string& row, KeySample s) {
+      if (s.name.empty()) s.name = row;
+      m.emplace(row, std::move(s));
+    };
+    add("label", {"", "sampled", {}});
+    add("topology", {"", "tiny-swless", {}});
+    add("topo.<param>", {"topo.g", "3", {}});
+    add("mode", {"", "valiant", {}});
+    add("scheme", {"", "reduced", {}});
+    add("traffic", {"", "worst-case", {}});
+    add("traffic.<opt>", {"traffic.scope", "wgroup", {}});
+    add("workload", {"", "ring-allreduce", {}});
+    add("workload.<opt>", {"workload.kib", "64", {}});
+    add("rates", {"", "0.125, 0.5", {}});
+    add("max_rate", {"", "0.75", {}});
+    add("points", {"", "3", {}});
+    add("stop_factor", {"", "6.5", {}});
+    add("threads", {"", "3", {}});
+    add("shards", {"", "2", {}});
+    add("warmup", {"", "123", {}});
+    add("measure", {"", "456", {}});
+    add("drain", {"", "78", {}});
+    add("pkt_len", {"", "65535", {}});
+    add("seed", {"", "18446744073709551615", {}});
+    add("max_src_queue", {"", "17", {}});
+    add("fault.rate", {"", "0.25", {}});
+    add("fault.kind", {"", "local", {}});
+    add("fault.seed", {"", "17", {}});
+    add("fault.chips", {"", "3, 7,11", {}});
+    add("fault.events", {"", "fail@100:local=0.2;repair@300:local=0", {}});
+    add("fault.schedule", {"", "faults.txt", {}});
+    add("fault.rescue", {"", "0", {}});
+    add("fault.plane", {"", "1", {}});
+    add("plane.count", {"", "2", {}});
+    add("plane.mix", {"", "tiny-swless,swless", {{"plane.count", "2"}}});
+    add("plane.policy", {"", "rr", {{"plane.count", "2"}}});
+    add("wafer.count", {"", "2", {}});
+    add("wafer.latency", {"", "5", {{"wafer.count", "2"}}});
+    add("wafer.width", {"", "1/4", {{"wafer.count", "2"}}});
+    add("tenants", {"", "2", {}});
+    add("tenants.isolation", {"", "0", {}});
+    add("tenant<i>.workload", {"tenant1.workload", "all-to-all", {}});
+    add("tenant<i>.placement", {"tenant0.placement", "scattered", {}});
+    add("tenant<i>.chips", {"tenant0.chips", "4,5", {}});
+    add("tenant<i>.<opt>", {"tenant2.kib", "16", {}});
+    add("trace.file", {"", "configs/tenant-inference.trace", {}});
+    add("trace.seed", {"", "18446744073709551615", {}});
+    return m;
+  }();
+  return samples;
+}
+
+}  // namespace
+
+TEST(KeyTable, EveryRowRoundTripsASample) {
+  for (const core::ScenarioKey& row : core::scenario_key_table()) {
+    SCOPED_TRACE(row.key);
+    const auto it = key_samples().find(row.key);
+    ASSERT_NE(it, key_samples().end()) << "no sample value for this row";
+    const KeySample& sample = it->second;
+    EXPECT_EQ(core::find_scenario_key(sample.name), &row);
+    ScenarioSpec base;
+    for (const auto& [k, v] : sample.needs) base.set(k, v);
+    ScenarioSpec s = base;
+    s.set(sample.name, sample.value);
+    const auto kv = s.to_kv();
+    EXPECT_EQ(kv.count(sample.name), 1u) << "sample not emitted";
+    EXPECT_NE(kv, base.to_kv()) << "sample is the default";
+    EXPECT_EQ(ScenarioSpec::from_kv(kv).to_kv(), kv);
+    const auto reparsed = core::parse_scenario_text(s.to_config());
+    ASSERT_EQ(reparsed.size(), 1u);
+    EXPECT_EQ(reparsed[0].to_kv(), kv);
+    // Exactly the keys build_network() consumes move the serve-mode cache
+    // key, pinned here independently of the rows' own network bits.
+    static const std::set<std::string> kShapesNetwork = {
+        "topology",      "topo.<param>",   "mode",         "scheme",
+        "fault.rate",    "fault.kind",     "fault.seed",   "fault.chips",
+        "fault.events",  "fault.schedule", "fault.rescue", "fault.plane",
+        "plane.count",   "plane.mix",      "plane.policy", "wafer.count",
+        "wafer.latency", "wafer.width"};
+    EXPECT_EQ(row.network, kShapesNetwork.count(row.key) == 1);
+    EXPECT_EQ(core::network_cache_key(s) != core::network_cache_key(base),
+              row.network);
+  }
+}
+
+TEST(KeyTable, EveryRowHasADocRowAndFixedKeysAreUnique) {
+  const std::string doc = core::render_scenario_reference();
+  std::set<std::string> names;
+  for (const core::ScenarioKey& row : core::scenario_key_table()) {
+    EXPECT_TRUE(names.insert(row.key).second) << "duplicate row " << row.key;
+    EXPECT_FALSE(row.help.empty()) << row.key;
+    EXPECT_FALSE(row.def.empty()) << row.key;
+    EXPECT_NE(doc.find("| `" + row.key + "` | " + row.help + " | `" +
+                       row.def + "` |"),
+              std::string::npos)
+        << row.key;
+    if (row.key.find('<') == std::string::npos) {
+      EXPECT_EQ(core::find_scenario_key(row.key), &row) << row.key;
+    }
+  }
+}
+
+TEST(KeyTable, FamilyPatternsMatchOnlyWellFormedKeys) {
+  EXPECT_EQ(core::find_scenario_key("tenant12.window")->key,
+            "tenant<i>.<opt>");
+  EXPECT_EQ(core::find_scenario_key("tenant3.chips")->key, "tenant<i>.chips");
+  EXPECT_EQ(core::find_scenario_key("tenants")->key, "tenants");
+  for (const char* bad : {"topo.", "tenant", "tenant0", "tenant0.", "tenantx.a",
+                          "fault.bogus", "wafer.", "warmup.x", "labelx"})
+    EXPECT_EQ(core::find_scenario_key(bad), nullptr) << bad;
+  ScenarioSpec s;
+  EXPECT_THROW(s.set("tenant64.workload", "all-to-all"),
+               std::invalid_argument);
+}
+
+TEST(KeyTable, NetworkCacheKeyIgnoresPerRunKeys) {
+  ScenarioSpec a;
+  a.topo["g"] = "2";
+  a.set("fault.rate", "0.1");
+  ScenarioSpec b = a;
+  b.set("seed", "7");
+  b.set("rates", "0.1,0.2");
+  b.set("traffic", "bit-reverse");
+  b.set("label", "other");
+  EXPECT_EQ(core::network_cache_key(a), core::network_cache_key(b));
+  EXPECT_EQ(core::network_cache_key(a),
+            "fault.rate=0.1;mode=minimal;scheme=baseline;topo.g=2;"
+            "topology=radix16-swless;");
+}
+
+// A signed parse would wrap `seed = -1` to 2^64 - 1, a value --print then
+// emits and the parser must read back: seeds are unsigned, full range.
+TEST(KeyTable, SeedsTakeTheFullUnsignedRangeAndNoSign) {
+  for (const char* key : {"seed", "fault.seed", "trace.seed"}) {
+    ScenarioSpec s;
+    EXPECT_THROW(s.set(key, "-1"), std::invalid_argument) << key;
+    EXPECT_THROW(s.set(key, "+1"), std::invalid_argument) << key;
+    EXPECT_THROW(s.set(key, "18446744073709551616"), std::invalid_argument)
+        << key;
+    s.set(key, "18446744073709551615");
+    const auto back = core::parse_scenario_text(s.to_config());
+    EXPECT_EQ(back.at(0).to_kv().at(key), "18446744073709551615") << key;
+  }
+}
+
+// A negative cycle count would wrap to ~2^64 cycles.
+TEST(KeyTable, CycleCountsRejectNegatives) {
+  ScenarioSpec s;
+  for (const char* key : {"warmup", "measure", "drain"}) {
+    EXPECT_THROW(s.set(key, "-1"), std::invalid_argument) << key;
+    s.set(key, "0");
+  }
+  EXPECT_EQ(s.sim.warmup + s.sim.measure + s.sim.drain, 0u);
+}
+
+// pkt_len = 0 would run with nan latencies, and values above 65535 would
+// truncate in the 16-bit Packet::len.
+TEST(KeyTable, PacketLengthFitsThePacketHeader) {
+  ScenarioSpec s;
+  EXPECT_THROW(s.set("pkt_len", "0"), std::invalid_argument);
+  EXPECT_THROW(s.set("pkt_len", "65536"), std::invalid_argument);
+  s.set("pkt_len", "1");
+  s.set("pkt_len", "65535");
+  EXPECT_EQ(s.sim.pkt_len, 65535);
+}
+
+// points = -2 would die in vector::reserve instead of a typed error.
+TEST(KeyTable, SweepAndQueueCountsArePositive) {
+  ScenarioSpec s;
+  for (const char* key : {"points", "max_src_queue"}) {
+    EXPECT_THROW(s.set(key, "0"), std::invalid_argument) << key;
+    EXPECT_THROW(s.set(key, "-2"), std::invalid_argument) << key;
+    EXPECT_THROW(s.set(key, "4294967296"), std::invalid_argument) << key;
+  }
+  s.set("points", "1");
+  EXPECT_EQ(s.effective_rates().size(), 1u);
+}
+
 // ----------------------------------------------------------------- parsing ---
 
 TEST(ScenarioParse, CliFlagsBecomeSpec) {
@@ -129,6 +328,22 @@ TEST(ScenarioParse, CliFlagsBecomeSpec) {
   EXPECT_EQ(s.points, 3);
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "my-driver-flag");
+}
+
+TEST(ScenarioParse, CliRecognizesEveryKeyFamilyThroughTheTable) {
+  const char* argv[] = {"prog", "--fault.rate=0.1", "--plane.count=2",
+                        "--wafer.latency=3", "--trace.seed=4",
+                        "--tenant1.kib=8", "--wafer.bogus=1"};
+  const Cli cli(7, const_cast<char**>(argv));
+  std::vector<std::string> unused;
+  const auto s = core::spec_from_cli(cli, {}, &unused);
+  EXPECT_DOUBLE_EQ(s.fault.rate, 0.1);
+  EXPECT_EQ(s.plane_count, 2);
+  EXPECT_EQ(s.wafer_latency, 3);
+  EXPECT_EQ(s.trace_seed, 4u);
+  ASSERT_EQ(s.tenant.size(), 2u);
+  EXPECT_EQ(s.tenant[1].opts.at("kib"), "8");
+  EXPECT_EQ(unused, std::vector<std::string>{"wafer.bogus"});
 }
 
 TEST(ScenarioParse, ConfigSectionsInheritBaseKeys) {

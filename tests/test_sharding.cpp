@@ -27,29 +27,6 @@ using route::VcScheme;
 
 namespace {
 
-/// Every field of two SimResults must match exactly — including the
-/// order-sensitive floating-point latency statistics, which is where a
-/// commit-ordering bug in the sharded engine would surface first.
-void expect_bit_identical(const sim::SimResult& a, const sim::SimResult& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.min_latency, b.min_latency);
-  EXPECT_EQ(a.max_latency, b.max_latency);
-  EXPECT_EQ(a.generated_measured, b.generated_measured);
-  EXPECT_EQ(a.delivered_measured, b.delivered_measured);
-  EXPECT_EQ(a.delivered_total, b.delivered_total);
-  EXPECT_EQ(a.suppressed, b.suppressed);
-  EXPECT_EQ(a.drained, b.drained);
-  for (int h = 0; h < kNumLinkTypes; ++h)
-    EXPECT_EQ(a.avg_hops[h], b.avg_hops[h]);
-  EXPECT_EQ(a.avg_hops_total, b.avg_hops_total);
-  EXPECT_EQ(a.cycles_run, b.cycles_run);
-  EXPECT_EQ(a.flit_hops, b.flit_hops);
-}
-
 sim::SimConfig short_cfg(int shards) {
   sim::SimConfig sc;
   sc.inj_rate_per_chip = 0.4;

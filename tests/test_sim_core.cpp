@@ -15,6 +15,7 @@
 
 using namespace sldf;
 using namespace sldf::sim;
+using sldf::testing::expect_bit_identical;
 
 namespace {
 
@@ -282,28 +283,6 @@ TEST(SimCore, FifoArenaNonPowerOfTwoCapacity) {
 
 namespace {
 
-/// Field-by-field exact comparison of two SimResults (doubles compared
-/// bit-for-bit: the engine must be deterministic to the last bit).
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.min_latency, b.min_latency);
-  EXPECT_EQ(a.max_latency, b.max_latency);
-  EXPECT_EQ(a.generated_measured, b.generated_measured);
-  EXPECT_EQ(a.delivered_measured, b.delivered_measured);
-  EXPECT_EQ(a.delivered_total, b.delivered_total);
-  EXPECT_EQ(a.suppressed, b.suppressed);
-  EXPECT_EQ(a.drained, b.drained);
-  for (int h = 0; h < kNumLinkTypes; ++h)
-    EXPECT_EQ(a.avg_hops[h], b.avg_hops[h]);
-  EXPECT_EQ(a.avg_hops_total, b.avg_hops_total);
-  EXPECT_EQ(a.cycles_run, b.cycles_run);
-  EXPECT_EQ(a.flit_hops, b.flit_hops);
-}
-
 SimConfig determinism_cfg() {
   SimConfig cfg;
   cfg.inj_rate_per_chip = 0.6;  // busy enough for real contention
@@ -324,7 +303,7 @@ TEST(SimCore, SameSeedBitIdenticalAcrossRepeatedRuns) {
   const auto r1 = run_sim(net, cfg, tr);
   const auto r2 = run_sim(net, cfg, tr);
   ASSERT_GT(r1.delivered_measured, 0u);
-  expect_identical(r1, r2);
+  expect_bit_identical(r1, r2);
 }
 
 TEST(SimCore, ReusedContextBitIdenticalToFreshContext) {
@@ -339,8 +318,8 @@ TEST(SimCore, ReusedContextBitIdenticalToFreshContext) {
   const auto warm = run_sim(ctx, net, cfg, tr);
   const auto reused = run_sim(ctx, net, cfg, tr);
   const auto fresh = run_sim(net, cfg, tr);
-  expect_identical(warm, reused);
-  expect_identical(warm, fresh);
+  expect_bit_identical(warm, reused);
+  expect_bit_identical(warm, fresh);
 }
 
 TEST(SimCore, SerialAndParallelSweepsBitIdentical) {
@@ -361,7 +340,7 @@ TEST(SimCore, SerialAndParallelSweepsBitIdentical) {
   ASSERT_EQ(serial.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
     EXPECT_EQ(serial.points[i].rate, parallel.points[i].rate);
-    expect_identical(serial.points[i].res, parallel.points[i].res);
+    expect_bit_identical(serial.points[i].res, parallel.points[i].res);
   }
 }
 
@@ -402,7 +381,7 @@ void expect_skip_transparent(Network& net, SimConfig cfg,
   const auto skip = run_sim(net, cfg, tr);
   // A vacuously-empty run (NaN latencies) can't certify anything.
   ASSERT_GT(scan.delivered_measured, 0u);
-  expect_identical(scan, skip);
+  expect_bit_identical(scan, skip);
 }
 
 }  // namespace
@@ -463,7 +442,7 @@ TEST(IdleSkip, FaultTimelineQuietGapBitIdenticalAndCheckpointEqual) {
   };
   const auto scan = run_one(false);
   const auto skip = run_one(true);
-  expect_identical(scan, skip);
+  expect_bit_identical(scan, skip);
 
   // Checkpoint bytes at cycle 400 (inside the fail window, before the
   // repair): stepping engine vs skipping engine.

@@ -57,21 +57,25 @@ void print_usage() {
       "  --serve              batch mode: read one request per stdin line\n"
       "                       (whitespace-separated key=value scenario keys,\n"
       "                       CLI keys as the base); finalized networks are\n"
-      "                       cached across requests that share topology/\n"
-      "                       mode/scheme/topo.*/fault.* keys. An empty\n"
-      "                       line or 'quit' exits; request errors are\n"
-      "                       reported per request, not fatal\n"
+      "                       cached across requests that share every\n"
+      "                       network-shaping key. An empty line or 'quit'\n"
+      "                       exits; request errors are reported per\n"
+      "                       request, not fatal\n"
       "  --emit-trace FILE    write the (single) series' workload graph as\n"
       "                       an sldf-trace file instead of running it\n"
       "  --help               this text\n"
       "\n"
-      "scenario keys (also valid in config files):\n"
-      "  label topology traffic workload mode scheme rates max_rate points\n"
-      "  stop_factor threads shards warmup measure drain pkt_len seed\n"
-      "  max_src_queue fault.rate fault.kind fault.seed fault.chips\n"
-      "  plane.count plane.mix plane.policy wafer.count wafer.latency\n"
-      "  wafer.width tenants tenants.isolation trace.file trace.seed\n"
-      "  topo.<param> traffic.<option> workload.<option> tenant<i>.<field>\n"
+      "scenario keys (also valid in config files; see --doc-keys):\n");
+  std::string line = " ";
+  for (const auto& row : core::scenario_key_table()) {
+    if (line.size() + 1 + row.key.size() > 74) {
+      std::printf("%s\n", line.c_str());
+      line = " ";
+    }
+    line += " " + row.key;
+  }
+  std::printf(
+      "%s\n"
       "\n"
       "  fault.rate=F deterministically fails F of the fault.kind\n"
       "  (any|intra|local|global|vertical) cables (seeded by fault.seed)\n"
@@ -100,7 +104,8 @@ void print_usage() {
       "  disjoint chips (contiguous|scattered, fault-dead chips skipped).\n"
       "  All jobs execute in ONE simulation; the report is per-tenant TTC,\n"
       "  p50/p99 message latency, GB/s/chip, and (with tenants.isolation=1,\n"
-      "  the default) the interference ratio vs running alone.\n");
+      "  the default) the interference ratio vs running alone.\n",
+      line.c_str());
 }
 
 void print_entry_options(const std::vector<core::OptionDoc>& options) {
@@ -131,21 +136,6 @@ void print_registries() {
   std::printf(
       "\nroute modes:  minimal | valiant | adaptive\n"
       "VC schemes:   baseline | reduced | reduced-safe\n");
-}
-
-/// The scenario keys that shape the finalized network (everything
-/// build_network consumes). Requests sharing this canonical subset reuse
-/// one cached Network in serve mode; per-run keys (traffic, rates, seed,
-/// workload, ...) deliberately do not key the cache.
-std::string network_cache_key(const core::ScenarioSpec& spec) {
-  std::string key;
-  for (const auto& [k, v] : spec.to_kv()) {
-    if (k == "topology" || k == "mode" || k == "scheme" ||
-        k.rfind("topo.", 0) == 0 || k.rfind("fault.", 0) == 0 ||
-        k.rfind("plane.", 0) == 0 || k.rfind("wafer.", 0) == 0)
-      key += k + "=" + v + ";";
-  }
-  return key;
 }
 
 /// `sldf --serve`: one request per stdin line, each a whitespace-separated
@@ -179,7 +169,7 @@ int run_serve(const Cli& cli) {
         throw std::invalid_argument(
             "serve mode does not run multi-tenant series; use a config "
             "file");
-      const std::string key = network_cache_key(spec);
+      const std::string key = core::network_cache_key(spec);
       auto it = cache.find(key);
       if (it == cache.end()) {
         auto net = std::make_unique<sim::Network>();
@@ -251,16 +241,10 @@ int main(int argc, char** argv) {
     if (cli.has("serve")) return run_serve(cli);
 
     // Warn about flags that are neither driver flags nor scenario keys.
-    std::vector<std::string> known = kDriverFlags;
-    for (const auto& key : core::scenario_keys()) known.push_back(key);
-    for (const auto& key : cli.unknown_keys(known)) {
-      if (key.rfind("topo.", 0) == 0 || key.rfind("traffic.", 0) == 0 ||
-          key.rfind("workload.", 0) == 0 || key.rfind("trace.", 0) == 0 ||
-          key.rfind("tenant", 0) == 0)
-        continue;
-      std::fprintf(stderr, "sldf: warning: unknown flag --%s (ignored)\n",
-                   key.c_str());
-    }
+    for (const auto& key : cli.unknown_keys(kDriverFlags))
+      if (!core::find_scenario_key(key))
+        std::fprintf(stderr, "sldf: warning: unknown flag --%s (ignored)\n",
+                     key.c_str());
 
     // Resolve the series: config file first, CLI keys override each series.
     std::vector<core::ScenarioSpec> series;
