@@ -28,7 +28,7 @@ class RingQueue {
   }
 
   /// Peeks element `i` (0 == front, i < size()). Used by the simulator's
-  /// fault sweep and checkpointing to scan a queue without draining it.
+  /// fault sweep to scan a queue without draining it.
   [[nodiscard]] const T& at(std::size_t i) const {
     assert(i < size_);
     return buf_[(head_ + i) & (buf_.size() - 1)];
@@ -44,6 +44,19 @@ class RingQueue {
   void clear() {
     head_ = 0;
     size_ = 0;
+  }
+
+  /// Checkpoint walk (see sim/checkpoint.hpp): the element count, then the
+  /// elements front to back. Restore refills the queue to the saved count.
+  template <typename Io>
+  void checkpoint(Io& io) {
+    const std::size_t n = io.count(size_, sizeof(T));
+    if (io.loading()) {
+      clear();
+      while (size_ < n) push_back(T{});
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      io.pod(buf_[(head_ + i) & (buf_.size() - 1)]);
   }
 
  private:

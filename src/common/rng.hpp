@@ -1,7 +1,6 @@
 // Small, fast, deterministic PRNGs for simulation (no <random> in hot paths).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cmath>
 
@@ -72,13 +71,11 @@ class Rng {
 
   bool bernoulli(double p) { return uniform() < p; }
 
-  /// Checkpoint hooks: the full xoshiro256** state, so a restored
-  /// simulation continues the exact stream it left off.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) s_[i] = s[i];
+  /// Checkpoint walk (see sim/checkpoint.hpp): the full xoshiro256**
+  /// state, so a restored simulation continues the exact stream it left.
+  template <typename Io>
+  void checkpoint(Io& io) {
+    io.pod(s_);
   }
 
   /// Number of failures before the next success of a Bernoulli(p) process.

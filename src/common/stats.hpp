@@ -23,21 +23,14 @@ class OnlineStats {
 
   void merge(const OnlineStats& o);
 
-  /// Checkpoint hooks: the raw accumulator tuple (n, mean, m2, min, max).
-  struct State {
-    std::uint64_t n = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  [[nodiscard]] State state() const { return {n_, mean_, m2_, min_, max_}; }
-  void set_state(const State& s) {
-    n_ = s.n;
-    mean_ = s.mean;
-    m2_ = s.m2;
-    min_ = s.min;
-    max_ = s.max;
+  /// Checkpoint walk (see sim/checkpoint.hpp) over the raw accumulators.
+  template <typename Io>
+  void checkpoint(Io& io) {
+    io.pod(n_);
+    io.pod(mean_);
+    io.pod(m2_);
+    io.pod(min_);
+    io.pod(max_);
   }
 
   [[nodiscard]] std::uint64_t count() const { return n_; }
@@ -87,16 +80,13 @@ class Histogram {
   /// q in [0,1]; returns an upper-edge estimate of the q-quantile.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Checkpoint hooks: bucket counts + totals (width/max are ctor-fixed).
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
-    return buckets_;
-  }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  void set_state(std::vector<std::uint64_t> buckets, std::uint64_t total,
-                 std::uint64_t overflow) {
-    buckets_ = std::move(buckets);
-    total_ = total;
-    overflow_ = overflow;
+  /// Checkpoint walk (see sim/checkpoint.hpp): bucket counts + totals.
+  /// Width and max are ctor-fixed; restore adopts the saved bucket count.
+  template <typename Io>
+  void checkpoint(Io& io) {
+    io.vec(buckets_);
+    io.pod(total_);
+    io.pod(overflow_);
   }
 
  private:

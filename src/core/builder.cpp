@@ -4,18 +4,6 @@
 
 namespace sldf::core {
 
-std::unique_ptr<sim::Network> make_network(const topo::SwlessParams& p) {
-  auto net = std::make_unique<sim::Network>();
-  topo::build_swless_dragonfly(*net, p);
-  return net;
-}
-
-std::unique_ptr<sim::Network> make_network(const topo::SwDragonflyParams& p) {
-  auto net = std::make_unique<sim::Network>();
-  topo::build_sw_dragonfly(*net, p);
-  return net;
-}
-
 NetworkCensus census(const sim::Network& net) {
   NetworkCensus c;
   for (std::size_t i = 0; i < net.num_routers(); ++i) {

@@ -1,16 +1,11 @@
-// Convenience constructors and introspection for the evaluated networks.
+// Introspection for built networks: node and channel census.
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "topo/dragonfly.hpp"
-#include "topo/swless.hpp"
+#include "sim/network.hpp"
 
 namespace sldf::core {
-
-std::unique_ptr<sim::Network> make_network(const topo::SwlessParams& p);
-std::unique_ptr<sim::Network> make_network(const topo::SwDragonflyParams& p);
 
 struct NetworkCensus {
   std::size_t cores = 0;

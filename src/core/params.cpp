@@ -50,6 +50,21 @@ topo::SwDragonflyParams radix32_swdf() {
   return p;
 }
 
+topo::SwlessParams tiny_swless() {
+  topo::SwlessParams p;
+  p.a = 1;
+  p.b = 3;  // ab = 3 C-groups per W-group
+  p.chip_gx = 2;
+  p.chip_gy = 2;
+  p.noc_x = 1;
+  p.noc_y = 1;  // 2x2 router mesh, chip == router
+  p.ports_per_chiplet = 4;
+  p.local_ports = 2;
+  p.global_ports = 2;  // h = 2 -> g max = 3*2 + 1 = 7
+  p.g = 5;
+  return p;
+}
+
 topo::SwlessParams case_study_swless() {
   topo::SwlessParams p;
   p.a = 4;

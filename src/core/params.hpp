@@ -25,6 +25,11 @@ topo::SwlessParams radix32_swless();
 /// 145 groups, 18560 chips.
 topo::SwDragonflyParams radix32_swdf();
 
+/// The small deadlock-audit instance (the `tiny-swless` registry preset and
+/// the test fixtures' base): a=1, b=3 C-groups of 2x2 single-router
+/// chiplets (chip == router), 2 local + 2 global ports, g=5 (max 7).
+topo::SwlessParams tiny_swless();
+
 /// The Slingshot-scale case study of Table III: n = 12, m = 4 (4x4 chiplets),
 /// a = 4, b = 8, h = 17, g = 545, N = 279040 chips. Analytical use only —
 /// do not build (it would be a ~1.2M-router simulation).

@@ -315,21 +315,6 @@ std::vector<OptionDoc> crossbar_docs() {
 topo::SwlessParams default_swless() { return topo::SwlessParams{}; }
 topo::SwDragonflyParams default_swdf() { return topo::SwDragonflyParams{}; }
 
-/// The small audit instance used by the deadlock examples/ablations:
-/// a=1, b=3 C-groups of 2x2 single-router chiplets, h=2, g=5.
-topo::SwlessParams tiny_swless() {
-  topo::SwlessParams p;
-  p.a = 1;
-  p.b = 3;
-  p.chip_gx = p.chip_gy = 2;
-  p.noc_x = p.noc_y = 1;
-  p.ports_per_chiplet = 4;
-  p.local_ports = 2;
-  p.global_ports = 2;
-  p.g = 5;
-  return p;
-}
-
 topo::WiredFabric build_cgroup_mesh(sim::Network& net, const TopoConfig& cfg) {
   topo::CGroupShape s;
   int num_vcs = kCgroupMeshNumVcs;

@@ -115,13 +115,13 @@ class FlitFifoArena {
   /// push(), so a rebuilt ring is in a canonical head-0 layout.
   void clear_ring(std::size_t i) { hm_[i] &= 0xffffffff00000000ull; }
 
-  // Checkpoint hooks: raw access to the control words and flit slots so
-  // Network::{save,load}_dynamic_state can serialize the arena verbatim.
-  [[nodiscard]] const std::uint64_t* hm_data() const { return hm_.data(); }
-  std::uint64_t* hm_data() { return hm_.data(); }
-  [[nodiscard]] const Flit* slots_data() const { return slots_.data(); }
-  Flit* slots_data() { return slots_.data(); }
-  [[nodiscard]] std::size_t slots_size() const { return slots_.size(); }
+  /// Checkpoint walk (see sim/checkpoint.hpp): the arena verbatim, control
+  /// words then flit slots (stale slots included).
+  template <typename Io>
+  void checkpoint(Io& io) {
+    io.fixed(hm_, "fifo control");
+    io.fixed(slots_, "fifo slot");
+  }
 
  private:
   std::vector<Flit, HugePageAllocator<Flit>> slots_;

@@ -2,6 +2,7 @@
 // that VC buffers and channel pipelines stay compact.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -150,28 +151,21 @@ class PacketPool {
   [[nodiscard]] std::size_t capacity() const { return size_; }
   [[nodiscard]] std::size_t live() const { return size_ - free_.size(); }
 
-  // Checkpoint hooks: chunked slot storage + the free list. restore_slots()
-  // sizes the slot store for a subsequent chunk-wise raw read; chunk(i)
-  // exposes each chunk's span so serialization streams the same bytes a
-  // contiguous layout would.
-  [[nodiscard]] std::pair<const Packet*, std::size_t> chunk(
-      std::size_t i) const {
-    const std::size_t base = i << kChunkShift;
-    return {chunk_ptr_[i], std::min<std::size_t>(kChunkSize, size_ - base)};
-  }
-  [[nodiscard]] std::pair<Packet*, std::size_t> chunk(std::size_t i) {
-    const std::size_t base = i << kChunkShift;
-    return {chunk_ptr_[i], std::min<std::size_t>(kChunkSize, size_ - base)};
-  }
-  [[nodiscard]] std::size_t num_chunks() const {
-    return (size_ + kChunkSize - 1) >> kChunkShift;
-  }
   [[nodiscard]] const std::vector<PacketId>& free_list() const { return free_; }
-  void restore_slots(std::size_t n) {
-    while ((chunks_.size() << kChunkShift) < n) add_chunk();
-    size_ = n;
+
+  /// Checkpoint walk (see sim/checkpoint.hpp): the slot count, the raw
+  /// slots chunk by chunk (the bytes a contiguous layout would stream) and
+  /// the free list. Restore materializes the chunks before the raw read.
+  template <typename Io>
+  void checkpoint(Io& io) {
+    size_ = io.count(size_, sizeof(Packet));
+    while ((chunks_.size() << kChunkShift) < size_) add_chunk();
+    for (std::size_t base = 0; base < size_; base += kChunkSize)
+      io.bytes(chunk_ptr_[base >> kChunkShift],
+               std::min<std::size_t>(kChunkSize, size_ - base) *
+                   sizeof(Packet));
+    io.vec(free_);
   }
-  void restore_free_list(std::vector<PacketId> f) { free_ = std::move(f); }
 
  private:
   void add_chunk() {

@@ -1,47 +1,14 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "common/error.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace sldf::sim {
-
-namespace {
-
-template <typename T>
-void put_raw(std::ostream& out, const T* data, std::size_t n) {
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(n * sizeof(T)));
-}
-
-template <typename T>
-void get_raw(std::istream& in, T* data, std::size_t n) {
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  if (!in) throw std::runtime_error("load_dynamic_state: truncated stream");
-}
-
-void put_u64(std::ostream& out, std::uint64_t v) { put_raw(out, &v, 1); }
-
-std::uint64_t get_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  get_raw(in, &v, 1);
-  return v;
-}
-
-void check_size(std::uint64_t got, std::uint64_t want, const char* what) {
-  if (got != want)
-    throw std::runtime_error(std::string("load_dynamic_state: ") + what +
-                             " size mismatch (checkpoint from a different "
-                             "network build?)");
-}
-
-}  // namespace
 
 NodeId Network::add_router(NodeKind kind) {
   Router r;
@@ -365,39 +332,15 @@ void Network::capture_fault_baseline() {
   baseline_node_alive_ = node_alive_;
 }
 
-void Network::save_dynamic_state(std::ostream& out) const {
-  const FlitFifoArena& f = fifos_;
-  put_u64(out, f.num_fifos());
-  put_raw(out, f.hm_data(), f.num_fifos());
-  put_u64(out, f.slots_size());
-  put_raw(out, f.slots_data(), f.slots_size());
-  put_u64(out, port_state_.size());
-  put_raw(out, port_state_.data(), port_state_.size());
-  put_u64(out, chan_alive_.size());
-  put_raw(out, chan_alive_.data(), chan_alive_.size());
-  put_u64(out, node_alive_.size());
-  put_raw(out, node_alive_.data(), node_alive_.size());
-  put_u64(out, dead_channels_);
-  put_u64(out, dead_nodes_);
-  put_u64(out, fault_epoch_);
-}
-
-void Network::load_dynamic_state(std::istream& in) {
-  FlitFifoArena& f = fifos_;
-  check_size(get_u64(in), f.num_fifos(), "fifo control");
-  get_raw(in, f.hm_data(), f.num_fifos());
-  check_size(get_u64(in), f.slots_size(), "fifo slot");
-  get_raw(in, f.slots_data(), f.slots_size());
-  check_size(get_u64(in), port_state_.size(), "port record");
-  get_raw(in, port_state_.data(), port_state_.size());
+void Network::checkpoint(CheckpointIo& io) {
+  fifos_.checkpoint(io);
+  io.fixed(port_state_, "port record");
   // The mask arrays may legitimately be empty on both sides (no faults).
-  check_size(get_u64(in), chan_alive_.size(), "channel mask");
-  get_raw(in, chan_alive_.data(), chan_alive_.size());
-  check_size(get_u64(in), node_alive_.size(), "node mask");
-  get_raw(in, node_alive_.data(), node_alive_.size());
-  dead_channels_ = get_u64(in);
-  dead_nodes_ = get_u64(in);
-  fault_epoch_ = get_u64(in);
+  io.fixed(chan_alive_, "channel mask");
+  io.fixed(node_alive_, "node mask");
+  io.pod(dead_channels_);
+  io.pod(dead_nodes_);
+  io.pod(fault_epoch_);
 }
 
 std::vector<std::uint32_t> Network::shard_bounds(int shards) const {

@@ -10,7 +10,6 @@
 
 #include <bit>
 #include <cassert>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -22,6 +21,8 @@
 #include "sim/routing.hpp"
 
 namespace sldf::sim {
+
+class CheckpointIo;
 
 /// Base class for topology-specific metadata attached to a Network.
 /// Concrete builders derive from this; routing algorithms downcast.
@@ -180,15 +181,13 @@ class Network {
   void bump_fault_epoch() { ++fault_epoch_; }
 
   // ---- checkpointing -----------------------------------------------------
-  /// Serializes every mutable word of the network (FIFO arena, port
-  /// records with their token buckets, fault mask + epoch) to `out`.
-  /// Topology and static wiring are NOT written: a checkpoint restores
-  /// only onto an identically-built network (the Simulator's checkpoint
-  /// header fingerprints the shape).
-  void save_dynamic_state(std::ostream& out) const;
-  /// Inverse of save_dynamic_state(); throws std::runtime_error when the
-  /// stream's array sizes do not match this network.
-  void load_dynamic_state(std::istream& in);
+  /// Checkpoint walk (see sim/checkpoint.hpp) over every mutable word of
+  /// the network: FIFO arena, port records with their token buckets, fault
+  /// mask + epoch. Topology and static wiring are NOT streamed: a
+  /// checkpoint restores only onto an identically-built network (the
+  /// Simulator's checkpoint header fingerprints the shape, and restore
+  /// throws std::runtime_error when an array length does not match).
+  void checkpoint(CheckpointIo& io);
 
   // ---- shard partition map (intra-simulation parallelism) ----------------
   /// Partitions the router id space into `shards` contiguous ranges for the

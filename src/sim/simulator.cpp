@@ -6,13 +6,11 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <thread>
 
 #include "route/plane_select.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace sldf::sim {
 
@@ -62,17 +60,21 @@ inline std::uint64_t masked_word(const std::vector<std::uint64_t>& words,
   return bits;
 }
 
-/// Sizes/resets `ctx` for `net` and returns the wheel mask. The wheel must
-/// hold at least max-channel-latency + 1 slots; any power of two above that
-/// behaves identically (slot index = cycle & mask uniquely maps every
-/// in-flight event to its target cycle), so a larger recycled wheel is fine.
-std::size_t prepare_context(SimContext& ctx, Network& net) {
+/// The smallest timing wheel for `net`: a power of two above the maximum
+/// channel latency. Any larger power of two behaves identically (slot
+/// index = cycle & mask uniquely maps every in-flight event to its target
+/// cycle), so a larger recycled or restored wheel is fine.
+std::size_t min_wheel_slots(const Network& net) {
   std::size_t max_lat = 1;
   for (std::size_t i = 0; i < net.num_channels(); ++i)
     max_lat = std::max<std::size_t>(max_lat,
                                     net.chan(static_cast<ChanId>(i)).latency);
-  std::size_t w = 1;
-  while (w <= max_lat) w <<= 1;
+  return std::bit_floor(max_lat) << 1;
+}
+
+/// Sizes/resets `ctx` for `net` and returns the wheel mask.
+std::size_t prepare_context(SimContext& ctx, Network& net) {
+  std::size_t w = min_wheel_slots(net);
   if (ctx.wheel.size() < w)
     ctx.wheel.resize(w);
   else
@@ -91,55 +93,6 @@ std::size_t prepare_context(SimContext& ctx, Network& net) {
   ctx.ivc_wait_next.assign(net.fifos().num_fifos(), kNoWaiter);
   ctx.ivc_pkt.assign(net.fifos().num_fifos(), kInvalidPacket);
   return w - 1;
-}
-
-// Binary checkpoint-stream helpers (little-endian host assumed, as the
-// checkpoint is a same-machine resume format, not an interchange format).
-void ck_put(std::ostream& out, const void* p, std::size_t n) {
-  out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-}
-void ck_get(std::istream& in, void* p, std::size_t n) {
-  in.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-  if (!in) throw std::runtime_error("checkpoint: truncated stream");
-}
-template <typename T>
-void ck_put_v(std::ostream& out, const T& v) {
-  ck_put(out, &v, sizeof(T));
-}
-template <typename T>
-T ck_get_v(std::istream& in) {
-  T v{};
-  ck_get(in, &v, sizeof(T));
-  return v;
-}
-template <typename T>
-void ck_put_vec(std::ostream& out, const T& vec) {
-  ck_put_v(out, static_cast<std::uint64_t>(vec.size()));
-  if (!vec.empty())
-    ck_put(out, vec.data(), vec.size() * sizeof(typename T::value_type));
-}
-template <typename T>
-void ck_get_vec(std::istream& in, T& vec) {
-  const auto n = ck_get_v<std::uint64_t>(in);
-  if (n > (1ULL << 40))
-    throw std::runtime_error("checkpoint: implausible vector size");
-  vec.resize(static_cast<std::size_t>(n));
-  if (n)
-    ck_get(in, vec.data(),
-           static_cast<std::size_t>(n) * sizeof(typename T::value_type));
-}
-/// Rejects implausible element counts before a resize+raw-read would try
-/// to allocate them (corrupt or truncated-then-misaligned streams).
-void check_ck_size(std::uint64_t n, std::size_t elem_size) {
-  if (n > (1ULL << 40) / elem_size)
-    throw std::runtime_error("checkpoint: implausible size field");
-}
-void ck_expect(std::istream& in, std::uint64_t want, const char* what) {
-  const auto got = ck_get_v<std::uint64_t>(in);
-  if (got != want)
-    throw std::runtime_error(std::string("checkpoint: ") + what +
-                             " mismatch (saved against a different "
-                             "network/config shape)");
 }
 
 /// Heap ordering for SimContext::gen_heap: std::push_heap and friends build
@@ -396,6 +349,38 @@ void Simulator::init() {
   if (shards_ > 1) shard_bounds_ = net_.shard_bounds(shards_);
 }
 
+int Simulator::pick_plane(std::size_t ti, NodeId src, NodeId dst,
+                          std::uint32_t rail_hint, bool collective) {
+  if (num_planes_ <= 1) return 0;
+  return route::select_plane(
+      static_cast<route::PlanePolicy>(plane_policy_), num_planes_,
+      net_.chip_of(src), net_.chip_of(dst), rail_hint, collective,
+      rr_plane_[ti],
+      [&](int pl) { return term_at(net_.plane_twin(src, pl)).queue.size(); });
+}
+
+void Simulator::admit_packet(TerminalState& t, NodeId dst, int plane,
+                             int len, Cycle t_gen, bool measured,
+                             std::uint32_t tag) {
+  const PacketId pid = ctx_->pool.acquire();
+  Packet& p = ctx_->pool[pid];
+  p.src = t.node;
+  p.dst = dst;
+  p.len = static_cast<std::uint16_t>(len);
+  p.t_gen = t_gen;
+  p.tag = tag;
+  p.measured = measured ? 1 : 0;
+  if (measured) ++generated_measured_;
+  ++generated_packets_;
+  generated_flits_ += p.len;
+  ++plane_generated_[static_cast<std::size_t>(plane)];
+  ++wafer_generated_[static_cast<std::size_t>(net_.wafer_of_node(t.node))];
+  net_.routing()->init_packet(net_, p, rng_);
+  t.queue.push_back(pid);
+  if (t.queue.size() == 1)
+    inj_mark(static_cast<std::size_t>(&t - ctx_->terms.data()));
+}
+
 void Simulator::gen_and_inject_terminal(std::size_t ti) {
   const Cycle gen_end = cfg_.warmup + cfg_.measure;
   PacketPool& pool = ctx_->pool;
@@ -422,49 +407,20 @@ void Simulator::gen_and_inject_terminal(std::size_t ti) {
     // TWIN's source queue takes the backpressure check (the logical
     // queue was already checked above, which keeps the K=1 path
     // bit-identical).
-    NodeId src = t.node;
-    NodeId pdst = dst;
+    const int plane = pick_plane(ti, t.node, dst, 0, false);
     TerminalState* tq = &t;
-    int plane = 0;
-    if (num_planes_ > 1) {
-      plane = route::select_plane(
-          static_cast<route::PlanePolicy>(plane_policy_), num_planes_,
-          net_.chip_of(t.node), net_.chip_of(dst), 0, false, rr_plane_[ti],
-          [&](int pl) {
-            const NodeId tw = net_.plane_twin(t.node, pl);
-            return ctx_->terms[static_cast<std::size_t>(
-                                   ctx_->term_of_node[static_cast<
-                                       std::size_t>(tw)])]
-                .queue.size();
-          });
-      if (plane != 0) {
-        src = net_.plane_twin(t.node, plane);
-        pdst = net_.plane_twin(dst, plane);
-        tq = &ctx_->terms[static_cast<std::size_t>(
-            ctx_->term_of_node[static_cast<std::size_t>(src)])];
-        if (static_cast<int>(tq->queue.size()) >= cfg_.max_src_queue) {
-          ++suppressed_;
-          continue;
-        }
-        if (!net_.node_live(src) || !net_.node_live(pdst)) continue;
+    NodeId pdst = dst;
+    if (plane != 0) {
+      tq = &term_at(net_.plane_twin(t.node, plane));
+      pdst = net_.plane_twin(dst, plane);
+      if (static_cast<int>(tq->queue.size()) >= cfg_.max_src_queue) {
+        ++suppressed_;
+        continue;
       }
+      if (!net_.node_live(tq->node) || !net_.node_live(pdst)) continue;
     }
-    const PacketId pid = pool.acquire();
-    Packet& p = pool[pid];
-    p.src = src;
-    p.dst = pdst;
-    p.len = static_cast<std::uint16_t>(cfg_.pkt_len);
-    p.t_gen = when;
-    p.measured = (when >= cfg_.warmup && when < gen_end) ? 1 : 0;
-    if (p.measured) ++generated_measured_;
-    ++generated_packets_;
-    generated_flits_ += p.len;
-    ++plane_generated_[static_cast<std::size_t>(plane)];
-    ++wafer_generated_[static_cast<std::size_t>(net_.wafer_of_node(src))];
-    net_.routing()->init_packet(net_, p, rng_);
-    tq->queue.push_back(pid);
-    if (tq->queue.size() == 1)
-      inj_mark(static_cast<std::size_t>(tq - ctx_->terms.data()));
+    admit_packet(*tq, pdst, plane, cfg_.pkt_len, when,
+                 when >= cfg_.warmup && when < gen_end, kNoTag);
   }
   // --- injection: one flit per cycle into the injection port ---
   if (t.queue.empty()) return;
@@ -624,43 +580,11 @@ bool Simulator::inject_packet(NodeId src, NodeId dst, int len,
   const std::int32_t ti = ctx_->term_of_node[static_cast<std::size_t>(src)];
   if (ti < 0)
     throw std::invalid_argument("inject_packet: source is not a terminal");
-  int plane = 0;
-  if (num_planes_ > 1) {
-    plane = route::select_plane(
-        static_cast<route::PlanePolicy>(plane_policy_), num_planes_,
-        net_.chip_of(src), net_.chip_of(dst), rail_hint, true,
-        rr_plane_[static_cast<std::size_t>(ti)], [&](int pl) {
-          const NodeId tw = net_.plane_twin(src, pl);
-          return ctx_
-              ->terms[static_cast<std::size_t>(
-                  ctx_->term_of_node[static_cast<std::size_t>(tw)])]
-              .queue.size();
-        });
-    if (plane != 0) {
-      src = net_.plane_twin(src, plane);
-      dst = net_.plane_twin(dst, plane);
-    }
-  }
-  TerminalState& t = ctx_->terms[static_cast<std::size_t>(
-      ctx_->term_of_node[static_cast<std::size_t>(src)])];
+  const int plane =
+      pick_plane(static_cast<std::size_t>(ti), src, dst, rail_hint, true);
+  TerminalState& t = term_at(net_.plane_twin(src, plane));
   if (static_cast<int>(t.queue.size()) >= cfg_.max_src_queue) return false;
-  const PacketId pid = ctx_->pool.acquire();
-  Packet& p = ctx_->pool[pid];
-  p.src = src;
-  p.dst = dst;
-  p.len = static_cast<std::uint16_t>(len);
-  p.t_gen = now_;
-  p.tag = tag;
-  p.measured = 1;
-  ++generated_measured_;
-  ++generated_packets_;
-  generated_flits_ += p.len;
-  ++plane_generated_[static_cast<std::size_t>(plane)];
-  ++wafer_generated_[static_cast<std::size_t>(net_.wafer_of_node(src))];
-  net_.routing()->init_packet(net_, p, rng_);
-  t.queue.push_back(pid);
-  if (t.queue.size() == 1)
-    inj_mark(static_cast<std::size_t>(&t - ctx_->terms.data()));
+  admit_packet(t, net_.plane_twin(dst, plane), plane, len, now_, true, tag);
   return true;
 }
 
@@ -1771,189 +1695,80 @@ SimResult Simulator::run() {
   return res;
 }
 
-namespace {
-/// Checkpoint stream magic ("sldfckp2" little-endian; version 2 dropped the
-/// per-channel token words from the network state).
-constexpr std::uint64_t kCkMagic = 0x736c6466636b7032ULL;
-}  // namespace
+void Simulator::checkpoint(CheckpointIo& io) {
+  // Format magic ("sldfckp2" little-endian; version 2 dropped the
+  // per-channel token words) and shape/config fingerprint: a restore
+  // against a different network or config must fail loudly instead of
+  // corrupting state.
+  io.expect(0x736c6466636b7032ULL, "format magic");
+  io.expect(net_.num_routers(), "router count");
+  io.expect(net_.num_channels(), "channel count");
+  io.expect(net_.fifos().num_fifos(), "fifo count");
+  io.expect(net_.num_out_ports(), "port count");
+  io.expect(ctx_->terms.size(), "terminal count");
+  io.expect(cfg_.seed, "seed");
+  io.expect(cfg_.warmup, "warmup");
+  io.expect(cfg_.measure, "measure");
+  io.expect(cfg_.drain, "drain");
+  io.expect(static_cast<std::uint64_t>(cfg_.pkt_len), "pkt_len");
+  io.expect(std::bit_cast<std::uint64_t>(cfg_.inj_rate_per_chip), "inj_rate");
+
+  io.pod(now_);
+  rng_.checkpoint(io);
+  lat_.checkpoint(io);
+  lat_hist_.checkpoint(io);
+  for (std::uint64_t* n :
+       {&accepted_flits_, &generated_measured_, &delivered_measured_,
+        &delivered_total_, &suppressed_, &flit_hops_, &dropped_packets_,
+        &dropped_flits_, &dropped_measured_, &rescued_packets_,
+        &generated_packets_, &generated_flits_, &ejected_flits_, &lost_flits_})
+    io.pod(*n);
+  for (auto* v : {&plane_generated_, &plane_delivered_, &plane_dropped_,
+                  &wafer_generated_, &wafer_delivered_, &wafer_dropped_})
+    io.fixed(*v, "plane/wafer tally");
+  io.fixed(rr_plane_, "plane cursor");
+  io.pod(next_fault_);
+  io.pod(hop_sum_);
+
+  SimContext& c = *ctx_;
+  c.pool.checkpoint(io);
+  for (TerminalState& t : c.terms) {
+    io.pod(t.next_gen);
+    t.queue.checkpoint(io);
+    io.pod(t.inj_vc);
+    io.pod(t.pushed);
+  }
+  io.vec(c.active);
+  io.fixed(c.ract, "router activity");
+  // A saved wheel may outsize this engine's (a recycled context); any
+  // power of two at or above the minimum is a valid wheel.
+  const std::size_t slots = io.count(c.wheel.size(), sizeof(c.wheel[0]));
+  if (io.loading()) {
+    if (!std::has_single_bit(slots) || slots < min_wheel_slots(net_))
+      throw std::runtime_error("checkpoint: invalid timing-wheel size");
+    c.wheel.resize(slots);
+    wheel_mask_ = slots - 1;
+  }
+  for (auto& slot : c.wheel) io.vec(slot);
+  io.fixed(c.ivc_pending, "VC pending mask");
+  io.fixed(c.port_pending, "port pending mask");
+  io.fixed(c.ovc_waiters, "VC waiter head");
+  io.fixed(c.ivc_wait_next, "VC waiter link");
+  io.fixed(c.ivc_pkt, "VC packet");
+
+  net_.checkpoint(io);
+}
 
 void Simulator::save_checkpoint(std::ostream& out) const {
-  ck_put_v(out, kCkMagic);
-  // Shape fingerprint: a restore against a different network/config shape
-  // must fail loudly instead of corrupting state.
-  ck_put_v(out, static_cast<std::uint64_t>(net_.num_routers()));
-  ck_put_v(out, static_cast<std::uint64_t>(net_.num_channels()));
-  ck_put_v(out, static_cast<std::uint64_t>(net_.fifos().num_fifos()));
-  ck_put_v(out, static_cast<std::uint64_t>(net_.num_out_ports()));
-  ck_put_v(out, static_cast<std::uint64_t>(ctx_->terms.size()));
-  ck_put_v(out, cfg_.seed);
-  ck_put_v(out, static_cast<std::uint64_t>(cfg_.warmup));
-  ck_put_v(out, static_cast<std::uint64_t>(cfg_.measure));
-  ck_put_v(out, static_cast<std::uint64_t>(cfg_.drain));
-  ck_put_v(out, static_cast<std::int64_t>(cfg_.pkt_len));
-  ck_put_v(out, cfg_.inj_rate_per_chip);
-
-  ck_put_v(out, now_);
-  const auto rs = rng_.state();
-  ck_put(out, rs.data(), sizeof(rs[0]) * rs.size());
-  const OnlineStats::State ls = lat_.state();
-  ck_put(out, &ls, sizeof(ls));
-  ck_put_vec(out, lat_hist_.buckets());
-  ck_put_v(out, lat_hist_.count());
-  ck_put_v(out, lat_hist_.overflow());
-  ck_put_v(out, accepted_flits_);
-  ck_put_v(out, generated_measured_);
-  ck_put_v(out, delivered_measured_);
-  ck_put_v(out, delivered_total_);
-  ck_put_v(out, suppressed_);
-  ck_put_v(out, flit_hops_);
-  ck_put_v(out, dropped_packets_);
-  ck_put_v(out, dropped_flits_);
-  ck_put_v(out, dropped_measured_);
-  ck_put_v(out, rescued_packets_);
-  ck_put_v(out, generated_packets_);
-  ck_put_v(out, generated_flits_);
-  ck_put_v(out, ejected_flits_);
-  ck_put_v(out, lost_flits_);
-  ck_put_vec(out, plane_generated_);
-  ck_put_vec(out, plane_delivered_);
-  ck_put_vec(out, plane_dropped_);
-  ck_put_vec(out, wafer_generated_);
-  ck_put_vec(out, wafer_delivered_);
-  ck_put_vec(out, wafer_dropped_);
-  ck_put_vec(out, rr_plane_);
-  ck_put_v(out, static_cast<std::uint64_t>(next_fault_));
-  ck_put(out, hop_sum_, sizeof(hop_sum_));
-
-  // Packet pool: raw slots (POD, streamed chunk-wise — the byte stream is
-  // identical to a contiguous layout's) + the free list.
-  ck_put_v(out, static_cast<std::uint64_t>(ctx_->pool.capacity()));
-  for (std::size_t c = 0; c < ctx_->pool.num_chunks(); ++c) {
-    const auto [ptr, cn] = ctx_->pool.chunk(c);
-    ck_put(out, ptr, cn * sizeof(Packet));
-  }
-  ck_put_vec(out, ctx_->pool.free_list());
-
-  for (const TerminalState& t : ctx_->terms) {
-    ck_put_v(out, t.next_gen);
-    ck_put_v(out, static_cast<std::uint64_t>(t.queue.size()));
-    for (std::size_t q = 0; q < t.queue.size(); ++q)
-      ck_put_v(out, t.queue.at(q));
-    ck_put_v(out, t.inj_vc);
-    ck_put_v(out, t.pushed);
-  }
-
-  ck_put_vec(out, ctx_->active);
-  ck_put_vec(out, ctx_->ract);
-  ck_put_v(out, static_cast<std::uint64_t>(ctx_->wheel.size()));
-  for (const auto& slot : ctx_->wheel) ck_put_vec(out, slot);
-  ck_put_vec(out, ctx_->ivc_pending);
-  ck_put_vec(out, ctx_->port_pending);
-  ck_put_vec(out, ctx_->ovc_waiters);
-  ck_put_vec(out, ctx_->ivc_wait_next);
-  ck_put_vec(out, ctx_->ivc_pkt);
-
-  net_.save_dynamic_state(out);
+  CheckpointIo io(out);
+  // Saving only reads the fields, so the const save shares the one walk.
+  const_cast<Simulator*>(this)->checkpoint(io);
   if (!out) throw std::runtime_error("checkpoint: write failed");
 }
 
 void Simulator::restore_checkpoint(std::istream& in) {
-  if (ck_get_v<std::uint64_t>(in) != kCkMagic)
-    throw std::runtime_error("checkpoint: bad magic (not a checkpoint?)");
-  ck_expect(in, static_cast<std::uint64_t>(net_.num_routers()),
-            "router count");
-  ck_expect(in, static_cast<std::uint64_t>(net_.num_channels()),
-            "channel count");
-  ck_expect(in, static_cast<std::uint64_t>(net_.fifos().num_fifos()),
-            "fifo count");
-  ck_expect(in, static_cast<std::uint64_t>(net_.num_out_ports()),
-            "port count");
-  ck_expect(in, static_cast<std::uint64_t>(ctx_->terms.size()),
-            "terminal count");
-  ck_expect(in, cfg_.seed, "seed");
-  ck_expect(in, static_cast<std::uint64_t>(cfg_.warmup), "warmup");
-  ck_expect(in, static_cast<std::uint64_t>(cfg_.measure), "measure");
-  ck_expect(in, static_cast<std::uint64_t>(cfg_.drain), "drain");
-  if (ck_get_v<std::int64_t>(in) != static_cast<std::int64_t>(cfg_.pkt_len))
-    throw std::runtime_error("checkpoint: pkt_len mismatch");
-  const double rate = ck_get_v<double>(in);
-  if (std::memcmp(&rate, &cfg_.inj_rate_per_chip, sizeof(double)) != 0)
-    throw std::runtime_error("checkpoint: inj_rate mismatch");
-
-  now_ = ck_get_v<Cycle>(in);
-  std::array<std::uint64_t, 4> rs{};
-  ck_get(in, rs.data(), sizeof(rs[0]) * rs.size());
-  rng_.set_state(rs);
-  OnlineStats::State ls{};
-  ck_get(in, &ls, sizeof(ls));
-  lat_.set_state(ls);
-  std::vector<std::uint64_t> hbuckets;
-  ck_get_vec(in, hbuckets);
-  const auto htotal = ck_get_v<std::uint64_t>(in);
-  const auto hover = ck_get_v<std::uint64_t>(in);
-  lat_hist_.set_state(std::move(hbuckets), htotal, hover);
-  accepted_flits_ = ck_get_v<std::uint64_t>(in);
-  generated_measured_ = ck_get_v<std::uint64_t>(in);
-  delivered_measured_ = ck_get_v<std::uint64_t>(in);
-  delivered_total_ = ck_get_v<std::uint64_t>(in);
-  suppressed_ = ck_get_v<std::uint64_t>(in);
-  flit_hops_ = ck_get_v<std::uint64_t>(in);
-  dropped_packets_ = ck_get_v<std::uint64_t>(in);
-  dropped_flits_ = ck_get_v<std::uint64_t>(in);
-  dropped_measured_ = ck_get_v<std::uint64_t>(in);
-  rescued_packets_ = ck_get_v<std::uint64_t>(in);
-  generated_packets_ = ck_get_v<std::uint64_t>(in);
-  generated_flits_ = ck_get_v<std::uint64_t>(in);
-  ejected_flits_ = ck_get_v<std::uint64_t>(in);
-  lost_flits_ = ck_get_v<std::uint64_t>(in);
-  ck_get_vec(in, plane_generated_);
-  ck_get_vec(in, plane_delivered_);
-  ck_get_vec(in, plane_dropped_);
-  ck_get_vec(in, wafer_generated_);
-  ck_get_vec(in, wafer_delivered_);
-  ck_get_vec(in, wafer_dropped_);
-  ck_get_vec(in, rr_plane_);
-  next_fault_ = static_cast<std::size_t>(ck_get_v<std::uint64_t>(in));
-  ck_get(in, hop_sum_, sizeof(hop_sum_));
-
-  const auto nslots = ck_get_v<std::uint64_t>(in);
-  check_ck_size(nslots, sizeof(Packet));
-  ctx_->pool.restore_slots(static_cast<std::size_t>(nslots));
-  for (std::size_t c = 0; c < ctx_->pool.num_chunks(); ++c) {
-    const auto [ptr, cn] = ctx_->pool.chunk(c);
-    ck_get(in, ptr, cn * sizeof(Packet));
-  }
-  std::vector<PacketId> free_list;
-  ck_get_vec(in, free_list);
-  ctx_->pool.restore_free_list(std::move(free_list));
-
-  for (TerminalState& t : ctx_->terms) {
-    t.next_gen = ck_get_v<Cycle>(in);
-    const auto qn = ck_get_v<std::uint64_t>(in);
-    check_ck_size(qn, sizeof(PacketId));
-    t.queue.clear();
-    for (std::uint64_t q = 0; q < qn; ++q)
-      t.queue.push_back(ck_get_v<PacketId>(in));
-    t.inj_vc = ck_get_v<VcIx>(in);
-    t.pushed = ck_get_v<std::uint16_t>(in);
-  }
-
-  ck_get_vec(in, ctx_->active);
-  ck_get_vec(in, ctx_->ract);
-  const auto saved_wheel = ck_get_v<std::uint64_t>(in);
-  // The saved wheel is at least as large as this engine's minimum (same
-  // network → same max latency), so adopting its size is always legal.
-  check_ck_size(saved_wheel, sizeof(std::vector<WheelEvent>));
-  ctx_->wheel.resize(static_cast<std::size_t>(saved_wheel));
-  wheel_mask_ = static_cast<std::size_t>(saved_wheel) - 1;
-  for (auto& slot : ctx_->wheel) ck_get_vec(in, slot);
-  ck_get_vec(in, ctx_->ivc_pending);
-  ck_get_vec(in, ctx_->port_pending);
-  ck_get_vec(in, ctx_->ovc_waiters);
-  ck_get_vec(in, ctx_->ivc_wait_next);
-  ck_get_vec(in, ctx_->ivc_pkt);
-
-  net_.load_dynamic_state(in);
+  CheckpointIo io(in);
+  checkpoint(io);
   // The event-driven generation structures are derived state: never
   // serialized, always reconstructed from the restored terminals.
   rebuild_gen_state();

@@ -437,6 +437,21 @@ class Simulator {
   /// Generation + one-flit injection for terminal `ti` (the shared
   /// per-terminal body of the two paths above).
   void gen_and_inject_terminal(std::size_t ti);
+  /// Plane for a packet logical `src` (terminal `ti`) -> `dst`:
+  /// select_plane() with the twin source queues' depths as the load probe;
+  /// 0 on a single-plane network.
+  int pick_plane(std::size_t ti, NodeId src, NodeId dst,
+                 std::uint32_t rail_hint, bool collective);
+  /// The admission tail shared by generation and inject_packet(): acquires
+  /// a packet from `t`'s node to `dst`, counts it, routes it (init_packet)
+  /// and queues it at `t`.
+  void admit_packet(TerminalState& t, NodeId dst, int plane, int len,
+                    Cycle t_gen, bool measured, std::uint32_t tag);
+  /// The source-queue state of terminal node `n`.
+  TerminalState& term_at(NodeId n) {
+    return ctx_->terms[static_cast<std::size_t>(
+        ctx_->term_of_node[static_cast<std::size_t>(n)])];
+  }
   /// Drains the current wheel slot: flit arrivals first, then credits.
   /// The `Sharded` instantiation delivers only the events addressed to
   /// routers [lo, hi) (shard-local state, atomic pending-bit ops) and logs
@@ -511,6 +526,10 @@ class Simulator {
   /// Rebuilds gen_heap/inj_pending/inj_terms_ from `terms` (init and
   /// checkpoint restore — the derived state is never serialized).
   void rebuild_gen_state();
+  /// The checkpoint field walk behind save_checkpoint()/restore_checkpoint()
+  /// (see sim/checkpoint.hpp): names every checkpointed field once, in
+  /// stream order.
+  void checkpoint(CheckpointIo& io);
   /// Earliest cycle >= now() at which anything can happen, clamped to
   /// `limit`; returns now() when this cycle already has work.
   Cycle next_event_cycle(Cycle limit);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "route/cdg.hpp"
+#include "test_fixtures.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/swless.hpp"
 
@@ -15,20 +16,8 @@ using route::VcScheme;
 
 namespace {
 SwlessParams audit_params(VcScheme scheme, RouteMode mode) {
-  SwlessParams p;
-  p.a = 1;
-  p.b = 3;
-  p.chip_gx = 2;
-  p.chip_gy = 2;
-  p.noc_x = 1;
-  p.noc_y = 1;
-  p.ports_per_chiplet = 4;
-  p.local_ports = 2;
-  p.global_ports = 2;
-  p.g = 5;  // keep the audit quick but multi-W-group
-  p.scheme = scheme;
-  p.mode = mode;
-  return p;
+  // g = 5 keeps the audit quick but multi-W-group.
+  return sldf::testing::tiny_swless_params(scheme, mode, 5);
 }
 }  // namespace
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <numeric>
 
+#include "core/params.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "topo/dragonfly.hpp"
@@ -148,20 +149,12 @@ inline void expect_bit_identical(const sim::SimResult& a,
   EXPECT_EQ(a.wafer_inflight, b.wafer_inflight);
 }
 
-/// The tiny switch-less instance (max g = 7; chip == router).
+/// The tiny switch-less instance (core::tiny_swless(); max g = 7, chip ==
+/// router) with the suite's scheme, mode and group count (0 = max).
 inline topo::SwlessParams tiny_swless_params(
     route::VcScheme scheme = route::VcScheme::Baseline,
     route::RouteMode mode = route::RouteMode::Minimal, int g = 0) {
-  topo::SwlessParams p;
-  p.a = 1;
-  p.b = 3;  // ab = 3 C-groups per W-group
-  p.chip_gx = 2;
-  p.chip_gy = 2;
-  p.noc_x = 1;
-  p.noc_y = 1;  // 2x2 router mesh, chip == router
-  p.ports_per_chiplet = 4;
-  p.local_ports = 2;
-  p.global_ports = 2;  // g max = 7
+  topo::SwlessParams p = core::tiny_swless();
   p.g = g;
   p.scheme = scheme;
   p.mode = mode;

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "test_fixtures.hpp"
 #include "topo/swless.hpp"
 #include "traffic/allreduce.hpp"
 #include "traffic/pattern.hpp"
@@ -15,18 +16,9 @@ using namespace sldf::traffic;
 
 namespace {
 void build_tiny(sim::Network& net, int g = 0) {
-  SwlessParams p;
-  p.a = 1;
-  p.b = 3;
-  p.chip_gx = 2;
-  p.chip_gy = 2;
-  p.noc_x = 1;
-  p.noc_y = 1;
-  p.ports_per_chiplet = 4;
-  p.local_ports = 2;
-  p.global_ports = 2;
-  p.g = g;
-  build_swless_dragonfly(net, p);
+  build_swless_dragonfly(
+      net, sldf::testing::tiny_swless_params(route::VcScheme::Baseline,
+                                             route::RouteMode::Minimal, g));
 }
 }  // namespace
 
