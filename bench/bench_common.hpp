@@ -1,7 +1,8 @@
-// Shared scaffolding for the figure/table benchmark binaries. Every bench
-// describes its experiment as core::ScenarioSpec values (topology preset +
-// overrides, routing mode, traffic kind) and runs them through
-// core::run_scenario().
+// Shared scaffolding for the bench binaries whose figures post-process
+// results or report columns the sldf driver's CSV does not carry (the
+// other figures are configs/*.conf files run by sldf). Every bench
+// describes its experiment as core::ScenarioSpec values and runs them
+// through the scenario layer.
 //
 // Every bench accepts:
 //   --quick        shrink cycle counts and sweep points (CI smoke run)
@@ -25,12 +26,10 @@ struct BenchEnv {
   sim::SimConfig base;
   std::string out_dir;
   bool quick = false;
-  bool paper = false;
 
   explicit BenchEnv(const Cli& cli) {
     quick = cli.has("quick");
-    paper = cli.has("paper");
-    if (paper) {
+    if (cli.has("paper")) {
       base.warmup = 5000;   // Table IV
       base.measure = 10000;
       base.drain = 5000;

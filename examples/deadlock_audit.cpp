@@ -3,7 +3,7 @@
 // dependency graph for cycles (Dally-Towles criterion).
 //
 //   ./deadlock_audit [--scheme baseline|reduced|reduced-safe]
-//                    [--mode minimal|valiant] [--g 5]
+//                    [--mode minimal|valiant|adaptive] [--g 5]
 #include <cstdio>
 #include <string>
 
@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
   std::printf("%s\n", rep.to_string(net).c_str());
   if (!rep.acyclic) {
     std::printf(
-        "\nNote: for scheme=reduced this is the residual-cycle finding\n"
-        "documented in DESIGN.md section 5 — the paper's 3-VC merge of the\n"
-        "destination W-group shares mesh channels between transit and final\n"
-        "legs. Use --scheme reduced-safe for the provably acyclic variant\n"
-        "(one extra on-wafer mesh VC, same long-reach VC count).\n");
+        "\nNote: for scheme=reduced, docs/ARCHITECTURE.md (\"route\") records\n"
+        "the audited status of the paper's 3-VC merge of the destination\n"
+        "W-group, which shares mesh channels between transit and final legs.\n"
+        "Use --scheme reduced-safe for the provably acyclic variant (one\n"
+        "extra on-wafer mesh VC, same long-reach VC count).\n");
   }
   return rep.acyclic ? 0 : 2;
 }

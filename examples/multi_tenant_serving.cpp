@@ -85,7 +85,8 @@ int main(int argc, char** argv) try {
       "contiguous the inference service runs at %.2fx its isolated speed;\n"
       "scattering just the shuffle tenant across C-groups drags it to\n"
       "%.2fx, because the shuffle's flows now cross everyone's global\n"
-      "cables. (fig17_tenants sweeps this tradeoff across tenant sizes.)\n",
+      "cables. (configs/fig17.conf sweeps this tradeoff across tenant\n"
+      "sizes.)\n",
       inference_interf[0], inference_interf[1]);
   return 0;
 } catch (const std::exception& e) {

@@ -773,28 +773,39 @@ workload::WorkloadRunConfig workload_run_config(const ScenarioSpec& spec,
   return rc;
 }
 
-WorkloadRun run_workload_scenario(const ScenarioSpec& spec) {
-  if (spec.workload.empty())
-    throw std::invalid_argument(
-        "run_workload_scenario: spec has no workload key");
-
-  KvMap gen_opts;
-  const workload::WorkloadRunConfig rc = workload_run_config(spec, &gen_opts);
-
-  sim::Network net;
-  build_network(net, spec);
+workload::WorkloadEnv workload_env(const ScenarioSpec& spec,
+                                   double flit_bytes) {
   workload::WorkloadEnv env;
-  env.flit_bytes = rc.flit_bytes;
+  env.flit_bytes = flit_bytes;
   env.trace_file = spec.trace_file;
   env.trace_seed = spec.trace_seed;
-  const workload::WorkloadGraph graph =
-      workload::make_workload(spec.workload, net, gen_opts, env);
+  return env;
+}
 
-  WorkloadRun run;
-  run.label = spec.label;
-  run.workload = spec.workload;
-  run.result = workload::run_workload(net, graph, rc);
-  return run;
+workload::WorkloadGraph make_workload_graph(const ScenarioSpec& spec,
+                                            const sim::Network& net,
+                                            workload::WorkloadRunConfig* rc) {
+  if (spec.workload.empty())
+    throw std::invalid_argument("series '" + spec.label +
+                                "' has no workload key");
+  KvMap gen_opts;
+  const workload::WorkloadRunConfig cfg = workload_run_config(spec, &gen_opts);
+  if (rc) *rc = cfg;
+  return workload::make_workload(spec.workload, net, gen_opts,
+                                 workload_env(spec, cfg.flit_bytes));
+}
+
+WorkloadRun run_workload_scenario(const ScenarioSpec& spec,
+                                  sim::Network& net) {
+  workload::WorkloadRunConfig rc;
+  const workload::WorkloadGraph graph = make_workload_graph(spec, net, &rc);
+  return {spec.label, spec.workload, workload::run_workload(net, graph, rc)};
+}
+
+WorkloadRun run_workload_scenario(const ScenarioSpec& spec) {
+  sim::Network net;
+  build_network(net, spec);
+  return run_workload_scenario(spec, net);
 }
 
 void print_workload(const WorkloadRun& run) {

@@ -19,6 +19,7 @@
 #include "route/plane_select.hpp"
 #include "route/routing_modes.hpp"
 #include "topo/faults.hpp"
+#include "workload/registry.hpp"
 #include "workload/workload.hpp"
 
 namespace sldf::core {
@@ -194,10 +195,25 @@ struct WorkloadRun {
 workload::WorkloadRunConfig workload_run_config(const ScenarioSpec& spec,
                                                 KvMap* gen_opts = nullptr);
 
-/// Runs the spec's closed-loop workload (workload must be non-empty): the
-/// generator is a WorkloadRegistry lookup on spec.workload; the runner
-/// keys `workload.flit_bytes` / `workload.freq_ghz` / `workload.max_cycles`
-/// are consumed here and the rest of workload_opts goes to the generator.
+/// What the spec's workload generators see: `flit_bytes` (the runner
+/// config's) sizes KiB payloads; `trace.file` / `trace.seed` feed the
+/// trace-backed generators.
+workload::WorkloadEnv workload_env(const ScenarioSpec& spec,
+                                   double flit_bytes);
+
+/// Builds spec.workload's message graph on `net` (a WorkloadRegistry
+/// lookup fed the generator options and workload_env()); `rc`, when given,
+/// receives the runner config. Every closed-loop path builds its graph
+/// here.
+workload::WorkloadGraph make_workload_graph(
+    const ScenarioSpec& spec, const sim::Network& net,
+    workload::WorkloadRunConfig* rc = nullptr);
+
+/// Runs the spec's closed-loop workload (workload must be non-empty) on
+/// `net`, or on a network built from the spec: the graph comes from
+/// make_workload_graph(), the runner keys `workload.flit_bytes` /
+/// `workload.freq_ghz` / `workload.max_cycles` configure the run.
+WorkloadRun run_workload_scenario(const ScenarioSpec& spec, sim::Network& net);
 WorkloadRun run_workload_scenario(const ScenarioSpec& spec);
 
 /// Prints a workload run (summary line + per-phase completion table) and

@@ -19,7 +19,7 @@ enum class VcScheme {
   Baseline,     ///< One VC per C-group traversed: 4 (min) / 6 (non-min).
   Reduced,      ///< Paper §IV-B claim: 3 (min) / 4 (non-min). Destination
                 ///< W-group merged via label-monotone up*/down* discipline;
-                ///< see DESIGN.md §5 for the residual-cycle caveat.
+                ///< docs/ARCHITECTURE.md ("route") has its CDG status.
   ReducedSafe,  ///< Provably acyclic variant: destination W-group split into
                 ///< transit/final classes: 4 (min) / 5 (non-min).
 };

@@ -283,7 +283,8 @@ int SwlessRouting::mesh_dir(const SwlessTopo& T, const sim::Packet& pkt,
   if (mono && !T.monotone.empty()) {
     const int d = T.monotone.dir(tgt_pos, cur_pos);
     if (d >= 0) return d;
-    // Discipline hole (see DESIGN.md §5): fall back to dimension order.
+    // Discipline hole: fall back to dimension order (the audit status of
+    // this fallback is in docs/ARCHITECTURE.md, "route").
   }
   return xy_dir(T.shape.mx(), cur_pos, tgt_pos);
 }

@@ -9,7 +9,8 @@
 //                VC2 whole destination W-group (+VC3 intermediate W-group);
 //                destination-W transit legs use label-monotone mesh paths.
 //   ReducedSafe  like Reduced but the destination W-group transit and final
-//                legs use distinct classes (provably acyclic; see DESIGN.md).
+//                legs use distinct classes (provably acyclic; see
+//                docs/ARCHITECTURE.md, "route").
 #pragma once
 
 #include "route/routing_modes.hpp"

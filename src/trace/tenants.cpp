@@ -208,12 +208,9 @@ MultiTenantResult run_tenant_scenario(const core::ScenarioSpec& spec) {
 
   sim::Network net;
   core::build_network(net, spec);
-  workload::WorkloadEnv env;
-  env.flit_bytes = rc.flit_bytes;
-  env.trace_file = spec.trace_file;
-  env.trace_seed = spec.trace_seed;
   MultiTenantResult r =
-      run_tenants(net, tenants, rc, env, spec.tenants_isolation);
+      run_tenants(net, tenants, rc, core::workload_env(spec, rc.flit_bytes),
+                  spec.tenants_isolation);
   r.label = spec.label;
   return r;
 }

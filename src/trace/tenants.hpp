@@ -20,8 +20,9 @@
 // Everything is deterministic: placements depend only on the network and
 // spec order, the merged graph on the per-tenant graphs, and the run on
 // the engine's fixed-seed execution — repeat runs and SLDF_SHARDS=1 vs 2
-// are bit-identical (minimal/valiant routing; see docs/THREADING.md for
-// the adaptive closed-loop caveat).
+// are bit-identical (minimal/valiant routing; see the "Threading &
+// determinism model" section of docs/ARCHITECTURE.md for the adaptive
+// closed-loop caveat).
 #pragma once
 
 #include <string>

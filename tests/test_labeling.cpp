@@ -55,6 +55,30 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Labeling::Snake, Labeling::RowMajor,
                                          Labeling::PerimeterArc)));
 
+TEST(Labeling, RadixSixteenUpPathCoveragePerLabeling) {
+  // The 4x4 radix-16 C-group: ascending label pairs with an up-only path.
+  // Snake covers every pair; the others leave the gaps the reduced-VC
+  // schemes fill with XY fallbacks (configs/ablation-labeling.conf).
+  for (const auto [kind, want] : {std::pair{Labeling::Snake, 120},
+                                  {Labeling::RowMajor, 84},
+                                  {Labeling::PerimeterArc, 108}}) {
+    const auto labels = make_labels(4, 4, kind);
+    const MonotoneTables t(4, 4, labels);
+    int pairs = 0, covered = 0;
+    for (int s = 0; s < 16; ++s) {
+      for (int d = 0; d < 16; ++d) {
+        if (labels[static_cast<std::size_t>(s)] >=
+            labels[static_cast<std::size_t>(d)])
+          continue;
+        ++pairs;
+        covered += t.up_dir(d, s) >= 0;
+      }
+    }
+    EXPECT_EQ(pairs, 120) << to_string(kind);
+    EXPECT_EQ(covered, want) << to_string(kind);
+  }
+}
+
 TEST(Labeling, SnakeConsecutiveLabelsAreAdjacent) {
   for (const auto [mx, my] : {std::pair{4, 4}, {8, 4}, {3, 5}}) {
     const auto labels = make_labels(mx, my, Labeling::Snake);

@@ -183,18 +183,7 @@ int run_serve(const Cli& cli) {
       }
       sim::Network& net = *it->second;
       if (!spec.workload.empty()) {
-        core::KvMap gen_opts;
-        const workload::WorkloadRunConfig rc =
-            core::workload_run_config(spec, &gen_opts);
-        workload::WorkloadEnv env;
-        env.flit_bytes = rc.flit_bytes;
-        env.trace_file = spec.trace_file;
-        env.trace_seed = spec.trace_seed;
-        const workload::WorkloadGraph graph =
-            workload::make_workload(spec.workload, net, gen_opts, env);
-        core::print_workload(
-            {spec.label, spec.workload,
-             workload::run_workload(net, graph, rc)});
+        core::print_workload(core::run_workload_scenario(spec, net));
       } else {
         const auto pattern =
             traffic::make_pattern(spec.traffic, net, spec.traffic_opts);
@@ -300,18 +289,10 @@ int main(int argc, char** argv) {
         throw std::invalid_argument(
             "--emit-trace needs exactly one series with a workload key");
       const core::ScenarioSpec& spec = series[0];
-      core::KvMap gen_opts;
-      const workload::WorkloadRunConfig rc =
-          core::workload_run_config(spec, &gen_opts);
       sim::Network net;
       core::build_network(net, spec);
-      workload::WorkloadEnv env;
-      env.flit_bytes = rc.flit_bytes;
-      env.trace_file = spec.trace_file;
-      env.trace_seed = spec.trace_seed;
-      const workload::WorkloadGraph graph =
-          workload::make_workload(spec.workload, net, gen_opts, env);
-      const trace::Trace t = trace::from_graph(graph);
+      const trace::Trace t =
+          trace::from_graph(core::make_workload_graph(spec, net));
       const std::string path = cli.get("emit-trace");
       std::ofstream out(path);
       if (!out)
