@@ -252,6 +252,7 @@ void add_phases(sim::EnginePhases& sum, const sim::EnginePhases& p) {
   sum.routers_walked += p.routers_walked;
   sum.skips += p.skips;
   sum.cycles_skipped += p.cycles_skipped;
+  sum.deep_prefetch = sum.deep_prefetch || p.deep_prefetch;
 }
 
 PerfResult run_tenants_preset(const std::string& preset,

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include <unistd.h>
+
 #include "route/plane_select.hpp"
 #include "sim/checkpoint.hpp"
 
@@ -114,6 +116,16 @@ int env_shards() {
              : 0;
 }
 
+/// This host's last-level cache in bytes, or 0 when libc does not know it.
+std::size_t host_llc_bytes() {
+#ifdef _SC_LEVEL3_CACHE_SIZE
+  static const long llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
+  return llc > 0 ? static_cast<std::size_t>(llc) : 0;
+#else
+  return 0;
+#endif
+}
+
 /// Host-time stopwatch of SimConfig::phase_timers: lap() charges the time
 /// since the previous lap to one accumulator. Switched off it reads no
 /// clock.
@@ -157,6 +169,11 @@ void merge_by_pos(ShardScratch* shards, int n,
 }
 
 }  // namespace
+
+bool deep_prefetch_pays(std::size_t num_fifos, std::size_t llc_bytes) {
+  if (llc_bytes == 0) llc_bytes = kFallbackLlcBytes;
+  return num_fifos * kWalkBytesPerFifo > llc_bytes;
+}
 
 int resolve_shards(int requested, unsigned cores) {
   if (requested >= 1) return requested;
@@ -325,9 +342,11 @@ void Simulator::init() {
   }
   rr_plane_.assign(ctx_->terms.size(), 0);
   rebuild_gen_state();
-  // ~3 hot lines per input VC (control word, port record, flit ring)
-  // against a conservative LLC guess; see the member doc.
-  deep_prefetch_ = net_.fifos().num_fifos() >= 32768;
+  // The walk prefetches only when its working set outsizes the host LLC
+  // (deep_prefetch_pays()); on smaller fabrics every line is resident.
+  deep_prefetch_ =
+      deep_prefetch_pays(net_.fifos().num_fifos(), host_llc_bytes());
+  phases_.deep_prefetch = deep_prefetch_;
 
   // Online fault timeline: steps are applied at the top of step() as now_
   // reaches them. A schedule without a captured baseline would leak online
@@ -1331,6 +1350,9 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
 
 void Simulator::prefetch_snapshot(const std::vector<NodeId>& snap,
                                   std::size_t i) {
+  // Every stage pays only on a working set larger than the LLC; see
+  // deep_prefetch_pays().
+  if (!deep_prefetch_) return;
   const std::size_t n = snap.size();
   // Far stage: the per-router offset entries every address computation
   // below (and the processing itself) goes through.
@@ -1339,13 +1361,6 @@ void Simulator::prefetch_snapshot(const std::vector<NodeId>& snap,
     __builtin_prefetch(&ctx_->ract[static_cast<std::size_t>(r8)]);
     __builtin_prefetch(net_.in_port_base_addr(r8));
     __builtin_prefetch(net_.out_port_base_addr(r8));
-  }
-  // Mid stage: the router's pending-bitmask words, so the near stage can
-  // *read* them without stalling.
-  if (i + 5 < n) {
-    const NodeId r5 = snap[i + 5];
-    __builtin_prefetch(&ctx_->ivc_pending[net_.in_vc_index(r5, 0, 0) >> 6]);
-    __builtin_prefetch(&ctx_->port_pending[net_.out_port_index(r5, 0) >> 6]);
   }
   // Near stage: the pending bitmasks predict exactly which FIFO control
   // words (RC/VA scan) and output-port records (SA/ST scan) the router
@@ -1357,7 +1372,6 @@ void Simulator::prefetch_snapshot(const std::vector<NodeId>& snap,
   // a neighbouring *shard* may still be flipping its bits of a shared
   // boundary word; the values only steer prefetches, so a stale view is
   // harmless.
-  if (!deep_prefetch_) return;
   if (i + 2 < n && (ctx_->ract[static_cast<std::size_t>(snap[i + 2])] & 2)) {
     const NodeId r2 = snap[i + 2];
     const FlitFifoArena& fifos = net_.fifos();
@@ -1584,8 +1598,9 @@ void Simulator::step() {
   }
   ++phases_.serial_cycles;
   for (NodeId rid : snap) ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
-  // The active list gives exact lookahead, so the per-router state lines
-  // (scattered in L3) are prefetched in stages (prefetch_snapshot).
+  // The active list gives exact lookahead, so on fabrics that outsize the
+  // LLC the per-router state lines are prefetched in stages
+  // (prefetch_snapshot).
   for (std::size_t i = 0; i < nsnap; ++i) {
     prefetch_snapshot(snap, i);
     const NodeId rid = snap[i];

@@ -103,6 +103,8 @@ struct EnginePhases {
   std::uint64_t routers_walked = 0;   ///< Snapshot sizes, summed.
   std::uint64_t skips = 0;            ///< Idle-elision jumps.
   std::uint64_t cycles_skipped = 0;   ///< Cycles those jumps covered.
+  /// The walk ran its lookahead prefetch (deep_prefetch_pays()).
+  bool deep_prefetch = false;
 };
 
 struct SimResult {
@@ -307,6 +309,20 @@ inline constexpr std::uint32_t kNoWaiter = 0xffffffffu;
 /// 2-core host; docs/PERFORMANCE.md has the crossover table.
 inline constexpr std::size_t kShardGateRouters = 3072;
 
+/// The snapshot walk's working set per input VC: three 64-byte hot lines
+/// (FIFO control word, output-port record, flit ring).
+inline constexpr std::size_t kWalkBytesPerFifo = 192;
+/// Last-level cache assumed when libc reports none (0 or -1): 32 MiB, a
+/// mid-size server L3.
+inline constexpr std::size_t kFallbackLlcBytes = std::size_t{32} << 20;
+
+/// The deep-prefetch gate: true when a walk over `num_fifos` input VCs
+/// (kWalkBytesPerFifo each) outsizes an LLC of `llc_bytes`, 0 meaning
+/// unknown (kFallbackLlcBytes). Below that every line the walk's
+/// prefetcher would fetch is already cache-resident. Simulator::init()
+/// passes the host's sysconf(_SC_LEVEL3_CACHE_SIZE).
+bool deep_prefetch_pays(std::size_t num_fifos, std::size_t llc_bytes);
+
 /// Maps the shard-count convention to a concrete count >= 1: an explicit
 /// `requested >= 1` is returned as-is; `requested == 0` (auto) reads the
 /// `SLDF_SHARDS` environment variable (a positive integer; anything else
@@ -418,6 +434,13 @@ class Simulator {
   [[nodiscard]] bool team_started() const { return team_ != nullptr; }
   /// Engine telemetry so far (run() also reports it in SimResult::phases).
   [[nodiscard]] const EnginePhases& phases() const { return phases_; }
+  /// Test seam: overrides init()'s deep-prefetch gate, so the prefetch
+  /// stages stay under test on fabrics that fit in cache. Call before the
+  /// first step(); prefetches change no counter.
+  void force_deep_prefetch(bool on) {
+    deep_prefetch_ = on;
+    phases_.deep_prefetch = on;
+  }
 
  private:
   class ShardTeam;
@@ -489,6 +512,7 @@ class Simulator {
   /// Rolling lookahead prefetch for position `i` of a snapshot walk
   /// (far = per-router offset entries, near = the state lines those
   /// offsets point at), shared by the serial and sharded snapshot loops.
+  /// A no-op unless deep_prefetch_.
   void prefetch_snapshot(const std::vector<NodeId>& snap, std::size_t i);
   /// Commit + stats for one delivered tail packet (shared by the serial
   /// handle_eject path and the sharded commit pass; `p` == pool[pid]).
@@ -546,10 +570,12 @@ class Simulator {
   double per_node_pkt_rate_ = 0.0;
   std::size_t wheel_mask_ = 0;
   std::size_t inj_terms_ = 0;  ///< Terminals with a non-empty source queue.
-  /// Run the bitmask-directed exact-prefetch stages of the snapshot walk.
-  /// Set in init(): true only when the SoA arenas outsize the last-level
-  /// cache (large fabrics); on small ones every line is resident and the
-  /// extra reads/prefetches are measured pure overhead (~10%).
+  /// Run the snapshot walk's three-stage lookahead prefetch
+  /// (prefetch_snapshot). Set in init() by deep_prefetch_pays(): only when
+  /// the walk's working set outsizes the host LLC, where each stage
+  /// measured a win; on in-cache fabrics none did, and the two
+  /// bitmask-reading stages cost time (docs/PERFORMANCE.md, "Prefetcher
+  /// audit").
   bool deep_prefetch_ = false;
   int shards_ = 1;  ///< Resolved count (see shards()).
   /// Minimum snapshot for a parallel walk: kShardGateRouters under auto

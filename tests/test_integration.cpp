@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/params.hpp"
+#include "model/equations.hpp"
 #include "route/routing_modes.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/swless.hpp"
@@ -76,19 +77,27 @@ TEST(Integration, AllVcSchemesAgreeAtLowLoad) {
 }
 
 TEST(Integration, SaturationBelowTheoreticalGlobalBound) {
-  // Eq.(2): t_global = (mn - ab + 1)/m^2; here n-as-built gives
-  // h/m^2 * ... use the equation with the built parameters: k=6? The
-  // small_swless config has k = 6 ports, ab = 4, m^2 = 4 chips:
-  // bound = (6 - 4 + 1 + ... ) -- we simply require accepted <= offered
-  // and a clear saturation plateau.
+  // Eqs.(2)(4)(5) evaluated at small_swless()'s own a, b, m (the C-group's
+  // chip-grid edge) and n (ports per chiplet): the saturated accepted rate
+  // of the built fabric can exceed none of the global, local and
+  // intra-C-group bounds.
+  const topo::SwlessParams p = small_swless();
+  model::SwlessEquations eq;
+  eq.a = p.a;
+  eq.b = p.b;
+  eq.m = p.chip_gx;
+  eq.n = p.ports_per_chiplet;
   sim::Network net;
-  topo::build_swless_dragonfly(net, small_swless());
+  topo::build_swless_dragonfly(net, p);
   auto tr = traffic::make_pattern("uniform", net);
   const auto lo = sim::run_sim(net, quick_cfg(0.2), *tr);
   const auto hi = sim::run_sim(net, quick_cfg(3.0), *tr);
   EXPECT_NEAR(lo.accepted, 0.2, 0.03);
   EXPECT_LT(hi.accepted, 3.0);  // saturated well below offered
   EXPECT_GT(hi.accepted, 0.2);
+  EXPECT_LE(hi.accepted, eq.t_global()) << "Eq.(2)";
+  EXPECT_LE(hi.accepted, eq.t_local()) << "Eq.(4)";
+  EXPECT_LE(hi.accepted, eq.t_cgroup()) << "Eq.(5)";
 }
 
 TEST(Integration, ValiantBeatsMinimalOnWorstCase) {

@@ -300,6 +300,70 @@ TEST(ShardGate, PhaseTimersChangeNoCounter) {
   }
 }
 
+// ---- deep-prefetch gate --------------------------------------------------
+
+TEST(PrefetchGate, WorkingSetAgainstTheLlc) {
+  // Input-VC counts of the benchmark workloads' fabrics, against the
+  // 105 MiB L3 of the reference host in docs/PERFORMANCE.md and against
+  // the unknown-LLC fallback.
+  constexpr std::size_t kLlc = std::size_t{105} << 20;
+  struct Case {
+    const char* fabric;
+    std::size_t fifos;
+    bool deep;  ///< Expected with the 105 MiB LLC and with the fallback.
+  };
+  for (const Case& c : {Case{"low-r32 (radix32-swless)", 1930240, true},
+                        Case{"faults-online (radix16-swless g=11)", 76230,
+                             false},
+                        Case{"sat-r16 (radix16-swless)", 131200, false},
+                        Case{"sat-r16 (radix16-swdf)", 62976, false},
+                        Case{"allreduce-w16 (radix16-swless g=1)", 3040,
+                             false}}) {
+    SCOPED_TRACE(c.fabric);
+    EXPECT_EQ(sim::deep_prefetch_pays(c.fifos, kLlc), c.deep);
+    EXPECT_EQ(sim::deep_prefetch_pays(c.fifos, 0), c.deep);
+  }
+  // The rule itself: the working set must exceed the cache.
+  const std::size_t edge = kLlc / sim::kWalkBytesPerFifo;
+  EXPECT_FALSE(sim::deep_prefetch_pays(edge, kLlc));
+  EXPECT_TRUE(sim::deep_prefetch_pays(edge + 1, kLlc));
+  const std::size_t fallback_edge =
+      sim::kFallbackLlcBytes / sim::kWalkBytesPerFifo;
+  EXPECT_FALSE(sim::deep_prefetch_pays(fallback_edge, 0));
+  EXPECT_TRUE(sim::deep_prefetch_pays(fallback_edge + 1, 0));
+}
+
+namespace {
+
+/// One fixed-seed point on `net` with the deep prefetch stages forced
+/// on or off through the Simulator's test seam.
+sim::SimResult run_prefetch(sim::Network& net, int shards, bool deep) {
+  auto traffic = traffic::make_pattern("uniform", net, {});
+  net.reset_dynamic_state();
+  sim::Simulator s(net, short_cfg(shards), *traffic);
+  EXPECT_FALSE(s.phases().deep_prefetch) << "a tiny fabric fits in any LLC";
+  s.force_deep_prefetch(deep);
+  const sim::SimResult r = s.run();
+  EXPECT_EQ(r.phases.deep_prefetch, deep);
+  return r;
+}
+
+}  // namespace
+
+TEST(PrefetchGate, DeepStagesChangeNoCounter) {
+  // The gate keeps the deep stages off every tier-1 fabric, so force them
+  // on: prefetches steer caches only, on the serial engine and on two
+  // shards (where the near stage reads a neighbour's pending words).
+  for (const RouteMode mode : {RouteMode::Minimal, RouteMode::Adaptive}) {
+    auto net = tiny_net(mode);
+    const sim::SimResult off = run_prefetch(net, 1, false);
+    EXPECT_GT(off.flit_hops, 0u);
+    expect_bit_identical(off, run_prefetch(net, 1, true));
+    expect_bit_identical(off, run_prefetch(net, 2, true));
+    expect_bit_identical(off, run_prefetch(net, 2, false));
+  }
+}
+
 // ---- open-loop bit-identity ----------------------------------------------
 
 TEST(ShardedEngine, BitIdenticalAllRouteModes) {

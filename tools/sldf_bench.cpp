@@ -69,10 +69,13 @@ int main(int argc, char** argv) {
     if (opts.phases) {
       // Shares of the engine's host time; "serial" is what only the
       // driving thread runs in a parallel cycle (faults, generation, the
-      // merges), i.e. the serial fraction of a sharded run.
-      std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %9s %9s\n",
+      // merges), i.e. the serial fraction of a sharded run. par_cyc /
+      // ser_cyc and prefetch show which side of the shard work gate and
+      // the deep-prefetch gate (sim::deep_prefetch_pays) the runs took.
+      std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %9s %8s %9s\n",
                   "preset", "fault%", "deliv%", "gen%", "walk%", "commit%",
-                  "serial%", "par_cyc", "ser_cyc", "avg_snap", "skipped");
+                  "serial%", "par_cyc", "ser_cyc", "avg_snap", "prefetch",
+                  "skipped");
       for (const auto& r : results) {
         const sim::EnginePhases& p = r.phases;
         const double total =
@@ -82,7 +85,7 @@ int main(int argc, char** argv) {
         const std::uint64_t stepped = p.parallel_cycles + p.serial_cycles;
         std::printf(
             "%-16s %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f %9llu %9llu %9.0f "
-            "%9llu\n",
+            "%8s %9llu\n",
             r.preset.c_str(), pct(p.fault_s), pct(p.deliver_s),
             pct(p.generate_s), pct(p.walk_s), pct(p.commit_s),
             pct(p.fault_s + p.generate_s + p.commit_s),
@@ -91,6 +94,7 @@ int main(int argc, char** argv) {
             stepped ? static_cast<double>(p.routers_walked) /
                           static_cast<double>(stepped)
                     : 0.0,
+            p.deep_prefetch ? "deep" : "off",
             static_cast<unsigned long long>(p.cycles_skipped));
       }
     }
