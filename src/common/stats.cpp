@@ -4,22 +4,6 @@
 
 namespace sldf {
 
-void OnlineStats::merge(const OnlineStats& o) {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(o.n_);
-  const double delta = o.mean_ - mean_;
-  mean_ += delta * n2 / (n1 + n2);
-  m2_ += o.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-  n_ += o.n_;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-}
-
 void Histogram::add(double x) {
   ++total_;
   if (x < 0) x = 0;

@@ -1,4 +1,5 @@
-// Online statistics accumulators used by the simulator's measurement phase.
+// Latency statistics: exact percentiles of small samples and the streaming
+// histogram behind the simulator's p50/p99.
 #pragma once
 
 #include <algorithm>
@@ -8,50 +9,6 @@
 #include <vector>
 
 namespace sldf {
-
-/// Welford online mean/variance plus min/max.
-class OnlineStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  void merge(const OnlineStats& o);
-
-  /// Checkpoint walk (see sim/checkpoint.hpp) over the raw accumulators.
-  template <typename Io>
-  void checkpoint(Io& io) {
-    io.pod(n_);
-    io.pod(mean_);
-    io.pod(m2_);
-    io.pod(min_);
-    io.pod(max_);
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  [[nodiscard]] double min() const {
-    return n_ ? min_ : std::numeric_limits<double>::quiet_NaN();
-  }
-  [[nodiscard]] double max() const {
-    return n_ ? max_ : std::numeric_limits<double>::quiet_NaN();
-  }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Exact nearest-rank percentile (q in [0, 100]) of an unsorted sample.
 /// Sorts its by-value copy; NaN on an empty sample. Used where the sample

@@ -18,12 +18,13 @@ namespace sldf::sim {
 
 namespace {
 
-/// Pending-bitmask ops. Shard compute phases touch only their own
-/// routers' bits, but two shards' VC/port index ranges can share one
-/// 64-bit boundary word, so the `Atomic` instantiations use relaxed RMW
-/// (distinct-bit ORs/ANDs commute — the final word value is independent
-/// of interleaving, keeping the engine deterministic). The serial engine
-/// and the serial phases of a sharded cycle use the plain instantiations.
+/// Bitmask ops (pending VCs and ports, active routers). Shard compute
+/// phases touch only their own routers' bits, but two shards' router, VC
+/// and port index ranges can share one 64-bit boundary word, so the
+/// `Atomic` instantiations use relaxed RMW (distinct-bit ORs/ANDs commute
+/// — the final word value is independent of interleaving, keeping the
+/// engine deterministic). The serial engine and the serial phases of a
+/// sharded cycle use the plain instantiations.
 template <bool Atomic = false>
 inline void set_bit(std::vector<std::uint64_t>& w, std::uint32_t i) {
   if constexpr (Atomic) {
@@ -43,9 +44,18 @@ inline void clear_bit(std::vector<std::uint64_t>& w, std::uint32_t i) {
   }
 }
 
+/// The bits of word `w` whose indices fall inside [begin, end).
+inline std::uint64_t range_mask(std::uint32_t w, std::uint32_t begin,
+                                std::uint32_t end) {
+  std::uint64_t m = ~0ULL;
+  if (w == (begin >> 6)) m &= ~0ULL << (begin & 63);
+  if (w == ((end - 1) >> 6)) m &= ~0ULL >> (63 - ((end - 1) & 63));
+  return m;
+}
+
 /// Extracts the bits of word `w` of `words` that fall inside [begin, end).
 /// `Atomic` loads tolerate a neighbour shard concurrently flipping *its*
-/// bits of a shared boundary word; the masking below discards them.
+/// bits of a shared boundary word; the masking discards them.
 template <bool Atomic = false>
 inline std::uint64_t masked_word(const std::vector<std::uint64_t>& words,
                                  std::uint32_t w, std::uint32_t begin,
@@ -57,9 +67,22 @@ inline std::uint64_t masked_word(const std::vector<std::uint64_t>& words,
   } else {
     bits = words[w];
   }
-  if (w == (begin >> 6)) bits &= ~0ULL << (begin & 63);
-  if (w == ((end - 1) >> 6)) bits &= ~0ULL >> (63 - ((end - 1) & 63));
-  return bits;
+  return bits & range_mask(w, begin, end);
+}
+
+/// Clears the `mask` bits of word `w` and returns the ones that were set.
+template <bool Atomic = false>
+inline std::uint64_t take_bits(std::vector<std::uint64_t>& words,
+                               std::uint32_t w, std::uint64_t mask) {
+  if constexpr (Atomic) {
+    return std::atomic_ref<std::uint64_t>(words[w])
+               .fetch_and(~mask, std::memory_order_relaxed) &
+           mask;
+  } else {
+    const std::uint64_t bits = words[w] & mask;
+    words[w] &= ~mask;
+    return bits;
+  }
 }
 
 /// The smallest timing wheel for `net`: a power of two above the maximum
@@ -84,8 +107,7 @@ std::size_t prepare_context(SimContext& ctx, Network& net) {
   for (auto& slot : ctx.wheel) slot.clear();  // keeps slot capacity
 
   ctx.pool.reset();
-  ctx.active.clear();
-  ctx.scratch.clear();
+  ctx.active.assign((net.num_routers() + 63) / 64, 0);
   ctx.ract.assign(net.num_routers(), 0);
   ctx.ivc_pending.assign((net.fifos().num_fifos() + 63) / 64, 0);
   ctx.port_pending.assign((net.num_out_ports() + 63) / 64, 0);
@@ -147,27 +169,6 @@ class PhaseClock {
   Clock::time_point t_{};
 };
 
-/// Visits the `list` records of every shard in ascending `pos` order — the
-/// order one serial pass produces them in. Each shard's list is ascending
-/// already, so this is a k-way merge over the shards' heads.
-template <typename Rec, typename Visit>
-void merge_by_pos(ShardScratch* shards, int n,
-                  std::vector<Rec> ShardScratch::*list, Visit&& visit) {
-  for (int k = 0; k < n; ++k) shards[k].cur = 0;
-  for (;;) {
-    ShardScratch* best = nullptr;
-    for (int k = 0; k < n; ++k) {
-      ShardScratch& s = shards[k];
-      if (s.cur < (s.*list).size() &&
-          (best == nullptr ||
-           (s.*list)[s.cur].pos < (best->*list)[best->cur].pos))
-        best = &s;
-    }
-    if (best == nullptr) return;
-    visit(*best, (best->*list)[best->cur++]);
-  }
-}
-
 }  // namespace
 
 bool deep_prefetch_pays(std::size_t num_fifos, std::size_t llc_bytes) {
@@ -184,7 +185,7 @@ int resolve_shards(int requested, unsigned cores) {
 /// The per-cycle worker team of a sharded engine. One thread per shard
 /// beyond shard 0 (which the driving thread runs itself). Between phases a
 /// worker spins for up to kSpinBudget before parking on a C++20 atomic
-/// wait: a parallel cycle's serial stretches (generation, the merges) are
+/// wait: a parallel cycle's serial stretches (generation, the commit) are
 /// shorter than that, so its two hand-offs never pay a futex wake-up,
 /// while a run of serial cycles below the work gate parks the team.
 class Simulator::ShardTeam {
@@ -551,9 +552,9 @@ void Simulator::rebuild_gen_state() {
 
 Cycle Simulator::next_event_cycle(Cycle limit) {
   // Anything already scheduled for this cycle pins time in place: routers
-  // with buffered/pending work keep themselves on the active list, and a
-  // non-empty source queue injects a flit every cycle.
-  if (!ctx_->active.empty() || inj_terms_ != 0) return now_;
+  // with buffered/pending work keep their active bit, and a non-empty
+  // source queue injects a flit every cycle.
+  if (last_walk_.kept != 0 || inj_terms_ != 0) return now_;
   Cycle next = limit;
   // Earliest live generation arrival (stale entries are discarded as they
   // surface, so this also garbage-collects the heap while idling).
@@ -634,19 +635,7 @@ void Simulator::deliver_impl(std::uint32_t lo, std::uint32_t hi,
     nf += mine & flit;
     nc += mine & !flit;
   }
-  // Sets the in-active-list flag; a first activation joins the active list
-  // (serial) or the shard's log at its serial-order position `pos`.
-  const auto activate = [&](NodeId id, std::uint32_t add, std::size_t pos) {
-    std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(id)];
-    const bool was = a & 1;
-    a = (a + add) | 1;
-    if (was) return;
-    if constexpr (Sharded)
-      ss->woken.push_back(Wake{static_cast<std::uint32_t>(pos), id});
-    else
-      ctx_->active.push_back(id);
-  };
-  // Pass 1: flit arrivals (before credits, matching router-activation order).
+  // Pass 1: flit arrivals.
   for (std::size_t j = 0; j < nf; ++j) {
     if (j + kPf < nf)  // vc_flat indexes the VC arrays
       __builtin_prefetch(fifos.word_addr(slot[fl[j + kPf]].vc_flat));
@@ -672,7 +661,8 @@ void Simulator::deliver_impl(std::uint32_t lo, std::uint32_t hi,
         mark_work(ev.node);
       }
     }
-    activate(ev.node, 4, fl[j]);  // one more buffered flit
+    ctx_->ract[static_cast<std::size_t>(ev.node)] += 2;  // +1 buffered flit
+    set_bit<Sharded>(ctx_->active, static_cast<std::uint32_t>(ev.node));
   }
   // Pass 2: credit returns. A credit can unblock the output port that owns
   // the VC, so wake it if it has requesters. A credit event's `vc_flat` is
@@ -695,7 +685,7 @@ void Simulator::deliver_impl(std::uint32_t lo, std::uint32_t hi,
       set_bit<Sharded>(ctx_->port_pending, pflat);
       mark_work(ev.node);
     }
-    activate(ev.node, 0, n + cr[j]);
+    set_bit<Sharded>(ctx_->active, static_cast<std::uint32_t>(ev.node));
   }
   if constexpr (!Sharded) slot.clear();
 }
@@ -710,9 +700,11 @@ void Simulator::commit_tail(PacketId pid) {
     // Tail delivery is committed at the cycle it happened (the sharded
     // commit pass runs before now_ advances), so the latency is now - t_gen
     // without a stored ejection stamp.
-    const auto lat = static_cast<double>(now_ - p.t_gen);
-    lat_.add(lat);
-    lat_hist_.add(lat);
+    const Cycle lat = now_ - p.t_gen;
+    lat_sum_ += lat;
+    lat_min_ = std::min(lat_min_, lat);
+    lat_max_ = std::max(lat_max_, lat);
+    lat_hist_.add(static_cast<double>(lat));
     for (int h = 0; h < kNumLinkTypes; ++h)
       hop_sum_[h] += static_cast<double>(p.hops[h]);
   }
@@ -934,7 +926,7 @@ void Simulator::apply_fault_step(const FaultStep& fs) {
             continue;
           }
           removed_any = true;
-          ctx_->ract[r] -= 4;  // one fewer buffered flit
+          ctx_->ract[r] -= 2;  // one fewer buffered flit
           if (cr.src != kInvalidNode) {
             const std::uint32_t up = cr.credit_port();
             std::uint32_t* urec =
@@ -1019,7 +1011,7 @@ void Simulator::apply_fault_step(const FaultStep& fs) {
     clear_bit(ctx_->port_pending, pflat);
   }
   for (const NodeId n : fs.fail_nodes)
-    ctx_->ract[static_cast<std::size_t>(n)] &= 1u;  // keep only the list flag
+    ctx_->ract[static_cast<std::size_t>(n)] = 0;  // no flits, no work
 
   // --- (4) kill the links (port records stop moving flits).
   for (const ChanId c : fs.fail_chans) net_.disable_channel(c);
@@ -1253,7 +1245,7 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
         const std::uint32_t vi = enc & 0xff;
 
         const Flit f = fifos.pop(ix);
-        ctx_->ract[static_cast<std::size_t>(rid)] -= 4;  // --buffered
+        ctx_->ract[static_cast<std::size_t>(rid)] -= 2;  // --buffered
         const Network::CreditReturn cr =
             net_.credit_return_by_port()[net_.in_port_index(rid, 0) + pi];
         if (cr.src != kInvalidNode) {
@@ -1273,8 +1265,8 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
         if (is_eject) {
           if constexpr (Sharded) {
             // Packet-local and order-insensitive parts happen here; the
-            // order-sensitive rest (fp stats, listener, pool release) is
-            // deferred so the commit pass replays it in snapshot order.
+            // order-sensitive rest (listener, pool release) is deferred so
+            // the commit pass replays it in router order.
             Packet& p = ctx_->pool[f.pkt()];
             ++p.flits_ejected;
             ++ss->ejected_flits;
@@ -1345,106 +1337,88 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
       if (port_left && (rec[0] & 0xff) != 0) leftover = true;
     }
   }
-  if (!leftover) ctx_->ract[static_cast<std::size_t>(rid)] &= ~2u;
+  if (!leftover) ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
 }
 
-void Simulator::prefetch_snapshot(const std::vector<NodeId>& snap,
-                                  std::size_t i) {
-  // Every stage pays only on a working set larger than the LLC; see
-  // deep_prefetch_pays().
-  if (!deep_prefetch_) return;
-  const std::size_t n = snap.size();
-  // Far stage: the per-router offset entries every address computation
-  // below (and the processing itself) goes through.
-  if (i + 8 < n) {
-    const NodeId r8 = snap[i + 8];
-    __builtin_prefetch(&ctx_->ract[static_cast<std::size_t>(r8)]);
-    __builtin_prefetch(net_.in_port_base_addr(r8));
-    __builtin_prefetch(net_.out_port_base_addr(r8));
-  }
-  // Near stage: the pending bitmasks predict exactly which FIFO control
-  // words (RC/VA scan) and output-port records (SA/ST scan) the router
-  // will touch — issue those prefetches now, in straight-line batches, so
-  // the walk's dependent DRAM misses resolve in parallel instead of
-  // serially. The words are stable this far ahead: during the router walk
-  // every cross-router effect travels through the timing wheel, so only a
-  // router's OWN processing mutates its bits. Relaxed atomic loads because
-  // a neighbouring *shard* may still be flipping its bits of a shared
-  // boundary word; the values only steer prefetches, so a stale view is
-  // harmless.
-  if (i + 2 < n && (ctx_->ract[static_cast<std::size_t>(snap[i + 2])] & 2)) {
-    const NodeId r2 = snap[i + 2];
-    const FlitFifoArena& fifos = net_.fifos();
-    const auto nvc = static_cast<std::uint32_t>(net_.num_vcs());
-    const auto word = [](const std::vector<std::uint64_t>& v,
-                         std::uint32_t w) {
-      return std::atomic_ref<std::uint64_t>(
-                 const_cast<std::uint64_t&>(v[w]))
-          .load(std::memory_order_relaxed);
-    };
-    const std::uint32_t ib = net_.in_vc_index(r2, 0, 0);
-    const std::uint32_t vend = ib + net_.num_in_ports_of(r2) * nvc;
-    int left = 16;  // cap per stage: don't flood the load/fill buffers
-    for (std::uint32_t w = ib >> 6; vend > ib && w <= (vend - 1) >> 6; ++w) {
-      std::uint64_t bits = word(ctx_->ivc_pending, w);
-      if (w == (ib >> 6)) bits &= ~0ULL << (ib & 63);
-      if (w == ((vend - 1) >> 6)) bits &= ~0ULL >> (63 - ((vend - 1) & 63));
-      while (bits && left-- > 0) {
-        const std::uint32_t ix =
-            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        __builtin_prefetch(fifos.word_addr(ix));
-      }
-    }
-    const std::uint32_t pb = net_.out_port_index(r2, 0);
-    const std::uint32_t pend = pb + net_.num_out_ports_of(r2);
-    left = 16;
-    for (std::uint32_t w = pb >> 6; pend > pb && w <= (pend - 1) >> 6; ++w) {
-      std::uint64_t bits = word(ctx_->port_pending, w);
-      if (w == (pb >> 6)) bits &= ~0ULL << (pb & 63);
-      if (w == ((pend - 1) >> 6)) bits &= ~0ULL >> (63 - ((pend - 1) & 63));
-      while (bits && left-- > 0) {
-        const std::uint32_t pflat =
-            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        __builtin_prefetch(net_.port_rec(pflat));
-      }
+template <bool Sharded>
+void Simulator::prefetch_sa_candidates(std::uint32_t rid) {
+  if (!(ctx_->ract[rid] & 1)) return;  // no pipeline work: nothing to fetch
+  const auto r = static_cast<NodeId>(rid);
+  const FlitFifoArena& fifos = net_.fifos();
+  const auto nvc = static_cast<std::uint32_t>(net_.num_vcs());
+  const std::uint32_t ibase = net_.in_vc_index(r, 0, 0);
+  const std::uint32_t pb = net_.out_port_index(r, 0);
+  const std::uint32_t pend = pb + net_.num_out_ports_of(r);
+  int left = 12;  // cap: don't flood the load/fill buffers
+  for (std::uint32_t w = pb >> 6; pend > pb && w <= (pend - 1) >> 6; ++w) {
+    std::uint64_t bits =
+        masked_word<Sharded>(ctx_->port_pending, w, pb, pend);
+    while (bits && left > 0) {
+      const std::uint32_t pflat =
+          (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      const std::uint32_t* rec = net_.port_rec(pflat);
+      const std::uint16_t* reqs = Network::ovc16(rec) + nvc;
+      const std::uint32_t nreq = rec[0] & 0xff;
+      for (std::uint32_t k = 0; k < nreq && left > 0; ++k, --left)
+        __builtin_prefetch(fifos.word_addr(
+            ibase + (static_cast<std::uint32_t>(reqs[k]) >> 8) * nvc +
+            (reqs[k] & 0xffu)));
     }
   }
-  // Nearest stage: SA candidates. The previous entry's port-record
-  // prefetches have usually landed by now, so the requester lists are
-  // cheap to *read* — prefetch each candidate's FIFO control word, the
-  // grant loop's remaining serial misses. Port records are per-router
-  // (never shard-shared), so plain reads are race-free here.
-  if (i + 1 < n && (ctx_->ract[static_cast<std::size_t>(snap[i + 1])] & 2)) {
-    const NodeId r1 = snap[i + 1];
-    const FlitFifoArena& fifos = net_.fifos();
-    const auto nvc = static_cast<std::uint32_t>(net_.num_vcs());
-    const std::uint32_t ibase = net_.in_vc_index(r1, 0, 0);
-    const std::uint32_t pb = net_.out_port_index(r1, 0);
-    const std::uint32_t pend = pb + net_.num_out_ports_of(r1);
-    int left = 12;
-    for (std::uint32_t w = pb >> 6; pend > pb && w <= (pend - 1) >> 6; ++w) {
-      std::uint64_t bits =
-          std::atomic_ref<std::uint64_t>(
-              const_cast<std::uint64_t&>(ctx_->port_pending[w]))
-              .load(std::memory_order_relaxed);
-      if (w == (pb >> 6)) bits &= ~0ULL << (pb & 63);
-      if (w == ((pend - 1) >> 6)) bits &= ~0ULL >> (63 - ((pend - 1) & 63));
-      while (bits && left > 0) {
-        const std::uint32_t pflat =
-            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::uint32_t* rec = net_.port_rec(pflat);
-        const std::uint16_t* reqs = Network::ovc16(rec) + nvc;
-        const std::uint32_t nreq = rec[0] & 0xff;
-        for (std::uint32_t k = 0; k < nreq && left > 0; ++k, --left)
-          __builtin_prefetch(fifos.word_addr(
-              ibase + (static_cast<std::uint32_t>(reqs[k]) >> 8) * nvc +
-              (reqs[k] & 0xffu)));
+}
+
+template <bool Sharded>
+WalkCount Simulator::walk_impl(std::uint32_t lo, std::uint32_t hi,
+                               ShardScratch* ss) {
+  // Within a cycle routers interact only through the timing wheel, so the
+  // walk itself sets no bit but the keep-alive of the router it just ran,
+  // and the bits of words it has not reached yet are stable.
+  WalkCount count;
+  const std::uint32_t wend = lo < hi ? ((hi - 1) >> 6) + 1 : 0;
+  const auto next_word = [&](std::uint32_t w) {
+    while (w < wend && masked_word<Sharded>(ctx_->active, w, lo, hi) == 0)
+      ++w;
+    return w;
+  };
+  for (std::uint32_t w = next_word(lo >> 6), wnext = 0; w < wend;
+       w = wnext) {
+    std::uint64_t bits =
+        take_bits<Sharded>(ctx_->active, w, range_mask(w, lo, hi));
+    count.walked += static_cast<std::size_t>(std::popcount(bits));
+    wnext = next_word(w + 1);
+    std::uint64_t kept = 0;
+    while (bits) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      const std::uint32_t rid = (w << 6) + static_cast<std::uint32_t>(b);
+      if (deep_prefetch_) {  // the next active router's SA candidates
+        if (bits)
+          prefetch_sa_candidates<Sharded>(
+              (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits)));
+        else if (wnext < wend)
+          prefetch_sa_candidates<Sharded>(
+              (wnext << 6) +
+              static_cast<std::uint32_t>(std::countr_zero(
+                  masked_word<Sharded>(ctx_->active, wnext, lo, hi))));
       }
+      // Only routers with pending RC/VA or SA work run the pipeline (the
+      // work flag is a superset of the pending bits, so a skipped call
+      // would have been a pure no-op).
+      if (ctx_->ract[rid] & 1)
+        process_router_impl<Sharded>(static_cast<NodeId>(rid), ss);
+      // Keep the router active while any input VC holds flits.
+      if (ctx_->ract[rid] > 1) kept |= 1ULL << b;
     }
+    if (!kept) continue;
+    count.kept += static_cast<std::size_t>(std::popcount(kept));
+    if constexpr (Sharded)
+      std::atomic_ref<std::uint64_t>(ctx_->active[w])
+          .fetch_or(kept, std::memory_order_relaxed);
+    else
+      ctx_->active[w] |= kept;
   }
+  return count;
 }
 
 void Simulator::run_team(ShardPhase phase) {
@@ -1457,103 +1431,66 @@ void Simulator::run_team(ShardPhase phase) {
 }
 
 void Simulator::deliver_shard(int k) {
-  ShardScratch& sc = ctx_->shard_scratch[static_cast<std::size_t>(k)];
-  sc.woken.clear();
   deliver_impl<true>(shard_bounds_[static_cast<std::size_t>(k)],
-                     shard_bounds_[static_cast<std::size_t>(k) + 1], &sc);
-}
-
-void Simulator::merge_woken() {
-  merge_by_pos(ctx_->shard_scratch.data(), shards_, &ShardScratch::woken,
-               [&](ShardScratch&, const Wake& w) {
-                 ctx_->active.push_back(w.node);
-               });
-  ctx_->wheel[now_ & wheel_mask_].clear();
+                     shard_bounds_[static_cast<std::size_t>(k) + 1],
+                     &ctx_->shard_scratch[static_cast<std::size_t>(k)]);
 }
 
 void Simulator::walk_shard(int k) {
   ShardScratch& sc = ctx_->shard_scratch[static_cast<std::size_t>(k)];
-  const std::uint32_t lo = shard_bounds_[static_cast<std::size_t>(k)];
-  const std::uint32_t hi = shard_bounds_[static_cast<std::size_t>(k) + 1];
-  sc.snap.clear();
-  sc.snap_pos.clear();
   sc.events.clear();
   sc.tails.clear();
-  sc.runs.clear();
   sc.flit_hops = sc.accepted_flits = sc.ejected_flits = 0;
-  // This shard's slice of the global snapshot, in snapshot order.
-  const auto& global = ctx_->scratch;
-  for (std::size_t j = 0; j < global.size(); ++j) {
-    const auto rid = static_cast<std::uint32_t>(global[j]);
-    if (rid < lo || rid >= hi) continue;
-    ctx_->ract[rid] &= ~1u;
-    sc.snap.push_back(global[j]);
-    sc.snap_pos.push_back(static_cast<std::uint32_t>(j));
-  }
-  const std::size_t n = sc.snap.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    prefetch_snapshot(sc.snap, i);
-    std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(sc.snap[i])];
-    const std::size_t ev0 = sc.events.size();
-    const std::size_t tl0 = sc.tails.size();
-    if (a & 2) process_router_impl<true>(sc.snap[i], &sc);
-    // Keep-alive, as in the serial walk: the flag is set here, the list
-    // entry at commit.
-    const bool keep = a > 3;
-    if (keep) a |= 1;
-    if (keep || sc.events.size() != ev0 || sc.tails.size() != tl0)
-      sc.runs.push_back(
-          ShardRun{sc.snap_pos[i],
-                   static_cast<std::uint32_t>(sc.events.size() - ev0),
-                   static_cast<std::uint16_t>(sc.tails.size() - tl0), keep});
-  }
+  sc.walk = walk_impl<true>(shard_bounds_[static_cast<std::size_t>(k)],
+                            shard_bounds_[static_cast<std::size_t>(k) + 1],
+                            &sc);
 }
 
-void Simulator::commit_runs() {
-  ShardScratch* shards = ctx_->shard_scratch.data();
+void Simulator::commit_shards() {
   // Integer tallies first, so a PacketListener fired from commit_tail()
   // below observes the cycle's full counts (the documented sharded-engine
   // observability; the sums are order-insensitive).
+  last_walk_ = WalkCount{};
   for (int k = 0; k < shards_; ++k) {
-    flit_hops_ += shards[k].flit_hops;
-    accepted_flits_ += shards[k].accepted_flits;
-    ejected_flits_ += shards[k].ejected_flits;
-    shards[k].ev_cur = shards[k].tail_cur = 0;
+    const ShardScratch& sc = ctx_->shard_scratch[static_cast<std::size_t>(k)];
+    flit_hops_ += sc.flit_hops;
+    accepted_flits_ += sc.accepted_flits;
+    ejected_flits_ += sc.ejected_flits;
+    last_walk_.walked += sc.walk.walked;
+    last_walk_.kept += sc.walk.kept;
   }
-  merge_by_pos(shards, shards_, &ShardScratch::runs,
-               [&](ShardScratch& sc, const ShardRun& run) {
-                 for (std::uint32_t e = 0; e < run.num_events; ++e) {
-                   const PendingEvent& pe = sc.events[sc.ev_cur++];
-                   ctx_->wheel[pe.slot].push_back(pe.ev);
-                 }
-                 for (std::uint16_t t = 0; t < run.num_tails; ++t)
-                   commit_tail(sc.tails[sc.tail_cur++]);
-                 if (run.keep) ctx_->active.push_back(ctx_->scratch[run.pos]);
-               });
+  // Wheel pushes and tail commits touch disjoint state, so each shard's
+  // two buffers go in whole.
+  for (int k = 0; k < shards_; ++k) {
+    const ShardScratch& sc = ctx_->shard_scratch[static_cast<std::size_t>(k)];
+    for (const PendingEvent& pe : sc.events)
+      ctx_->wheel[pe.slot].push_back(pe.ev);
+    for (const PacketId pid : sc.tails) commit_tail(pid);
+  }
 }
 
-// One cycle. A parallel cycle differs from a serial one only in *where*
-// the delivery and router phases run, never in what they do:
+// One cycle. The engine's one intra-cycle order is ascending router id,
+// and a parallel cycle differs from a serial one only in *where* the
+// delivery and router phases run, never in what they do:
 //
 //   1. Delivery. Each shard drains the slot's events addressed to its own
 //      routers, flits then credits (their state is shard-local; shared
-//      pending-bitmask boundary words take atomic bit ops), and logs every
-//      first activation with its serial-order position. The driving thread
-//      merges the logs on position, which appends to the active list in
-//      the serial engine's order.
+//      boundary words of the pending and active bitmaps take atomic bit
+//      ops). Setting a bit is idempotent, so the active set does not
+//      depend on who delivered first.
 //   2. Generation stays serial, after delivery: the RNG stream, injection
 //      decisions and (adaptive) injection-time credit reads observe the
 //      identical engine state.
-//   3. Router walk. Every shard walks its slice of the snapshot in snapshot
-//      order. Per-router work is shard-local (routing reads only immutable
-//      topology, the packet, and the router's own SoA slices); the only
-//      cross-shard effects — wheel pushes, tail deliveries, keep-alive list
-//      entries — are buffered per shard, tagged with snapshot positions.
-//   4. Commit. The driving thread merges the shards' runs on position,
-//      which reconstructs the serial engine's wheel-slot event order,
-//      ejection-stat accumulation order (fp sums are order-sensitive),
-//      listener-callback order, packet-pool free-list order, and keep-alive
-//      re-activation order.
+//   3. Router walk. Every shard walks the active bits of its own
+//      contiguous router range in ascending id. Per-router work is
+//      shard-local (routing reads only immutable topology, the packet, and
+//      the router's own SoA slices); the only cross-router effects — wheel
+//      pushes and tail deliveries — are buffered per shard, and keep-alive
+//      bits go straight back into the bitmap.
+//   4. Commit. The driving thread appends shard 0's buffered events and
+//      tails, then shard 1's, and so on: shards own ascending id ranges, so
+//      this concatenation is the serial walk's wheel-slot event order,
+//      listener-callback order and packet-pool free-list order.
 //
 // Hence fixed-seed results (and checkpoints) are bit-identical for every
 // shard count and for every gate decision.
@@ -1569,49 +1506,28 @@ void Simulator::step() {
   }
   if (parallel_ && !ctx_->wheel[now_ & wheel_mask_].empty()) {
     run_team(&Simulator::deliver_shard);
-    clock.lap(phases_.deliver_s);
-    merge_woken();
-    clock.lap(phases_.commit_s);
+    ctx_->wheel[now_ & wheel_mask_].clear();
   } else {
     deliver_impl<false>(0, 0, nullptr);
-    clock.lap(phases_.deliver_s);
   }
+  clock.lap(phases_.deliver_s);
   generate_and_inject();
   clock.lap(phases_.generate_s);
 
-  // Snapshot: routers activated during this pass run next cycle. The two
-  // lists ping-pong so neither ever re-allocates in steady state.
-  ctx_->scratch.clear();
-  ctx_->scratch.swap(ctx_->active);
-  const auto& snap = ctx_->scratch;
-  const std::size_t nsnap = snap.size();
-  phases_.routers_walked += nsnap;
-  parallel_ = shards_ > 1 && nsnap >= gate_;
-  if (parallel_ && nsnap > 0) {
+  if (parallel_) {
     ++phases_.parallel_cycles;
     run_team(&Simulator::walk_shard);
     clock.lap(phases_.walk_s);
-    commit_runs();
+    commit_shards();
     clock.lap(phases_.commit_s);
-    ++now_;
-    return;
+  } else {
+    ++phases_.serial_cycles;
+    last_walk_ = walk_impl<false>(
+        0, static_cast<std::uint32_t>(net_.num_routers()), nullptr);
+    clock.lap(phases_.walk_s);
   }
-  ++phases_.serial_cycles;
-  for (NodeId rid : snap) ctx_->ract[static_cast<std::size_t>(rid)] &= ~1u;
-  // The active list gives exact lookahead, so on fabrics that outsize the
-  // LLC the per-router state lines are prefetched in stages
-  // (prefetch_snapshot).
-  for (std::size_t i = 0; i < nsnap; ++i) {
-    prefetch_snapshot(snap, i);
-    const NodeId rid = snap[i];
-    // Process only routers with pending RC/VA or SA work (the work flag is
-    // a superset of the pending bits, so a skipped call would have been a
-    // pure no-op; the active list itself is maintained exactly as before).
-    if (ctx_->ract[static_cast<std::size_t>(rid)] & 2) process_router(rid);
-    // Keep the router live while any input VC holds flits.
-    if (ctx_->ract[static_cast<std::size_t>(rid)] > 3) activate_router(rid);
-  }
-  clock.lap(phases_.walk_s);
+  phases_.routers_walked += last_walk_.walked;
+  parallel_ = shards_ > 1 && last_walk_.walked >= gate_;
   ++now_;
 }
 
@@ -1650,11 +1566,16 @@ SimResult Simulator::run() {
   res.accepted = static_cast<double>(accepted_flits_) /
                  static_cast<double>(cfg_.measure) /
                  static_cast<double>(net_.num_chips());
-  res.avg_latency = lat_.mean();
+  if (delivered_measured_ > 0) {
+    // Both integers are far below 2^53, so each converts exactly and the
+    // one division rounds correctly.
+    res.avg_latency = static_cast<double>(lat_sum_) /
+                      static_cast<double>(delivered_measured_);
+    res.min_latency = static_cast<double>(lat_min_);
+    res.max_latency = static_cast<double>(lat_max_);
+  }
   res.p50_latency = lat_hist_.quantile(0.5);
   res.p99_latency = lat_hist_.quantile(0.99);
-  res.min_latency = lat_.count() ? lat_.min() : 0.0;
-  res.max_latency = lat_.count() ? lat_.max() : 0.0;
   res.generated_measured = generated_measured_;
   res.delivered_measured = delivered_measured_;
   res.delivered_total = delivered_total_;
@@ -1711,11 +1632,11 @@ SimResult Simulator::run() {
 }
 
 void Simulator::checkpoint(CheckpointIo& io) {
-  // Format magic ("sldfckp2" little-endian; version 2 dropped the
-  // per-channel token words) and shape/config fingerprint: a restore
-  // against a different network or config must fail loudly instead of
-  // corrupting state.
-  io.expect(0x736c6466636b7032ULL, "format magic");
+  // Format magic ("sldfckp3" little-endian; version 3 carries the active
+  // routers as a bitmap and latency as integer tallies) and shape/config
+  // fingerprint: a restore against a different network or config must fail
+  // loudly instead of corrupting state.
+  io.expect(0x736c6466636b7033ULL, "format magic");
   io.expect(net_.num_routers(), "router count");
   io.expect(net_.num_channels(), "channel count");
   io.expect(net_.fifos().num_fifos(), "fifo count");
@@ -1730,13 +1651,13 @@ void Simulator::checkpoint(CheckpointIo& io) {
 
   io.pod(now_);
   rng_.checkpoint(io);
-  lat_.checkpoint(io);
   lat_hist_.checkpoint(io);
   for (std::uint64_t* n :
-       {&accepted_flits_, &generated_measured_, &delivered_measured_,
-        &delivered_total_, &suppressed_, &flit_hops_, &dropped_packets_,
-        &dropped_flits_, &dropped_measured_, &rescued_packets_,
-        &generated_packets_, &generated_flits_, &ejected_flits_, &lost_flits_})
+       {&lat_sum_, &lat_min_, &lat_max_, &accepted_flits_,
+        &generated_measured_, &delivered_measured_, &delivered_total_,
+        &suppressed_, &flit_hops_, &dropped_packets_, &dropped_flits_,
+        &dropped_measured_, &rescued_packets_, &generated_packets_,
+        &generated_flits_, &ejected_flits_, &lost_flits_})
     io.pod(*n);
   for (auto* v : {&plane_generated_, &plane_delivered_, &plane_dropped_,
                   &wafer_generated_, &wafer_delivered_, &wafer_dropped_})
@@ -1753,7 +1674,13 @@ void Simulator::checkpoint(CheckpointIo& io) {
     io.pod(t.inj_vc);
     io.pod(t.pushed);
   }
-  io.vec(c.active);
+  io.fixed(c.active, "active routers");
+  if (io.loading() && !c.active.empty() &&
+      (c.active.back() & ~range_mask(static_cast<std::uint32_t>(
+                                         c.active.size() - 1),
+                                     0, static_cast<std::uint32_t>(
+                                            net_.num_routers()))) != 0)
+    throw std::runtime_error("checkpoint: active bit past the last router");
   io.fixed(c.ract, "router activity");
   // A saved wheel may outsize this engine's (a recycled context); any
   // power of two at or above the minimum is a valid wheel.
@@ -1787,6 +1714,9 @@ void Simulator::restore_checkpoint(std::istream& in) {
   // The event-driven generation structures are derived state: never
   // serialized, always reconstructed from the restored terminals.
   rebuild_gen_state();
+  last_walk_ = WalkCount{};
+  for (const std::uint64_t w : ctx_->active)
+    last_walk_.kept += static_cast<std::size_t>(std::popcount(w));
 }
 
 SimResult run_sim(Network& net, const SimConfig& cfg, TrafficSource& traffic) {

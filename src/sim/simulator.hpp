@@ -8,9 +8,9 @@
 // Hot-path layout: all per-VC state lives in the Network's flat arrays
 // (see network.hpp); in-flight flits and credits share one timing-wheel
 // event record; and every growable container the engine touches per cycle
-// (wheel slots, active lists, source queues, packet pool) lives in a
-// SimContext that can be reused across runs, so steady-state simulation
-// performs no heap allocation.
+// (wheel slots, source queues, packet pool) lives in a SimContext that can
+// be reused across runs, so steady-state simulation performs no heap
+// allocation.
 #pragma once
 
 #include <iosfwd>
@@ -74,11 +74,11 @@ struct SimConfig {
   /// threads every cycle; 1 runs the serial engine; 0 = auto: the
   /// `SLDF_SHARDS` environment variable (every cycle parallel, like an
   /// explicit N), else the usable cores behind a per-cycle work gate — a
-  /// cycle runs on the shard team only when its router snapshot reaches
-  /// kShardGateRouters, so small fabrics never start a thread (see
-  /// resolve_shards()). Fixed-seed SimResults are bit-identical across
-  /// every shard count; see docs/ARCHITECTURE.md, "Threading & determinism
-  /// model".
+  /// cycle runs on the shard team only when the cycle before it walked at
+  /// least kShardGateRouters routers, so small fabrics never start a
+  /// thread (see resolve_shards()). Fixed-seed SimResults are
+  /// bit-identical across every shard count; see docs/ARCHITECTURE.md,
+  /// "Threading & determinism model".
   int shards = 0;
   /// Accumulate host time per engine phase into SimResult::phases (a few
   /// clock reads per cycle). Changes no simulation counter.
@@ -94,13 +94,13 @@ struct EnginePhases {
   double fault_s = 0.0;     ///< Fault-timeline steps.
   double deliver_s = 0.0;   ///< Timing-wheel delivery (parallel or serial).
   double generate_s = 0.0;  ///< Generation + injection (always serial).
-  double walk_s = 0.0;      ///< Router pipeline over the snapshot.
-  /// Driving-thread-only work of a parallel cycle: the activation merge
-  /// after parallel delivery and the snapshot-order commit after the walk.
+  double walk_s = 0.0;      ///< Router pipeline over the active set.
+  /// Driving-thread-only work of a parallel cycle: the commit that appends
+  /// the shards' buffered wheel events and tails in shard order.
   double commit_s = 0.0;
   std::uint64_t parallel_cycles = 0;  ///< Walks run on the shard team.
   std::uint64_t serial_cycles = 0;    ///< Walks run by the driving thread.
-  std::uint64_t routers_walked = 0;   ///< Snapshot sizes, summed.
+  std::uint64_t routers_walked = 0;   ///< Active-set sizes, summed.
   std::uint64_t skips = 0;            ///< Idle-elision jumps.
   std::uint64_t cycles_skipped = 0;   ///< Cycles those jumps covered.
   /// The walk ran its lookahead prefetch (deep_prefetch_pays()).
@@ -163,7 +163,7 @@ struct SimResult {
 /// `!flit.carries_packet()`) a credit returning to an output VC. For flit
 /// arrivals `vc_flat` is the destination input VC's flat index; for
 /// credits it is `(upstream pflat << kPortLaneBits) | u16 credit lane`.
-/// `node` is the router to re-activate.
+/// `node` is the router to activate.
 struct WheelEvent {
   std::uint32_t vc_flat = 0;
   NodeId node = kInvalidNode;
@@ -205,46 +205,24 @@ struct PendingEvent {
   WheelEvent ev;
 };
 
-/// A router's first activation during a shard's delivery pass. `pos` is
-/// the event's position in the serial delivery order (flit pass: its slot
-/// index; credit pass: slot size + its index), so merging every shard's
-/// log on `pos` rebuilds the serial engine's active-list order.
-struct Wake {
-  std::uint32_t pos = 0;
-  NodeId node = kInvalidNode;
-};
-
-/// Commit bookkeeping for one snapshot router a shard processed or kept
-/// alive: its position in the *global* snapshot, how many wheel events and
-/// delivered tail packets it produced, and whether it stays active. The
-/// commit merges every shard's runs on `pos`, which reconstructs the
-/// serial engine's exact wheel-push / ejection / listener / pool-release /
-/// re-activation interleaving.
-struct ShardRun {
-  std::uint32_t pos = 0;
-  std::uint32_t num_events = 0;
-  std::uint16_t num_tails = 0;
-  bool keep = false;
+/// Routers one walk visited, and how many of them it left active for the
+/// next cycle.
+struct WalkCount {
+  std::size_t walked = 0;
+  std::size_t kept = 0;
 };
 
 /// Per-shard scratch (sharded engine only). Cache-line aligned so shards
-/// never false-share their cursors; all vectors keep their high-water
+/// never false-share their counters; all vectors keep their high-water
 /// capacities across cycles and runs.
 struct alignas(64) ShardScratch {
-  std::vector<Wake> woken;           ///< Delivery-pass activations, in order.
   std::vector<std::uint32_t> deliver_idx;  ///< Delivery split scratch.
-  std::vector<NodeId> snap;          ///< This shard's slice of the snapshot.
-  std::vector<std::uint32_t> snap_pos;  ///< Global position of each entry.
   std::vector<PendingEvent> events;  ///< Deferred wheel pushes, in order.
   std::vector<PacketId> tails;       ///< Delivered tail packets, in order.
-  std::vector<ShardRun> runs;        ///< Per processed/kept router, in order.
   std::uint64_t flit_hops = 0;       ///< Order-insensitive counters, summed
   std::uint64_t accepted_flits = 0;  ///< into the globals at commit.
   std::uint64_t ejected_flits = 0;   ///< Same (conservation ledger).
-  // Merge cursors (only the driving thread moves them).
-  std::size_t cur = 0;
-  std::size_t ev_cur = 0;
-  std::size_t tail_cur = 0;
+  WalkCount walk;                    ///< This shard's part of the walk.
 };
 
 /// Reusable engine storage. A context handed to consecutive runs (e.g. the
@@ -254,12 +232,15 @@ struct alignas(64) ShardScratch {
 struct SimContext {
   PacketPool pool;
   std::vector<TerminalState> terms;
-  std::vector<NodeId> active;      ///< Routers to process next cycle.
-  std::vector<NodeId> scratch;     ///< Ping-pong partner of `active`.
-  /// Per router, one word: buffered-flit count << 2 | has-pending-work
-  /// flag (bit 1) | in-active-list flag (bit 0). The work flag is a
-  /// superset of "any pending bit set for this router": events set it,
-  /// process_router() clears it when it leaves no pending bits behind.
+  /// One bit per router: walk it this cycle. Delivery, injection and fault
+  /// steps set bits; the walk takes them in ascending router id (the
+  /// engine's one intra-cycle order) and sets them again for routers that
+  /// still buffer flits.
+  std::vector<std::uint64_t> active;
+  /// Per router, one word: buffered-flit count << 1 | has-pending-work
+  /// flag (bit 0). The work flag is a superset of "any pending bit set for
+  /// this router": events set it, process_router() clears it when it
+  /// leaves no pending bits behind.
   std::vector<std::uint32_t> ract;
   std::vector<std::vector<WheelEvent>> wheel;  ///< Timing-wheel slots.
   /// Serial delivery scratch: the slot's flit and credit event indices.
@@ -303,13 +284,14 @@ struct SimContext {
 inline constexpr std::uint32_t kNoWaiter = 0xffffffffu;
 
 /// The per-cycle work gate of `shards = auto`: a cycle runs on the shard
-/// team only when its router snapshot holds at least this many routers.
-/// Below it a parallel cycle's fixed costs (two team hand-offs, the merges,
-/// atomic pending-bit traffic) outweigh the split work. Measured on a
-/// 2-core host; docs/PERFORMANCE.md has the crossover table.
+/// team only when the cycle before it walked at least this many routers
+/// (consecutive active sets are close in size). Below it a parallel
+/// cycle's fixed costs (two team hand-offs, the commit, atomic bit
+/// traffic) outweigh the split work. Measured on a 2-core host;
+/// docs/PERFORMANCE.md has the crossover table.
 inline constexpr std::size_t kShardGateRouters = 3072;
 
-/// The snapshot walk's working set per input VC: three 64-byte hot lines
+/// The router walk's working set per input VC: three 64-byte hot lines
 /// (FIFO control word, output-port record, flit ring).
 inline constexpr std::size_t kWalkBytesPerFifo = 192;
 /// Last-level cache assumed when libc reports none (0 or -1): 32 MiB, a
@@ -338,16 +320,17 @@ int resolve_shards(int requested, unsigned cores = usable_cores());
 ///      input-VC FIFOs, then credit returns to output ports.
 ///   2. generate_and_inject() — rate-driven packet generation (one global
 ///      RNG, terminals in index order) and one-flit-per-cycle injection.
-///   3. router pipeline — RC/VA/SA/ST for every router with pending work,
-///      in active-list order (exact event-driven subset of a full scan).
+///   3. router pipeline — RC/VA/SA/ST for every active router with pending
+///      work, in ascending router id (exact event-driven subset of a full
+///      scan).
 ///
 /// With more than one shard, phases 1 and 3 of a parallel cycle run on a
-/// shard team, each shard over its own routers, and the driving thread
-/// merges their logs back into the serial engine's exact orders (see
-/// step() in simulator.cpp and docs/ARCHITECTURE.md, "Threading &
-/// determinism model"); phase 2 stays serial. Fixed-seed results are
-/// bit-identical for every shard count, so `shards` is purely a
-/// wall-clock knob.
+/// shard team, each shard over its own contiguous router range, and the
+/// driving thread appends the shards' buffered walk output in shard order,
+/// which is ascending router id again (see step() in simulator.cpp and
+/// docs/ARCHITECTURE.md, "Threading & determinism model"); phase 2 stays
+/// serial. Fixed-seed results are bit-identical for every shard count, so
+/// `shards` is purely a wall-clock knob.
 class Simulator {
  public:
   /// Owns a private SimContext (one-shot runs, tests).
@@ -366,7 +349,7 @@ class Simulator {
   void step();
   [[nodiscard]] Cycle now() const { return now_; }
 
-  /// Idle-cycle elision: when the active-router list, the injection-pending
+  /// Idle-cycle elision: when the active-router bitmap, the injection-pending
   /// bitmask, the terminal `next_gen` heap, the timing wheel, and the fault
   /// timeline all agree that nothing can happen before some cycle T > now,
   /// jumps simulation time directly to min(T, `limit`) and returns the new
@@ -435,8 +418,8 @@ class Simulator {
   /// Engine telemetry so far (run() also reports it in SimResult::phases).
   [[nodiscard]] const EnginePhases& phases() const { return phases_; }
   /// Test seam: overrides init()'s deep-prefetch gate, so the prefetch
-  /// stages stay under test on fabrics that fit in cache. Call before the
-  /// first step(); prefetches change no counter.
+  /// stays under test on fabrics that fit in cache. Call before the first
+  /// step(); prefetches change no counter.
   void force_deep_prefetch(bool on) {
     deep_prefetch_ = on;
     phases_.deep_prefetch = on;
@@ -477,8 +460,8 @@ class Simulator {
   }
   /// Drains the current wheel slot: flit arrivals first, then credits.
   /// The `Sharded` instantiation delivers only the events addressed to
-  /// routers [lo, hi) (shard-local state, atomic pending-bit ops) and logs
-  /// first activations into `ss->woken` instead of the active list.
+  /// routers [lo, hi) (shard-local state, atomic bit ops on the words it
+  /// may share with a neighbour shard).
   template <bool Sharded>
   void deliver_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
   /// Applies every due FaultStep of the network's fault schedule (called
@@ -494,8 +477,19 @@ class Simulator {
   /// the serial instantiation is the original in-place hot path.
   template <bool Sharded>
   void process_router_impl(NodeId rid, ShardScratch* ss);
-  void process_router(NodeId rid) { process_router_impl<false>(rid, nullptr); }
+  /// The router walk over active routers [lo, hi) in ascending id: takes
+  /// each active bit, runs the pipeline on routers with pending work, and
+  /// sets the bit again for routers that still buffer flits. The serial
+  /// engine walks [0, num_routers); a shard walks its own range.
+  template <bool Sharded>
+  WalkCount walk_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
   void handle_eject(const Flit& f);
+  /// Prefetches the FIFO control word of every SA candidate of router
+  /// `rid` (the requesters of its pending output ports): the grant loop's
+  /// serial misses when the walk reaches it next. Called only under
+  /// deep_prefetch_.
+  template <bool Sharded>
+  void prefetch_sa_candidates(std::uint32_t rid);
   // Shard-team phases of a parallel cycle: each runs concurrently for
   // every shard `k` and touches only shard `k`'s routers and scratch.
   void deliver_shard(int k);
@@ -503,41 +497,29 @@ class Simulator {
   /// Runs `phase` on every shard (starting the team on first use) and
   /// returns when all are done.
   void run_team(ShardPhase phase);
-  /// Driving-thread merges after the two team phases: first activations
-  /// into the active list (and the delivered slot cleared), then the
-  /// walk's runs into the wheel, the tail commits and the keep-alive
-  /// re-activations, in serial-engine order.
-  void merge_woken();
-  void commit_runs();
-  /// Rolling lookahead prefetch for position `i` of a snapshot walk
-  /// (far = per-router offset entries, near = the state lines those
-  /// offsets point at), shared by the serial and sharded snapshot loops.
-  /// A no-op unless deep_prefetch_.
-  void prefetch_snapshot(const std::vector<NodeId>& snap, std::size_t i);
+  /// Driving-thread commit after the walk: the shards' counters, then each
+  /// shard's buffered wheel events and tail commits, shard after shard.
+  /// Shards own ascending router ranges, so this is the serial order.
+  void commit_shards();
   /// Commit + stats for one delivered tail packet (shared by the serial
   /// handle_eject path and the sharded commit pass; `p` == pool[pid]).
   void commit_tail(PacketId pid);
 
   void activate_router(NodeId id) {
-    std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(id)];
-    if (!(a & 1)) {
-      a |= 1;
-      ctx_->active.push_back(id);
-    }
+    const auto i = static_cast<std::size_t>(id);
+    ctx_->active[i >> 6] |= 1ULL << (i & 63);
   }
 
-  /// Activate + count one more buffered flit in a single word update.
+  /// Activate + count one more buffered flit.
   void activate_router_buffered(NodeId id) {
-    std::uint32_t& a = ctx_->ract[static_cast<std::size_t>(id)];
-    const bool was = a & 1;
-    a = (a + 4) | 1;
-    if (!was) ctx_->active.push_back(id);
+    ctx_->ract[static_cast<std::size_t>(id)] += 2;
+    activate_router(id);
   }
 
   /// Marks `id` as having pending RC/VA or SA work (call alongside any
   /// pending-bit set from outside process_router()).
   void mark_work(NodeId id) {
-    ctx_->ract[static_cast<std::size_t>(id)] |= 2;
+    ctx_->ract[static_cast<std::size_t>(id)] |= 1;
   }
 
   // ---- event-driven generation bookkeeping (cfg.idle_skip only) ----
@@ -570,20 +552,22 @@ class Simulator {
   double per_node_pkt_rate_ = 0.0;
   std::size_t wheel_mask_ = 0;
   std::size_t inj_terms_ = 0;  ///< Terminals with a non-empty source queue.
-  /// Run the snapshot walk's three-stage lookahead prefetch
-  /// (prefetch_snapshot). Set in init() by deep_prefetch_pays(): only when
-  /// the walk's working set outsizes the host LLC, where each stage
-  /// measured a win; on in-cache fabrics none did, and the two
-  /// bitmask-reading stages cost time (docs/PERFORMANCE.md, "Prefetcher
-  /// audit").
+  /// Run the walk's one-router lookahead prefetch (prefetch_sa_candidates).
+  /// Set in init() by deep_prefetch_pays(): only when the walk's working
+  /// set outsizes the host LLC, where it measured a win; on in-cache
+  /// fabrics it costs time (docs/PERFORMANCE.md, "Prefetcher audit").
   bool deep_prefetch_ = false;
   int shards_ = 1;  ///< Resolved count (see shards()).
-  /// Minimum snapshot for a parallel walk: kShardGateRouters under auto
-  /// shards, 0 (every cycle) for an explicit count or SLDF_SHARDS.
+  /// Routers a walk must reach for the next cycle to run in parallel:
+  /// kShardGateRouters under auto shards, 0 (every cycle) for an explicit
+  /// count or SLDF_SHARDS.
   std::size_t gate_ = 0;
-  /// The last snapshot crossed the gate, so this cycle delivers on the
-  /// team: delivery precedes the snapshot, and consecutive snapshots are
-  /// close in size.
+  /// The last cycle's walk. Between cycles the active bits are exactly
+  /// the ones it kept (restore recounts them), so `kept` is the active
+  /// set's size there.
+  WalkCount last_walk_;
+  /// The last cycle's walk crossed the gate, so this cycle delivers and
+  /// walks on the team: consecutive active sets are close in size.
   bool parallel_ = false;
   std::vector<std::uint32_t> shard_bounds_;  ///< Network::shard_bounds.
   std::unique_ptr<ShardTeam> team_;  ///< Started by the first run_team().
@@ -594,8 +578,12 @@ class Simulator {
   const FaultSchedule* fault_sched_ = nullptr;
   std::size_t next_fault_ = 0;
 
-  // measurement accumulators
-  OnlineStats lat_;
+  // measurement accumulators. Latency is kept as exact integer tallies
+  // (its count is delivered_measured_), so the reported mean is the
+  // correctly rounded sum / count whatever order tails commit in.
+  std::uint64_t lat_sum_ = 0;
+  Cycle lat_min_ = ~Cycle{0};
+  Cycle lat_max_ = 0;
   Histogram lat_hist_{1.0};
   std::uint64_t accepted_flits_ = 0;
   std::uint64_t generated_measured_ = 0;

@@ -54,10 +54,10 @@ const std::vector<GoldenCheckpoint>& golden_cases() {
       // half-consumed fault schedule.
       {"fault-timeline",
        "fault.seed = 5\nfault.events = fail@150:local=0.3;repair@400:local=0\n",
-       200, 0x2c18fe8edcb9cfe8ull},
+       200, 0xba73767ea98f9550ull},
       {"planes-k2", "plane.count = 2\nplane.policy = rr\n", 200,
-       0xcac0641f02ccd149ull},
-      {"wafers-w2", "wafer.count = 2\n", 200, 0xaf48a7d3a2916523ull},
+       0xb1e8484f000b2302ull},
+      {"wafers-w2", "wafer.count = 2\n", 200, 0xae503c308b346255ull},
   };
   return cases;
 }
@@ -213,8 +213,9 @@ TEST(CheckpointRestore, RejectsInvalidWheelSizes) {
 
 TEST(CheckpointRestore, RejectsShapeBoundLengthMismatch) {
   // At cycle 0 every word between the terminal-count fingerprint and the
-  // plane-cursor vector is a zero, one or infinity (or RNG state), so the
-  // terminal count's second aligned occurrence is that vector's length.
+  // plane-cursor vector is a zero, one, all-ones or infinity (or RNG
+  // state), so the terminal count's second aligned occurrence is that
+  // vector's length.
   const auto s = small_spec();
   Engine e(s);
   std::string ck = e.save();
@@ -229,6 +230,40 @@ TEST(CheckpointRestore, RejectsShapeBoundLengthMismatch) {
     FAIL() << "a plane-cursor length of " << terms + 1 << " restored";
   } catch (const std::runtime_error& err) {
     EXPECT_NE(std::string(err.what()).find("plane cursor"), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(CheckpointRestore, RejectsActiveBitPastTheLastRouter) {
+  // The active-router bitmap is saved as its word count and words, then
+  // the router-activity vector's length (the router count). Setting the
+  // last word's top bit names a router that does not exist.
+  const auto s = small_spec();
+  std::string ck = checkpoint_at(s, kSmallAt);
+  Engine e(s);
+  const std::uint64_t routers = e.net.num_routers();
+  ASSERT_NE(routers % 64, 0u) << "no padding bits to corrupt";
+  const std::uint64_t words = (routers + 63) / 64;
+  const std::size_t span = (words + 2) * sizeof words;
+  std::size_t at = std::string::npos;
+  for (std::size_t pos = 0; pos + span <= ck.size(); ++pos) {
+    if (ck.compare(pos, sizeof words, word_of(words)) == 0 &&
+        ck.compare(pos + span - sizeof routers, sizeof routers,
+                   word_of(routers)) == 0) {
+      at = pos;
+      break;
+    }
+  }
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t last = at + words * sizeof words;
+  std::uint64_t top = 0;
+  std::memcpy(&top, ck.data() + last, sizeof top);
+  ck.replace(last, sizeof top, word_of(top | (1ULL << 63)));
+  try {
+    e.restore(ck);
+    FAIL() << "an active bit past router " << routers - 1 << " restored";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("active bit"), std::string::npos)
         << err.what();
   }
 }

@@ -70,30 +70,6 @@ TEST(Rng, GeometricSkipEdgeCases) {
   EXPECT_EQ(r.geometric_skip(0.0), ~0ULL);
 }
 
-TEST(Stats, MeanVarianceMinMax) {
-  OnlineStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(Stats, MergeEqualsCombined) {
-  OnlineStats a, b, all;
-  Rng r(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = r.uniform() * 10;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(Histogram, QuantilesOfUniformRamp) {
   Histogram h(1.0);
   for (int i = 0; i < 1000; ++i) h.add(static_cast<double>(i));

@@ -47,45 +47,45 @@ const std::vector<GoldenCase>& golden_cases() {
       {"fig10a-crossbar",
        "topology = crossbar\ntopo.terminals = 8\ntraffic = uniform\n"
        "rates = 0.3,0.6\n",
-       {{0.29999999999999999, 0.30687500000000001, 6.2336065573770503, 244,
+       {{0.29999999999999999, 0.30687500000000001, 6.2336065573770494, 244,
          2859},
-        {0.59999999999999998, 0.59593750000000001, 10.039583333333344, 480,
+        {0.59999999999999998, 0.59593750000000001, 10.039583333333333, 480,
          5916}}},
       {"fig10a-mesh",
        "topology = cgroup-mesh\ntraffic = uniform\nrates = 0.3,0.6\n",
-       {{0.29999999999999999, 0.29062500000000002, 6.5304347826086966, 115,
+       {{0.29999999999999999, 0.29062500000000002, 6.5304347826086957, 115,
          1877},
-        {0.59999999999999998, 0.59437499999999999, 6.8818565400843834, 237,
+        {0.59999999999999998, 0.59437499999999999, 6.8818565400843879, 237,
          3995}}},
       {"fig11-swless",
        "topology = tiny-swless\ntraffic = uniform\nrates = 0.2,0.4\n",
        {{0.20000000000000001, 0.20091666666666666, 34.06820049301561, 1217,
          77471},
-        {0.40000000000000002, 0.298875, 135.29150390624997, 2048, 176201}}},
+        {0.40000000000000002, 0.298875, 135.29150390625, 2048, 176201}}},
       {"fig11-swdf",
        "topology = swdf\ntopo.switches_per_group = 3\n"
        "topo.terminals_per_switch = 2\ntopo.globals_per_switch = 2\n"
        "topo.g = 4\ntraffic = uniform\nrates = 0.2,0.4\n",
-       {{0.20000000000000001, 0.19770833333333335, 37.101265822784825, 474,
+       {{0.20000000000000001, 0.19770833333333335, 37.101265822784811, 474,
          12067},
-        {0.40000000000000002, 0.39552083333333332, 43.859039836567874, 979,
+        {0.40000000000000002, 0.39552083333333332, 43.859039836567923, 979,
          25446}}},
       {"fig13-worst-minimal",
        "topology = tiny-swless\ntraffic = worst-case\nmode = minimal\n"
        "rates = 0.3\n",
-       {{0.29999999999999999, 0.083541666666666667, 263.66206896551716, 580,
+       {{0.29999999999999999, 0.083541666666666667, 263.66206896551722, 580,
          55112}}},
       {"fig13-worst-valiant",
        "topology = tiny-swless\ntraffic = worst-case\nmode = valiant\n"
        "rates = 0.3\n",
-       {{0.29999999999999999, 0.10379166666666667, 305.56489675516235, 678,
+       {{0.29999999999999999, 0.10379166666666667, 305.56489675516224, 678,
          119303}}},
       {"fig19-planes-k2",
        "topology = tiny-swless\nplane.count = 2\nplane.policy = hash\n"
        "traffic = uniform\nrates = 0.2,0.4\n",
-       {{0.20000000000000001, 0.20208333333333334, 29.054231717337736, 1217,
+       {{0.20000000000000001, 0.20208333333333334, 29.054231717337714, 1217,
          73081},
-        {0.40000000000000002, 0.41170833333333334, 37.211577660008182, 2453,
+        {0.40000000000000002, 0.41170833333333334, 37.211577660008153, 2453,
          158501}}},
   };
   return cases;

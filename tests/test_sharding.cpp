@@ -335,8 +335,8 @@ TEST(PrefetchGate, WorkingSetAgainstTheLlc) {
 
 namespace {
 
-/// One fixed-seed point on `net` with the deep prefetch stages forced
-/// on or off through the Simulator's test seam.
+/// One fixed-seed point on `net` with the walk's prefetch forced on or
+/// off through the Simulator's test seam.
 sim::SimResult run_prefetch(sim::Network& net, int shards, bool deep) {
   auto traffic = traffic::make_pattern("uniform", net, {});
   net.reset_dynamic_state();
@@ -350,16 +350,18 @@ sim::SimResult run_prefetch(sim::Network& net, int shards, bool deep) {
 
 }  // namespace
 
-TEST(PrefetchGate, DeepStagesChangeNoCounter) {
-  // The gate keeps the deep stages off every tier-1 fabric, so force them
-  // on: prefetches steer caches only, on the serial engine and on two
-  // shards (where the near stage reads a neighbour's pending words).
+TEST(PrefetchGate, PrefetchChangesNoCounter) {
+  // The gate keeps the prefetch off every tier-1 fabric, so force it on:
+  // prefetches steer caches only, on the serial engine and on 2 and 3
+  // shards (where the lookahead reads a neighbour's active and pending
+  // words).
   for (const RouteMode mode : {RouteMode::Minimal, RouteMode::Adaptive}) {
     auto net = tiny_net(mode);
     const sim::SimResult off = run_prefetch(net, 1, false);
     EXPECT_GT(off.flit_hops, 0u);
     expect_bit_identical(off, run_prefetch(net, 1, true));
     expect_bit_identical(off, run_prefetch(net, 2, true));
+    expect_bit_identical(off, run_prefetch(net, 3, true));
     expect_bit_identical(off, run_prefetch(net, 2, false));
   }
 }
@@ -426,10 +428,84 @@ TEST(ShardedEngine, BitIdenticalWithFaultsArmed) {
     topo::inject_faults(net, fs);
     return run_point(net, shards);
   };
+  // 3 and 5 shards split the router range mid-word, so neighbour shards
+  // share active, pending-VC and pending-port bitmap words.
+  auto net = tiny_net();
+  for (const int shards : {3, 5})
+    for (const std::uint32_t b : net.shard_bounds(shards))
+      if (b != 0 && b != net.num_routers())
+        EXPECT_NE(b % 64, 0u) << shards << " shards, bound " << b;
   const auto serial = faulted(1);
-  expect_bit_identical(serial, faulted(2));
-  expect_bit_identical(serial, faulted(3));
+  for (const int shards : {2, 3, 5})
+    expect_bit_identical(serial, faulted(shards));
   EXPECT_GT(serial.delivered_total, 0u);
+}
+
+// ---- the order contract --------------------------------------------------
+
+namespace {
+
+/// Watches every tail delivery, for the order and latency oracles below.
+class TailLog : public sim::PacketListener {
+ public:
+  void on_packet_delivered(const sim::Packet& p, Cycle now) override {
+    // Within one cycle, tails must arrive in ascending ejecting-router id
+    // (the packet's destination node is the router that ejected it).
+    const auto rid = static_cast<std::uint32_t>(p.dst);
+    if (now == last_cycle_ && rid < last_router_) ++out_of_order;
+    last_cycle_ = now;
+    last_router_ = rid;
+    ++tails;
+    if (p.measured) {
+      lat_sum += now - p.t_gen;
+      ++measured;
+    }
+  }
+  std::uint64_t tails = 0;
+  std::uint64_t out_of_order = 0;
+  std::uint64_t lat_sum = 0;
+  std::uint64_t measured = 0;
+
+ private:
+  Cycle last_cycle_ = ~Cycle{0};
+  std::uint32_t last_router_ = 0;
+};
+
+/// One fixed-seed point on `net` with a TailLog attached.
+sim::SimResult run_logged(sim::Network& net, int shards, TailLog& log) {
+  auto traffic = traffic::make_pattern("uniform", net, {});
+  net.reset_dynamic_state();
+  sim::Simulator s(net, short_cfg(shards), *traffic);
+  s.set_listener(&log);
+  return s.run();
+}
+
+}  // namespace
+
+TEST(ShardedEngine, TailsArriveInAscendingRouterOrder) {
+  for (const RouteMode mode : {RouteMode::Minimal, RouteMode::Adaptive}) {
+    auto net = tiny_net(mode);
+    for (const int shards : {1, 2, 3}) {
+      TailLog log;
+      const sim::SimResult r = run_logged(net, shards, log);
+      EXPECT_EQ(log.tails, r.delivered_total);
+      EXPECT_EQ(log.out_of_order, 0u) << shards << " shards";
+    }
+  }
+}
+
+TEST(ShardedEngine, AvgLatencyIsTheExactMeasuredMean) {
+  auto net = tiny_net();
+  for (const int shards : {1, 3}) {
+    TailLog log;
+    const sim::SimResult r = run_logged(net, shards, log);
+    ASSERT_GT(log.measured, 0u);
+    EXPECT_EQ(log.measured, r.delivered_measured);
+    // Bit for bit: the engine's mean is the correctly rounded sum / count.
+    EXPECT_EQ(r.avg_latency, static_cast<double>(log.lat_sum) /
+                                 static_cast<double>(log.measured))
+        << shards << " shards";
+  }
 }
 
 // ---- closed-loop workload runner -----------------------------------------

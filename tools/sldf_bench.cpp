@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     if (opts.phases) {
       // Shares of the engine's host time; "serial" is what only the
       // driving thread runs in a parallel cycle (faults, generation, the
-      // merges), i.e. the serial fraction of a sharded run. par_cyc /
+      // commit), i.e. the serial fraction of a sharded run. par_cyc /
       // ser_cyc and prefetch show which side of the shard work gate and
       // the deep-prefetch gate (sim::deep_prefetch_pays) the runs took.
       std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %9s %8s %9s\n",
