@@ -1,7 +1,7 @@
 // Fig 20 (wafer-on-wafer scale-out, beyond the paper's single wafer): the
 // tiny switch-less fabric stacked W = 2 deep with all-pairs vertical bond
 // columns vs the single wafer, on the one-vertical-hop routing of
-// route/wafer_route.hpp.
+// route/composite.hpp.
 //
 // (a) uniform-traffic throughput sweep: single wafer vs a 2-stack with
 //     full-width bonds vs a 2-stack with quarter-width, slower bonds —

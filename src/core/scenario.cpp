@@ -15,8 +15,7 @@
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/network.hpp"
-#include "topo/plane_set.hpp"
-#include "topo/wafer_stack.hpp"
+#include "topo/composite.hpp"
 #include "traffic/pattern.hpp"
 #include "workload/registry.hpp"
 
@@ -443,7 +442,7 @@ std::span<const ScenarioKey> scenario_key_table() {
       // (count 0 = the classic single-fabric build path).
       fixed("plane.count",
             "Independent fabric planes (rails) sharing the logical chips; "
-            "packets pick a plane at injection (see Multi-plane fabrics)",
+            "packets pick a plane at injection (see Composite fabrics)",
             [](auto& s) -> auto& { return s.plane_count; }, Int<int>{1},
             {.network = true,
              .elide_default = true,
@@ -464,7 +463,7 @@ std::span<const ScenarioKey> scenario_key_table() {
       fixed("wafer.count",
             "Wafer-on-wafer stack depth: that many copies of `topology` "
             "bonded by vertical inter-wafer cables, one vertical hop max (see "
-            "Wafer stacks)",
+            "Composite fabrics)",
             [](auto& s) -> auto& { return s.wafer_count; }, Int<int>{1},
             {.network = true,
              .elide_default = true,
@@ -652,42 +651,36 @@ void build_network(sim::Network& net, const ScenarioSpec& spec) {
     throw std::invalid_argument(
         "scenario sets both wafer.count and plane.count; planes and wafers "
         "are mutually exclusive axes of one network");
-  if (spec.wafer_count > 0) {
-    // Wafer-on-wafer stack: every wafer wires its own copy of `topology`
-    // through the registry, then the WaferStack layer bonds the stack
-    // columns and seals the partition. wafer.count = 1 goes through here
-    // too — the structural result is bit-identical to the classic path,
-    // and tests hold it to that.
-    const TopoConfig cfg = spec.topo_config();
-    topo::build_wafer_stack(
-        net, spec.wafer_count, spec.wafer_latency, spec.wafer_width_num,
-        spec.wafer_width_den, [&](int /*wafer*/, sim::Network& n) {
-          return TopologyRegistry::instance().wire(spec.topology, n, cfg);
-        });
-  } else if (spec.plane_count > 0) {
-    // Multi-plane build: every plane wires its own rail through the same
-    // registry path (plane.mix picks per-plane presets; default = K copies
-    // of `topology`), then the PlaneSet layer validates, aggregates, and
-    // seals the partition. plane.count = 1 goes through here too — the
-    // structural result is bit-identical to the classic path, and tests
-    // hold it to that.
-    std::vector<std::string> names = spec.plane_mix;
-    if (names.empty()) {
-      names.assign(static_cast<std::size_t>(spec.plane_count),
-                   spec.topology);
-    } else if (static_cast<int>(names.size()) != spec.plane_count) {
-      throw std::invalid_argument(
-          "plane.mix names " + std::to_string(names.size()) +
-          " topologies but plane.count is " +
-          std::to_string(spec.plane_count));
+  if (spec.wafer_count > 0 || spec.plane_count > 0) {
+    // Composite build: every child wires its own fabric through the
+    // registry (plane.mix picks per-plane presets; default = copies of
+    // `topology`), then the composite layer validates, aggregates, and
+    // seals the partition. A count of 1 goes through here too — the
+    // result runs bit-identical to the classic path, and tests hold it to
+    // that.
+    const bool wafers = spec.wafer_count > 0;
+    topo::CompositeSpec cs;
+    cs.axis = wafers ? sim::Axis::Wafers : sim::Axis::Planes;
+    cs.count = wafers ? spec.wafer_count : spec.plane_count;
+    cs.plane_policy = static_cast<int>(spec.plane_policy);
+    cs.vertical_latency = spec.wafer_latency;
+    cs.vertical_width_num = spec.wafer_width_num;
+    cs.vertical_width_den = spec.wafer_width_den;
+    std::vector<std::string> names(static_cast<std::size_t>(cs.count),
+                                   spec.topology);
+    if (!wafers && !spec.plane_mix.empty()) {
+      if (spec.plane_mix.size() != names.size())
+        throw std::invalid_argument(
+            "plane.mix names " + std::to_string(spec.plane_mix.size()) +
+            " topologies but plane.count is " +
+            std::to_string(spec.plane_count));
+      names = spec.plane_mix;
     }
     const TopoConfig cfg = spec.topo_config();
-    topo::build_plane_set(
-        net, spec.plane_count, static_cast<int>(spec.plane_policy),
-        [&](int plane, sim::Network& n) {
-          return TopologyRegistry::instance().wire(
-              names[static_cast<std::size_t>(plane)], n, cfg);
-        });
+    topo::build_composite(net, cs, [&](int child, sim::Network& n) {
+      return TopologyRegistry::instance().wire(
+          names[static_cast<std::size_t>(child)], n, cfg);
+    });
   } else {
     TopologyRegistry::instance().build(spec.topology, net,
                                        spec.topo_config());

@@ -46,7 +46,7 @@ struct ScenarioSpec {
   /// Multi-plane fabric (config keys `plane.count` / `plane.mix` /
   /// `plane.policy`). plane_count = 0 is the unset sentinel: the network
   /// builds through the classic single-fabric path. An explicit
-  /// `plane.count = 1` builds through the PlaneSet layer (bit-identical
+  /// `plane.count = 1` builds through the composite layer (bit-identical
   /// results, exercised by tests); >= 2 instantiates that many rails
   /// sharing the logical chip space, with per-packet plane selection.
   int plane_count = 0;
@@ -60,9 +60,9 @@ struct ScenarioSpec {
   /// Wafer-on-wafer stack (config keys `wafer.count` / `wafer.latency` /
   /// `wafer.width`). wafer_count = 0 is the unset sentinel (classic
   /// single-fabric build); an explicit `wafer.count = 1` builds through the
-  /// WaferStack layer (bit-identical results, exercised by tests); >= 2
+  /// composite layer (bit-identical results, exercised by tests); >= 2
   /// stacks that many copies of `topology` bonded by vertical inter-wafer
-  /// cables (see topo/wafer_stack.hpp). Mutually exclusive with plane.*.
+  /// cables (see topo/composite.hpp). Mutually exclusive with plane.*.
   int wafer_count = 0;
   int wafer_latency = 2;     ///< `wafer.latency`: vertical-bond cycles.
   int wafer_width_num = 1;   ///< `wafer.width`: token fraction `num/den`

@@ -1,9 +1,11 @@
 #include "route/cdg.hpp"
 
-#include "common/strfmt.hpp"
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/strfmt.hpp"
+#include "route/composite.hpp"
 #include "route/dragonfly_routing.hpp"
 #include "route/swless_routing.hpp"
 #include "topo/hier.hpp"
@@ -131,21 +133,34 @@ CdgReport audit_cdg(const sim::Network& net, const CdgOptions& opt) {
   Walker w{net, opt, {}, {}, {}, {}};
   Rng rng(42);
 
-  // Determine whether routing is non-minimal and which groups exist.
-  std::int32_t num_groups = 1;
-  bool valiant = false;
-  const auto* hier = dynamic_cast<const topo::HierTopo*>(net.topo_info());
-  if (hier) num_groups = hier->num_wgroups;
-  if (const auto* sw =
-          dynamic_cast<const SwlessRouting*>(net.routing()))
-    valiant = sw->mode() != RouteMode::Minimal;
-  if (const auto* df =
-          dynamic_cast<const DragonflyRouting*>(net.routing()))
-    valiant = df->mode() != RouteMode::Minimal;
-
-  const auto group_of = [&](NodeId n) -> std::int32_t {
-    if (!hier) return 0;
-    return hier->chip_wgroup[static_cast<std::size_t>(net.chip_of(n))];
+  // Every pair is routed inside one fabric: the network itself, or on a
+  // composite the source's child (plane sets never cross planes; a wafer
+  // stack plans the source leg there), which picks intermediates in its own
+  // W-group numbering. Read the mode and the groups from that fabric; a
+  // wafer child addresses chips by their column (chip % chips_per_wafer).
+  struct Fabric {
+    bool valiant = false;
+    const topo::HierTopo* hier = nullptr;
+  };
+  const auto* comp = dynamic_cast<const CompositeRouting*>(net.routing());
+  const auto* ctopo =
+      dynamic_cast<const topo::CompositeTopo*>(net.topo_info());
+  std::vector<Fabric> fabrics(
+      static_cast<std::size_t>(std::max(1, net.num_children())));
+  for (std::size_t i = 0; i < fabrics.size(); ++i) {
+    const sim::RoutingAlgorithm* r = comp ? &comp->child(i) : net.routing();
+    if (const auto* sw = dynamic_cast<const SwlessRouting*>(r))
+      fabrics[i].valiant = sw->mode() != RouteMode::Minimal;
+    if (const auto* df = dynamic_cast<const DragonflyRouting*>(r))
+      fabrics[i].valiant = df->mode() != RouteMode::Minimal;
+    fabrics[i].hier = dynamic_cast<const topo::HierTopo*>(
+        ctopo ? ctopo->children[i].get() : net.topo_info());
+  }
+  const std::size_t cpw = net.chips_per_wafer();
+  const auto group_of = [&](const Fabric& f, NodeId n) -> std::int32_t {
+    if (!f.hier) return 0;
+    return f.hier->chip_wgroup[static_cast<std::size_t>(net.chip_of(n)) %
+                               cpw];
   };
 
   // Faulted networks: dead terminals are skipped, and init_packet's own
@@ -157,13 +172,18 @@ CdgReport audit_cdg(const sim::Network& net, const CdgOptions& opt) {
   const bool fault_aware = net.has_faults();
   bool all_ok = true;
   for (NodeId src : net.terminals()) {
+    const Fabric& f =
+        fabrics[static_cast<std::size_t>(net.child_of_node(src))];
+    const std::int32_t num_groups = f.hier ? f.hier->num_wgroups : 1;
     for (NodeId dst : net.terminals()) {
       if (src == dst) continue;
+      // Plane sets carry no cross-plane packets.
+      if (net.plane_of_node(src) != net.plane_of_node(dst)) continue;
       if (fault_aware && (!net.node_live(src) || !net.node_live(dst)))
         continue;
-      const auto gs = group_of(src);
-      const auto gd = group_of(dst);
-      if (valiant && opt.enumerate_intermediates && !fault_aware &&
+      const auto gs = group_of(f, src);
+      const auto gd = group_of(f, dst);
+      if (f.valiant && opt.enumerate_intermediates && !fault_aware &&
           gs != gd && num_groups > 2) {
         for (std::int32_t mid = 0; mid < num_groups; ++mid) {
           if (mid == gs || mid == gd) continue;

@@ -1,7 +1,7 @@
-// Per-packet plane selection for multi-plane fabrics (topo/plane_set.hpp):
-// the policy registry (scenario key `plane.policy`) and the dispatcher
-// routing algorithm that forwards every per-packet/per-hop decision to the
-// routing of the plane the node belongs to.
+// Per-packet plane selection for plane sets (topo/composite.hpp): the
+// policy registry behind the scenario key `plane.policy`. The dispatcher
+// that forwards every decision to the plane's own routing is
+// route::PlaneRouting (route/composite.hpp).
 //
 // Every policy is deterministic and RNG-free so plane selection never
 // perturbs the shared RNG stream: a K=1 plane build makes bit-identical
@@ -9,14 +9,11 @@
 // or sharded) of a K>1 build are bit-identical to each other.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
-#include "sim/network.hpp"
-#include "sim/routing.hpp"
 
 namespace sldf::route {
 
@@ -89,39 +86,5 @@ template <typename QueueDepthFn>
   }
   return 0;
 }
-
-/// The dispatcher installed as the Network's routing under a multi-plane
-/// build: planes are wired disjoint, so a packet injected on plane p only
-/// ever visits plane-p routers, and every decision forwards to child p.
-/// Each child is bound to its own plane's TopoInfo at construction
-/// (bind_topo), since the network-level info is the aggregate PlaneSetTopo.
-class PlaneRouting final : public sim::RoutingAlgorithm {
- public:
-  explicit PlaneRouting(
-      std::vector<std::unique_ptr<sim::RoutingAlgorithm>> children)
-      : children_(std::move(children)) {}
-
-  void init_packet(const sim::Network& net, sim::Packet& pkt,
-                   Rng& rng) override {
-    child_of(net, pkt.src).init_packet(net, pkt, rng);
-  }
-  sim::RouteDecision route(const sim::Network& net, NodeId router,
-                           PortIx in_port, sim::Packet& pkt) override {
-    return child_of(net, router).route(net, router, in_port, pkt);
-  }
-  [[nodiscard]] const char* name() const override { return "planes"; }
-
-  [[nodiscard]] std::size_t num_children() const { return children_.size(); }
-  [[nodiscard]] sim::RoutingAlgorithm& child(std::size_t p) {
-    return *children_[p];
-  }
-
- private:
-  sim::RoutingAlgorithm& child_of(const sim::Network& net, NodeId n) {
-    return *children_[static_cast<std::size_t>(net.plane_of_node(n))];
-  }
-
-  std::vector<std::unique_ptr<sim::RoutingAlgorithm>> children_;
-};
 
 }  // namespace sldf::route

@@ -374,34 +374,29 @@ std::vector<std::uint32_t> Network::shard_bounds(int shards) const {
   return bounds;
 }
 
-void Network::begin_plane() {
-  if (planes_sealed_)
-    throw std::logic_error("begin_plane: planes already sealed");
-  if (!wafer_node_base_.empty())
+void Network::begin_child(Axis axis) {
+  if (finalized())
+    throw std::logic_error("begin_child: network already finalized");
+  if (axis_ != Axis::None && axis_ != axis)
     throw std::logic_error(
-        "begin_plane: planes and wafers are mutually exclusive axes");
-  plane_node_base_.push_back(static_cast<std::uint32_t>(routers_.size()));
-  plane_term_base_.push_back(
-      static_cast<std::uint32_t>(terminal_nodes_.size()));
+        "begin_child: planes and wafers are mutually exclusive axes");
+  axis_ = axis;
+  child_node_base_.push_back(static_cast<std::uint32_t>(routers_.size()));
+  if (axis == Axis::Wafers) chip_offset_ = static_cast<ChipId>(num_chips());
 }
 
-void Network::seal_planes(int policy) {
-  if (planes_sealed_) throw std::logic_error("seal_planes: already sealed");
-  if (plane_node_base_.empty())
-    throw std::logic_error("seal_planes: no begin_plane() marks");
+void Network::seal_children(int plane_policy) {
+  if (child_node_base_.empty())
+    throw std::logic_error("seal_children: no begin_child() marks");
   if (!finalized())
-    throw std::logic_error("seal_planes: network not finalized");
-  plane_node_base_.push_back(static_cast<std::uint32_t>(routers_.size()));
-  plane_term_base_.push_back(
-      static_cast<std::uint32_t>(terminal_nodes_.size()));
-  planes_sealed_ = true;  // arms plane_of_node for the scans below
-  plane_policy_ = policy;
+    throw std::logic_error("seal_children: network not finalized");
+  if (axis_ != Axis::Planes) return;
+  plane_policy_ = plane_policy;
   const int K = num_planes();
 
-  logical_terminals_.assign(
-      terminal_nodes_.begin(),
-      terminal_nodes_.begin() + static_cast<std::ptrdiff_t>(
-                                    plane_term_base_[1]));
+  logical_terminals_.clear();
+  for (const NodeId n : terminal_nodes_)
+    if (plane_of_node(n) == 0) logical_terminals_.push_back(n);
 
   // Per-chip plane segments: chip_nodes entries arrive in plane build
   // order, so each plane's nodes form one contiguous run per chip.
@@ -416,11 +411,9 @@ void Network::seal_planes(int policy) {
     int prev = 0;
     for (const NodeId n : chip_nodes_[c]) {
       const int p = plane_of_node(n);
-      if (p < prev) {
-        planes_sealed_ = false;
+      if (p < prev)
         throw std::logic_error(
-            "seal_planes: chip node list is not plane-contiguous");
-      }
+            "seal_children: chip node list is not plane-contiguous");
       prev = p;
       node_plane_slot_[static_cast<std::size_t>(n)] =
           seen[static_cast<std::size_t>(p)]++;
@@ -428,49 +421,13 @@ void Network::seal_planes(int policy) {
     }
     for (int p = 0; p < K; ++p) {
       off[p + 1] += off[p];
-      if (off[p + 1] == off[p]) {
-        planes_sealed_ = false;
+      if (off[p + 1] == off[p])
         throw std::invalid_argument(
-            "seal_planes: plane " + std::to_string(p) +
+            "seal_children: plane " + std::to_string(p) +
             " has no terminal node on chip " + std::to_string(c) +
             " (every plane must cover every logical chip)");
-      }
     }
   }
-}
-
-void Network::begin_wafer() {
-  if (wafers_sealed_)
-    throw std::logic_error("begin_wafer: wafers already sealed");
-  if (!plane_node_base_.empty())
-    throw std::logic_error(
-        "begin_wafer: planes and wafers are mutually exclusive axes");
-  wafer_node_base_.push_back(static_cast<std::uint32_t>(routers_.size()));
-  wafer_chip_base_.push_back(static_cast<std::uint32_t>(num_chips()));
-  chip_offset_ = static_cast<ChipId>(num_chips());
-}
-
-void Network::seal_wafers() {
-  if (wafers_sealed_) throw std::logic_error("seal_wafers: already sealed");
-  if (wafer_node_base_.empty())
-    throw std::logic_error("seal_wafers: no begin_wafer() marks");
-  if (!finalized())
-    throw std::logic_error("seal_wafers: network not finalized");
-  wafer_node_base_.push_back(static_cast<std::uint32_t>(routers_.size()));
-  wafer_chip_base_.push_back(static_cast<std::uint32_t>(num_chips()));
-  // Every wafer must span the same chip count: wafer_of_chip divides by it,
-  // and the cross-wafer twin-column mapping (dst chip % chips_per_wafer)
-  // relies on the wafer-major layout being uniform.
-  const std::uint32_t cpw = wafer_chip_base_[1] - wafer_chip_base_[0];
-  for (std::size_t w = 1; w + 1 < wafer_chip_base_.size(); ++w) {
-    if (wafer_chip_base_[w + 1] - wafer_chip_base_[w] != cpw)
-      throw std::logic_error(
-          "seal_wafers: wafer " + std::to_string(w) + " spans " +
-          std::to_string(wafer_chip_base_[w + 1] - wafer_chip_base_[w]) +
-          " chips, expected " + std::to_string(cpw));
-  }
-  if (cpw == 0) throw std::logic_error("seal_wafers: empty wafer");
-  wafers_sealed_ = true;
 }
 
 std::size_t Network::num_dead_channels() const { return dead_channels_; }

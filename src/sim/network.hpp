@@ -24,6 +24,14 @@ namespace sldf::sim {
 
 class CheckpointIo;
 
+/// The axis a composite build (topo/composite.hpp) stacks its child
+/// fabrics along.
+enum class Axis : std::uint8_t {
+  None,    ///< Classic single-fabric build.
+  Planes,  ///< Redundant rails over shared logical chips.
+  Wafers,  ///< Wafer-on-wafer stack: each child owns its own chip range.
+};
+
 /// Base class for topology-specific metadata attached to a Network.
 /// Concrete builders derive from this; routing algorithms downcast.
 struct TopoInfo {
@@ -213,57 +221,69 @@ class Network {
   /// Requires finalize().
   [[nodiscard]] std::vector<std::uint32_t> shard_bounds(int shards) const;
 
-  // ---- multi-plane partition (topo/plane_set.hpp builds it) --------------
-  // K independent rails wired into this one network, sharing the logical
-  // chip id space: every plane attaches its own terminal(s) to every chip,
-  // appended to chip_nodes() in plane order. "Logical" accessors expose the
-  // plane-0 view, which is what chip-level consumers (traffic patterns,
-  // workload striping, placement) operate on; the Simulator remaps each
-  // packet onto its selected plane's twin terminals at injection.
+  // ---- composite partition (topo/composite.hpp builds it) ----------------
+  // A composite build wires N child fabrics into this one network along one
+  // axis; child i owns the routers added after the i-th begin_child() mark.
+  // Planes are redundant rails over SHARED logical chips: every plane
+  // attaches its own terminal(s) to every chip, appended to chip_nodes() in
+  // plane order. "Logical" accessors expose the plane-0 view, which is what
+  // chip-level consumers (traffic patterns, workload striping, placement)
+  // operate on; the Simulator remaps each packet onto its selected plane's
+  // twin terminals at injection. Wafers scale OUT: each wafer owns its own
+  // chip range (wafer-major: wafer w covers [w * chips_per_wafer(),
+  // (w+1) * chips_per_wafer())), the terminals of every wafer are ordinary
+  // traffic endpoints, and cross-wafer packets cross one vertical cable
+  // (LinkType::Vertical), which belongs to no child.
 
-  /// Marks the start of the next plane: routers/channels/terminals added
-  /// after this call belong to it. Call once per rail, before wiring it.
-  void begin_plane();
-  /// Seals the plane partition after the last rail is wired and the network
-  /// is finalized: freezes the per-plane id ranges, the per-chip plane
-  /// segments, and the selection policy (an opaque route::PlanePolicy
-  /// value). Validates that every plane owns at least one terminal node on
-  /// every chip and that each chip's node list is plane-contiguous.
-  void seal_planes(int policy);
-  [[nodiscard]] bool has_planes() const { return planes_sealed_; }
-  /// Number of planes (1 for classic single-fabric builds).
+  /// Marks the start of the next child along `axis`: routers, channels and
+  /// terminals added after this call belong to it, and a wafer child's
+  /// builder-local chip ids are offset by the chips already present. One
+  /// network composes along one axis: throws std::logic_error when `axis`
+  /// differs from an earlier mark, or once the network is finalized.
+  void begin_child(Axis axis);
+  /// Seals the partition after the last child (and any bonds) is wired and
+  /// the network is finalized. A plane set freezes the per-chip plane
+  /// segments behind plane_twin() and the selection policy (an opaque
+  /// route::PlanePolicy value), and validates that every plane owns at
+  /// least one terminal node on every chip, in one plane-contiguous run.
+  void seal_children(int plane_policy = 0);
+  /// The composition axis (Axis::None for classic single-fabric builds).
+  [[nodiscard]] Axis axis() const { return axis_; }
+  /// Number of children (0 for classic single-fabric builds).
+  [[nodiscard]] int num_children() const {
+    return static_cast<int>(child_node_base_.size());
+  }
+  /// Child owning node `n` (0 for classic builds). N is tiny, so a linear
+  /// scan over the range starts beats a branchy binary search.
+  [[nodiscard]] int child_of_node(NodeId n) const {
+    const auto u = static_cast<std::uint32_t>(n);
+    int c = 0;
+    while (c + 1 < num_children() &&
+           u >= child_node_base_[static_cast<std::size_t>(c) + 1])
+      ++c;
+    return c;
+  }
+
+  /// Number of planes (1 unless the network is a plane set).
   [[nodiscard]] int num_planes() const {
-    return planes_sealed_
-               ? static_cast<int>(plane_node_base_.size()) - 1
-               : 1;
+    return axis_ == Axis::Planes ? num_children() : 1;
   }
   /// The sealed plane-selection policy (route::PlanePolicy as int).
   [[nodiscard]] int plane_policy() const { return plane_policy_; }
-  /// Plane owning node `n` (0 for single-fabric builds). K is tiny, so a
-  /// linear scan over the prefix bases beats a branchy binary search.
+  /// Plane owning node `n` (0 unless the network is a plane set).
   [[nodiscard]] int plane_of_node(NodeId n) const {
-    if (!planes_sealed_) return 0;
-    const auto u = static_cast<std::uint32_t>(n);
-    int p = 0;
-    while (p + 2 < static_cast<int>(plane_node_base_.size()) &&
-           u >= plane_node_base_[static_cast<std::size_t>(p) + 1])
-      ++p;
-    return p;
-  }
-  /// Plane owning channel `c` (channels never cross planes).
-  [[nodiscard]] int plane_of_chan(ChanId c) const {
-    return plane_of_node(chan(c).src);
+    return axis_ == Axis::Planes ? child_of_node(n) : 0;
   }
   /// The logical (plane-0) terminal list: what traffic patterns draw
   /// sources/destinations from. Identical to terminals() when single-plane.
   [[nodiscard]] const std::vector<NodeId>& logical_terminals() const {
-    return planes_sealed_ ? logical_terminals_ : terminal_nodes_;
+    return axis_ == Axis::Planes ? logical_terminals_ : terminal_nodes_;
   }
   /// Number of logical (plane-0) nodes of `chip` — they are the first
   /// entries of chip_nodes(chip), so indexing [0, logical_chip_size) of
   /// that list addresses the logical view in place.
   [[nodiscard]] std::size_t logical_chip_size(ChipId chip) const {
-    if (!planes_sealed_) return chip_nodes(chip).size();
+    if (axis_ != Axis::Planes) return chip_nodes(chip).size();
     const auto base =
         static_cast<std::size_t>(chip) *
         (static_cast<std::size_t>(num_planes()) + 1);
@@ -271,9 +291,9 @@ class Network {
   }
   /// The plane-`plane` twin of terminal `n`: the node at the same slot
   /// (mod the plane's per-chip node count) of the same logical chip.
-  /// Identity for plane 0 and for single-fabric builds.
+  /// Identity for plane 0 and unless the network is a plane set.
   [[nodiscard]] NodeId plane_twin(NodeId n, int plane) const {
-    if (!planes_sealed_ || plane == 0) return n;
+    if (axis_ != Axis::Planes || plane == 0) return n;
     const auto chip = static_cast<std::size_t>(chip_of(n));
     const auto base = chip * (static_cast<std::size_t>(num_planes()) + 1) +
                       static_cast<std::size_t>(plane);
@@ -284,50 +304,22 @@ class Network {
     return chip_nodes_[chip][off + slot];
   }
 
-  // ---- wafer-on-wafer stack (topo/wafer_stack.hpp builds it) -------------
-  // W copies of one fabric stacked in this network. Unlike planes (redundant
-  // rails over SHARED logical chips), wafers scale OUT: each wafer owns its
-  // own chip range (chips are laid out wafer-major: wafer w covers
-  // [w * chips_per_wafer, (w+1) * chips_per_wafer)), terminals of every
-  // wafer are ordinary traffic endpoints, and cross-wafer packets cross
-  // exactly one vertical inter-wafer cable (LinkType::Vertical). Planes and
-  // wafers are mutually exclusive axes of one network.
-
-  /// Marks the start of the next wafer: routers/chips/terminals added after
-  /// this call belong to it, and builder-local chip ids are offset by the
-  /// chips already present so every wafer's chips are globally distinct.
-  void begin_wafer();
-  /// Seals the wafer partition after the last wafer (and the vertical
-  /// cables) are wired and the network is finalized: freezes the per-wafer
-  /// node/chip ranges. Validates that every wafer spans the same number of
-  /// chips.
-  void seal_wafers();
-  [[nodiscard]] bool has_wafers() const { return wafers_sealed_; }
-  /// Number of stacked wafers (1 for classic single-fabric builds).
+  [[nodiscard]] bool has_wafers() const { return axis_ == Axis::Wafers; }
+  /// Number of stacked wafers (1 unless the network is a wafer stack).
   [[nodiscard]] int num_wafers() const {
-    return wafers_sealed_
-               ? static_cast<int>(wafer_node_base_.size()) - 1
-               : 1;
+    return axis_ == Axis::Wafers ? num_children() : 1;
   }
   [[nodiscard]] std::size_t chips_per_wafer() const {
-    return wafers_sealed_ ? wafer_chip_base_[1] : num_chips();
+    return axis_ == Axis::Wafers
+               ? num_chips() / static_cast<std::size_t>(num_children())
+               : num_chips();
   }
-  /// Wafer owning node `n` (0 for single-fabric builds). Vertical cables
-  /// belong to no wafer leg; their endpoint nodes resolve per wafer.
+  /// Wafer owning node `n` (0 unless the network is a wafer stack).
   [[nodiscard]] int wafer_of_node(NodeId n) const {
-    if (!wafers_sealed_) return 0;
-    const auto u = static_cast<std::uint32_t>(n);
-    int w = 0;
-    while (w + 2 < static_cast<int>(wafer_node_base_.size()) &&
-           u >= wafer_node_base_[static_cast<std::size_t>(w) + 1])
-      ++w;
-    return w;
+    return axis_ == Axis::Wafers ? child_of_node(n) : 0;
   }
   [[nodiscard]] int wafer_of_chip(ChipId c) const {
-    return wafers_sealed_
-               ? static_cast<int>(static_cast<std::uint32_t>(c) /
-                                  wafer_chip_base_[1])
-               : 0;
+    return static_cast<int>(static_cast<std::size_t>(c) / chips_per_wafer());
   }
 
  private:
@@ -611,22 +603,18 @@ class Network {
   std::vector<std::uint8_t> baseline_chan_alive_;
   std::vector<std::uint8_t> baseline_node_alive_;
   std::uint64_t fault_epoch_ = 0;
-  // Multi-plane partition (static topology metadata; see seal_planes()).
-  std::vector<std::uint32_t> plane_node_base_;  ///< Starts; +sentinel sealed.
-  std::vector<std::uint32_t> plane_term_base_;  ///< Into terminal_nodes_.
-  std::vector<NodeId> logical_terminals_;       ///< Plane-0 terminal list.
+  // Composite partition (static topology metadata; see begin_child()).
+  Axis axis_ = Axis::None;
+  std::vector<std::uint32_t> child_node_base_;  ///< First router per child.
+  ChipId chip_offset_ = 0;  ///< Added to make_terminal chip ids (wafers).
+  // Plane-set view (see seal_children()).
+  int plane_policy_ = 0;
+  std::vector<NodeId> logical_terminals_;  ///< Plane-0 terminal list.
   /// Per chip: K+1 offsets into chip_nodes(chip) bounding each plane's
   /// segment (flattened [chip * (K+1) + plane]).
   std::vector<std::uint32_t> chip_plane_off_;
   /// Per node: its slot within its chip's plane segment (terminals only).
   std::vector<std::uint32_t> node_plane_slot_;
-  bool planes_sealed_ = false;
-  int plane_policy_ = 0;
-  // Wafer-stack partition (static topology metadata; see seal_wafers()).
-  std::vector<std::uint32_t> wafer_node_base_;  ///< Starts; +sentinel sealed.
-  std::vector<std::uint32_t> wafer_chip_base_;  ///< Per-wafer first chip id.
-  ChipId chip_offset_ = 0;  ///< Added to make_terminal chip ids (wafers).
-  bool wafers_sealed_ = false;
 };
 
 }  // namespace sldf::sim

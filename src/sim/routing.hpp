@@ -23,8 +23,8 @@ class RoutingAlgorithm {
   /// Binds the topology metadata this algorithm routes over, plus the VC
   /// budget that was sized for it. Called once at install time (before
   /// finalize). Algorithms that cache a TopoInfo downcast override this:
-  /// under multi-plane builds `net.topo<T>()` holds the *aggregate* info,
-  /// so lazy first-use downcasting would fail — the plane dispatcher hands
+  /// under composite builds `net.topo<T>()` holds the *aggregate* info, so
+  /// lazy first-use downcasting would fail — the composite builder hands
   /// each child its own info here instead. `num_vcs` is the budget computed
   /// for this fabric; the finalized network may carry more VCs (mixed
   /// planes finalize with the max), so per-fabric VC clamps should use it
@@ -37,7 +37,9 @@ class RoutingAlgorithm {
 
   /// Computes the next hop for `pkt` whose head flit sits at `router`,
   /// having arrived through input port `in_port` (the injection port for
-  /// freshly injected packets). May mutate the packet's routing state
+  /// freshly injected packets; kInvalidPort when a composite dispatcher
+  /// hides an upstream router that belongs to another child fabric, see
+  /// route/composite.hpp). May mutate the packet's routing state
   /// (phase, target, vc_class). Returning the router's eject port delivers
   /// the packet.
   virtual RouteDecision route(const Network& net, NodeId router,

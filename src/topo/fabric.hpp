@@ -1,6 +1,6 @@
 // A wired-but-not-finalized fabric: what a topology builder produces
 // before the network is sealed. Splitting wiring from installation lets
-// the multi-plane builder (topo/plane_set.hpp) wire K fabrics into one
+// the composite builder (topo/composite.hpp) wire N fabrics into one
 // Network and finalize once, while the classic single-fabric path is
 // wire + install_fabric().
 #pragma once
@@ -23,7 +23,7 @@ struct WiredFabric {
   int vc_buf = 0;
 };
 
-/// Installs a single wired fabric (the classic non-plane build path):
+/// Installs a single wired fabric (the classic non-composite build path):
 /// binds the routing to its topology info, hands both to the network, and
 /// finalizes with the fabric's VC geometry.
 inline void install_fabric(sim::Network& net, WiredFabric f) {

@@ -1,13 +1,16 @@
 // Channel-dependency-graph audits (paper §IV deadlock-freedom claims).
 // Every routing mode x VC scheme must be acyclic on the audit instance,
-// the paper's Reduced scheme included; what that instance does and does
-// not cover is written up in docs/ARCHITECTURE.md ("route").
+// the paper's Reduced scheme included, whether it is built as the classic
+// single fabric or as a plane set or wafer stack of copies of it; what that
+// instance does and does not cover is written up in docs/ARCHITECTURE.md
+// ("route").
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "route/cdg.hpp"
 #include "test_fixtures.hpp"
+#include "topo/composite.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/swless.hpp"
 
@@ -21,18 +24,67 @@ SwlessParams audit_params(VcScheme scheme, RouteMode mode) {
   // g = 5 keeps the audit quick but multi-W-group.
   return sldf::testing::tiny_swless_params(scheme, mode, 5);
 }
+
+/// How the audited fabric is built: the classic single fabric, or a
+/// composite of copies of it (the audit must see through the dispatcher).
+enum class Build { Classic, Planes1, Planes2, Wafers2 };
+
+const char* to_string(Build b) {
+  switch (b) {
+    case Build::Classic: return "classic";
+    case Build::Planes1: return "planes1";
+    case Build::Planes2: return "planes2";
+    case Build::Wafers2: return "wafers2";
+  }
+  return "?";
+}
+
+void build(sim::Network& net, Build b, VcScheme scheme, RouteMode mode) {
+  const auto p = audit_params(scheme, mode);
+  if (b == Build::Classic) {
+    build_swless_dragonfly(net, p);
+    return;
+  }
+  CompositeSpec spec;
+  spec.axis = b == Build::Wafers2 ? sim::Axis::Wafers : sim::Axis::Planes;
+  spec.count = b == Build::Planes1 ? 1 : 2;
+  build_composite(net, spec, [&](int, sim::Network& n) {
+    return wire_swless_dragonfly(n, p);
+  });
+}
+
+route::CdgReport audit(Build b, VcScheme scheme, RouteMode mode) {
+  sim::Network net;
+  build(net, b, scheme, mode);
+  auto rep = route::audit_cdg(net);
+  EXPECT_TRUE(rep.acyclic) << to_string(b) << ": " << rep.to_string(net);
+  return rep;
+}
 }  // namespace
 
-class CdgAudit
-    : public ::testing::TestWithParam<std::tuple<RouteMode, VcScheme>> {};
+class CdgAudit : public ::testing::TestWithParam<
+                     std::tuple<RouteMode, VcScheme, Build>> {};
 
 TEST_P(CdgAudit, Acyclic) {
-  const auto [mode, scheme] = GetParam();
-  sim::Network net;
-  build_swless_dragonfly(net, audit_params(scheme, mode));
-  const auto rep = route::audit_cdg(net);
-  EXPECT_TRUE(rep.acyclic) << rep.to_string(net);
+  const auto [mode, scheme, b] = GetParam();
+  const auto rep = audit(b, scheme, mode);
   EXPECT_GT(rep.paths_walked, 1000u);
+  if (b == Build::Classic) return;
+  // A composite walks each child exactly like the classic fabric: one
+  // plane is the classic audit, two planes are two disjoint copies of it.
+  const auto classic = audit(Build::Classic, scheme, mode);
+  if (b == Build::Planes1 || b == Build::Planes2) {
+    const std::size_t k = b == Build::Planes1 ? 1 : 2;
+    EXPECT_EQ(rep.paths_walked, k * classic.paths_walked);
+    EXPECT_EQ(rep.resources, k * classic.resources);
+    EXPECT_EQ(rep.edges, k * classic.edges);
+    EXPECT_EQ(rep.max_path_hops, classic.max_path_hops);
+  } else if (mode != RouteMode::Minimal) {
+    // Wafer source legs enumerate intermediates in the child's W-groups,
+    // so a non-minimal stack holds more resources than a minimal one.
+    EXPECT_GT(rep.resources,
+              audit(Build::Wafers2, scheme, RouteMode::Minimal).resources);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -43,10 +95,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          RouteMode::Valiant,
                                          RouteMode::Adaptive),
                        ::testing::Values(VcScheme::Baseline, VcScheme::Reduced,
-                                         VcScheme::ReducedSafe)),
+                                         VcScheme::ReducedSafe),
+                       ::testing::Values(Build::Classic, Build::Planes1,
+                                         Build::Planes2, Build::Wafers2)),
     [](const auto& info) {
+      const Build b = std::get<2>(info.param);
       std::string name = std::string(to_string(std::get<0>(info.param))) +
                          "_" + to_string(std::get<1>(info.param));
+      if (b != Build::Classic) name += std::string("_") + to_string(b);
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

@@ -1,11 +1,12 @@
 // Randomized invariant tier: ~200 seeded random ScenarioSpecs spanning
-// topology size x traffic pattern x plane/wafer axes x shard counts x
-// static/online faults, each asserting the engine's core contracts —
-// conservation-ledger balance, repeat-run bit-identity, serial-vs-sharded
-// bit-identity, and checkpoint/restore byte-identity at a random mid-run
-// cycle. The spec generator is driven by one base seed (SLDF_FUZZ_SEED in
-// the environment; fixed default so CI is reproducible), and every failure
-// prints that seed plus the offending spec as a ready-to-run `sldf` config.
+// topology size x traffic pattern x routing mode x VC scheme x plane/wafer
+// axes x shard counts x static/online faults, each asserting the engine's
+// core contracts — conservation-ledger balance, repeat-run bit-identity,
+// serial-vs-sharded bit-identity, and checkpoint/restore byte-identity at
+// a random mid-run cycle. The spec generator is driven by one base seed
+// (SLDF_FUZZ_SEED in the environment; fixed default so CI is reproducible),
+// and every failure prints that seed plus the offending spec as a
+// ready-to-run `sldf` config.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -43,6 +44,16 @@ core::ScenarioSpec random_spec(Rng& rng, int index) {
                                    "bit-shuffle", "bit-transpose",
                                    "worst-case"};
   s.traffic = kTraffic[rng.below(std::size(kTraffic))];
+
+  // Routing mode x VC scheme, so composite dispatch also runs non-minimal.
+  static const route::RouteMode kModes[] = {route::RouteMode::Minimal,
+                                            route::RouteMode::Valiant,
+                                            route::RouteMode::Adaptive};
+  static const route::VcScheme kSchemes[] = {route::VcScheme::Baseline,
+                                             route::VcScheme::Reduced,
+                                             route::VcScheme::ReducedSafe};
+  s.mode = kModes[rng.below(std::size(kModes))];
+  s.scheme = kSchemes[rng.below(std::size(kSchemes))];
 
   // Scale-out axis: none / wafer stack / plane set (mutually exclusive).
   const auto axis = rng.below(10);

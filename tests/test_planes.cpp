@@ -1,9 +1,9 @@
 // Multi-plane conformance suite: plane.count = 1 must be bit-identical to
-// the classic single-fabric build (the PlaneSet layer is pure plumbing
+// the classic single-fabric build (the composite layer is pure plumbing
 // until K >= 2), every plane-selection policy must be deterministic across
 // repeat runs and engine shard counts, a plane-0 fault wave must never
 // touch plane-1 traffic, the scenario keys must round-trip, and
-// heterogeneous rails hand-wired through build_plane_set must satisfy the
+// heterogeneous rails hand-wired through build_composite must satisfy the
 // same conservation ledger as the presets.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@
 #include "core/scenario.hpp"
 #include "route/plane_select.hpp"
 #include "test_fixtures.hpp"
-#include "topo/plane_set.hpp"
+#include "topo/composite.hpp"
 #include "traffic/pattern.hpp"
 
 using namespace sldf;
@@ -51,7 +51,7 @@ sim::SimResult run_one(const core::ScenarioSpec& s) {
 // ---- K = 1 identity ------------------------------------------------------
 
 TEST(PlaneIdentity, K1BitIdenticalSweepVsPrePlaneBuild) {
-  // The fig11a-style tiny sweep: the single-rail PlaneSet build must
+  // The fig11a-style tiny sweep: the single-rail composite build must
   // reproduce the classic build bit for bit at every offered load.
   auto classic = plane_spec(0);
   classic.rates = {0.2, 0.5, 0.8};
@@ -208,11 +208,13 @@ TEST(PlaneMix, HandWiredSwlessPlusSwdfRails) {
   // A switch-less rail and a switch-based rail over the same 60 logical
   // chips (tiny-swless at g = 5 vs a 3x4 Dragonfly with 5 groups) — the
   // shared-TopoConfig CLI path cannot express family-specific parameters,
-  // but build_plane_set takes any wirer.
+  // but build_composite takes any wirer.
   sim::Network net;
-  topo::build_plane_set(
-      net, 2, static_cast<int>(route::PlanePolicy::RoundRobin),
-      [](int plane, sim::Network& n) {
+  topo::CompositeSpec spec;
+  spec.count = 2;
+  spec.plane_policy = static_cast<int>(route::PlanePolicy::RoundRobin);
+  topo::build_composite(
+      net, spec, [](int plane, sim::Network& n) {
         if (plane == 0)
           return topo::wire_swless_dragonfly(
               n, tiny_swless_params(route::VcScheme::Baseline,

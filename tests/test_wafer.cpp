@@ -20,7 +20,7 @@
 #include "test_fixtures.hpp"
 #include "topo/faults.hpp"
 #include "topo/swless.hpp"
-#include "topo/wafer_stack.hpp"
+#include "topo/composite.hpp"
 #include "traffic/pattern.hpp"
 
 using namespace sldf;
@@ -80,7 +80,7 @@ TEST(WaferStructure, WaferMajorPartitionAndBondTables) {
   }
   // The aggregate topo carries the portal and bond tables: each column is
   // bonded all-pairs with vertical duplex cables.
-  const auto& t = net.topo<topo::WaferStackTopo>();
+  const auto& t = net.topo<topo::CompositeTopo>();
   EXPECT_EQ(t.count, 3);
   EXPECT_EQ(static_cast<std::size_t>(t.chips_per_wafer), cpw);
   for (std::int32_t col = 0; col < t.chips_per_wafer; ++col) {
@@ -267,6 +267,38 @@ TEST(WaferFaults, SeveredStackIsReportedNotCrashed) {
   EXPECT_TRUE(audit_conservation(r));
 }
 
+TEST(WaferFaults, ArrivalDetourNeverSeesTheForeignPortal) {
+  // A packet from wafer 1 to chip 1 of wafer 0 whose own column bond is dead
+  // crosses at column 0 and arrives at wafer 0's chip-0 portal; the mesh
+  // channel from there toward chip 1 is dead too, so the destination leg
+  // starts with a mesh detour. The detour must not look up the upstream
+  // router of the vertical input port: that portal is on wafer 1, beyond
+  // the end of wafer 0's node tables.
+  auto s = wafer_spec(2);
+  sim::Network net;
+  core::build_network(net, s);
+  const auto& t = net.topo<topo::CompositeTopo>();
+  const auto& sw = dynamic_cast<const topo::SwlessTopo&>(*t.children[0]);
+  const NodeId arrival = t.portal(0, 0);
+  const NodeId dst = t.portal(0, 1);
+  const auto& loc = sw.loc[static_cast<std::size_t>(arrival)];
+  ASSERT_EQ(sw.loc[static_cast<std::size_t>(dst)].cg, loc.cg);
+  ChanId toward = kInvalidChan;
+  for (const ChanId c : sw.cgroup(loc.wg, loc.cg)
+                            .mesh_out[static_cast<std::size_t>(loc.pos)])
+    if (c != kInvalidChan && net.chan(c).dst == dst) toward = c;
+  ASSERT_NE(toward, kInvalidChan);
+
+  net.enable_fault_mask();
+  net.disable_channel(t.vertical(1, 1, 0));
+  net.disable_channel(toward);
+  const auto w = walk_route(net, t.portal(1, 0), dst, -2);
+  EXPECT_TRUE(w.delivered);
+  EXPECT_FALSE(w.used_dead_link);
+  EXPECT_EQ(w.vertical_hops, 1);
+  EXPECT_GT(w.channel_hops, 2);  // the detour, not the dead direct hop
+}
+
 // ---- axis exclusivity ----------------------------------------------------
 
 TEST(WaferExclusivity, PlanesAndWafersRejectedAtBothLayers) {
@@ -276,11 +308,11 @@ TEST(WaferExclusivity, PlanesAndWafersRejectedAtBothLayers) {
   EXPECT_THROW(core::build_network(net, s), std::invalid_argument);
 
   sim::Network n1;
-  n1.begin_wafer();
-  EXPECT_THROW(n1.begin_plane(), std::logic_error);
+  n1.begin_child(sim::Axis::Wafers);
+  EXPECT_THROW(n1.begin_child(sim::Axis::Planes), std::logic_error);
   sim::Network n2;
-  n2.begin_plane();
-  EXPECT_THROW(n2.begin_wafer(), std::logic_error);
+  n2.begin_child(sim::Axis::Planes);
+  EXPECT_THROW(n2.begin_child(sim::Axis::Wafers), std::logic_error);
 }
 
 // ---- scenario keys -------------------------------------------------------
