@@ -155,7 +155,8 @@ class PacketPool {
 
   /// Checkpoint walk (see sim/checkpoint.hpp): the slot count, the raw
   /// slots chunk by chunk (the bytes a contiguous layout would stream) and
-  /// the free list. Restore materializes the chunks before the raw read.
+  /// the free list. Restore materializes the chunks before the raw read
+  /// and rejects a free id past the slots.
   template <typename Io>
   void checkpoint(Io& io) {
     size_ = io.count(size_, sizeof(Packet));
@@ -165,6 +166,9 @@ class PacketPool {
                std::min<std::size_t>(kChunkSize, size_ - base) *
                    sizeof(Packet));
     io.vec(free_);
+    if (io.loading() && std::any_of(free_.begin(), free_.end(),
+                                    [&](PacketId id) { return id >= size_; }))
+      throw std::runtime_error("checkpoint: free packet id past the pool");
   }
 
  private:

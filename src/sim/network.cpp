@@ -222,29 +222,16 @@ void Network::restore_fault_baseline() {
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     if (chan_alive_[i] == baseline_chan_alive_[i]) continue;
     changed = true;
-    const Channel& ch = channels_[i];
-    std::uint32_t* rec = port_rec(out_port_index(ch.src, ch.src_port));
-    if (baseline_chan_alive_[i]) {
-      chan_alive_[i] = 1;
-      --dead_channels_;
-      rec[kLinkMeta] |= static_cast<std::uint32_t>(ch.width_num) << 16;
-      rec[0] = (rec[0] & 0xffffu) |
-               ((static_cast<std::uint32_t>(ch.width_num) +
-                 static_cast<std::uint32_t>(ch.width_den))
-                << 16);
-      rec[kTokenCycle] = 0;
-    } else {
-      chan_alive_[i] = 0;
-      ++dead_channels_;
-      rec[kLinkMeta] &= ~(0xffu << 16);
-      rec[0] &= 0xffffu;  // bucket -> 0; count/rr untouched
-    }
+    const auto c = static_cast<ChanId>(i);
+    if (baseline_chan_alive_[i] != 0)
+      enable_channel(c, 0);  // the refresh clock restarts at cycle 0
+    else
+      disable_channel(c);
   }
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     if (node_alive_[i] == baseline_node_alive_[i]) continue;
     changed = true;
-    node_alive_[i] = baseline_node_alive_[i];
-    dead_nodes_ += baseline_node_alive_[i] ? -1 : 1;
+    set_node_alive(static_cast<NodeId>(i), baseline_node_alive_[i] != 0);
   }
   if (changed) ++fault_epoch_;
 }

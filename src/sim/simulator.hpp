@@ -430,18 +430,14 @@ class Simulator {
   using ShardPhase = void (Simulator::*)(int);
 
   void init();
-  void generate_and_inject();
-  /// Reference generation/injection path: full terminal scan every cycle
-  /// (cfg.idle_skip == false). The event-driven path must match it bit for
-  /// bit; tests A/B the two.
-  void generate_and_inject_scan();
-  /// Event-driven path: visits only terminals whose generation clock fires
-  /// this cycle (gen_heap) or whose source queue is non-empty
+  /// Generation + injection over the terminals whose generation clock
+  /// fires this cycle (gen_heap) or whose source queue is non-empty
   /// (inj_pending), in ascending terminal order — the exact subset of
-  /// terminals the full scan would have done anything at.
-  void generate_and_inject_sparse();
-  /// Generation + one-flit injection for terminal `ti` (the shared
-  /// per-terminal body of the two paths above).
+  /// terminals a full scan would do anything at. Without cfg.idle_skip
+  /// every terminal counts as due: the reference full scan tests A/B the
+  /// event-driven subset against.
+  void generate_and_inject();
+  /// Generation + one-flit injection for terminal `ti`.
   void gen_and_inject_terminal(std::size_t ti);
   /// Plane for a packet logical `src` (terminal `ti`) -> `dst`:
   /// select_plane() with the twin source queues' depths as the load probe;
@@ -464,11 +460,16 @@ class Simulator {
   /// may share with a neighbour shard).
   template <bool Sharded>
   void deliver_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
-  /// Applies every due FaultStep of the network's fault schedule (called
-  /// at the top of step(), before any engine phase — always serial).
-  void apply_fault_steps();
+  /// Cycle of the next fault-timeline step (~0 when none is left): the one
+  /// due test of step() and of idle elision.
+  [[nodiscard]] Cycle next_fault_at() const {
+    return fault_sched_ != nullptr && next_fault_ < fault_sched_->steps.size()
+               ? fault_sched_->steps[next_fault_].at
+               : ~Cycle{0};
+  }
   void apply_fault_step(const FaultStep& fs);
-  /// Drops or rescues one fault-affected packet (see apply_fault_step).
+  /// Drops one fault-affected packet: counts it, reports it to the
+  /// listener and frees it (see apply_fault_step).
   void drop_packet(PacketId pid);
   /// The router pipeline (RC/VA/SA/ST) for one router. `Sharded`
   /// instantiations buffer every cross-router effect (wheel pushes, tail
@@ -483,7 +484,6 @@ class Simulator {
   /// engine walks [0, num_routers); a shard walks its own range.
   template <bool Sharded>
   WalkCount walk_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
-  void handle_eject(const Flit& f);
   /// Prefetches the FIFO control word of every SA candidate of router
   /// `rid` (the requesters of its pending output ports): the grant loop's
   /// serial misses when the walk reaches it next. Called only under
@@ -501,30 +501,52 @@ class Simulator {
   /// shard's buffered wheel events and tail commits, shard after shard.
   /// Shards own ascending router ranges, so this is the serial order.
   void commit_shards();
-  /// Commit + stats for one delivered tail packet (shared by the serial
-  /// handle_eject path and the sharded commit pass; `p` == pool[pid]).
+  /// Commit + stats for one delivered tail packet (the serial pipeline's
+  /// ejection and the sharded commit pass).
   void commit_tail(PacketId pid);
-
-  void activate_router(NodeId id) {
-    const auto i = static_cast<std::size_t>(id);
-    ctx_->active[i >> 6] |= 1ULL << (i & 63);
-  }
-
-  /// Activate + count one more buffered flit.
-  void activate_router_buffered(NodeId id) {
-    ctx_->ract[static_cast<std::size_t>(id)] += 2;
-    activate_router(id);
-  }
 
   /// Marks `id` as having pending RC/VA or SA work (call alongside any
   /// pending-bit set from outside process_router()).
   void mark_work(NodeId id) {
     ctx_->ract[static_cast<std::size_t>(id)] |= 1;
   }
+  /// mark_work() + activate: the walk runs `id`'s pipeline this cycle.
+  void wake_router(NodeId id) {
+    mark_work(id);
+    const auto i = static_cast<std::size_t>(id);
+    ctx_->active[i >> 6] |= 1ULL << (i & 63);
+  }
 
-  // ---- event-driven generation bookkeeping (cfg.idle_skip only) ----
-  /// Records terminal `ti`'s (re-)armed generation clock in the heap.
-  void gen_heap_push(Cycle when, std::size_t ti);
+  // ---- engine state transitions (sim/transitions.hpp) ----
+  // Defined once; the pipeline and the fault step both call them. `Atomic`
+  // instantiations serve the shard phases (see set_bit).
+  /// Buffers flit `f` in input VC `ix` of router `node` (delivery or
+  /// injection): arms RC/VA for a fresh head at an Idle VC, SA for a
+  /// refilled Active one, counts the flit and activates `node`.
+  template <bool Atomic>
+  void push_flit(std::uint32_t ix, NodeId node, Flit f);
+  /// One credit back on u16 lane `lane` of output port `pflat` (router
+  /// `node`'s); wakes SA and returns true when the port has requesters.
+  template <bool Atomic>
+  bool return_credit(std::uint32_t pflat, std::uint32_t lane, NodeId node);
+  /// Re-arms every input VC parked on output VC `ovcflat`; false if none.
+  template <bool Atomic>
+  bool wake_waiters(std::uint32_t ovcflat);
+  /// Returns input VC `ix` to Idle with no owner; true (pending bit armed)
+  /// when the next packet's head is already buffered.
+  template <bool Atomic>
+  bool release_ivc(std::uint32_t ix);
+  /// Frees output VC `vc` of port record `rec` (clears its busy bit).
+  static void release_ovc(std::uint32_t* rec, std::uint32_t vc);
+  /// Removes SA requester `k` of port record `rec`, sets the round-robin
+  /// cursor to `rr` (0 when past the end) and returns the requesters left.
+  std::uint32_t drop_requester(std::uint32_t* rec, std::uint32_t k,
+                               std::uint32_t rr);
+
+  // ---- generation bookkeeping ----
+  /// (Re-)arms terminal `ti`'s generation clock to its next arrival after
+  /// cycle `after` (one RNG draw; gen_heap records it under idle_skip).
+  void arm_generation(std::size_t ti, Cycle after);
   /// Call after pushing to terminal `ti`'s queue / after popping from it:
   /// maintains the injection-pending bitmask and its population count.
   void inj_mark(std::size_t ti);
@@ -536,9 +558,6 @@ class Simulator {
   /// (see sim/checkpoint.hpp): names every checkpointed field once, in
   /// stream order.
   void checkpoint(CheckpointIo& io);
-  /// Earliest cycle >= now() at which anything can happen, clamped to
-  /// `limit`; returns now() when this cycle already has work.
-  Cycle next_event_cycle(Cycle limit);
 
   Network& net_;
   SimConfig cfg_;

@@ -16,14 +16,17 @@
 //
 // A checkpoint is input from outside the program, so restore must reject a
 // corrupt stream with std::runtime_error — never index out of bounds or
-// misplace state. The corruption cases run on the smallest fabric so that
-// every prefix of a mid-run stream stays affordable under ASan.
+// misplace state: neither a malformed structure nor an id (packet, router,
+// VC, credit lane) outside what it names. The corruption cases run on the
+// smallest fabric so that every prefix of a mid-run stream stays
+// affordable under ASan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -265,5 +268,98 @@ TEST(CheckpointRestore, RejectsActiveBitPastTheLastRouter) {
   } catch (const std::runtime_error& err) {
     EXPECT_NE(std::string(err.what()).find("active bit"), std::string::npos)
         << err.what();
+  }
+}
+
+TEST(CheckpointRestore, RejectsIdsOutsideTheirBounds) {
+  // Each case corrupts one id in a live engine's own context, saves it (a
+  // save checks nothing) and expects a fresh engine's restore to throw
+  // naming the field, instead of indexing past an array with the id.
+  const auto s = small_spec();
+  struct Case {
+    const char* name;
+    const char* what;  ///< Expected in the error message.
+    std::function<void(sim::SimContext&, const sim::Network&)> corrupt;
+  };
+  const auto pool_end = [](const sim::SimContext& c) {
+    return static_cast<PacketId>(c.pool.capacity());
+  };
+  const auto freed = [](const sim::SimContext& c) {
+    EXPECT_FALSE(c.pool.free_list().empty()) << "no free packet to name";
+    return c.pool.free_list().empty() ? PacketId{0} : c.pool.free_list()[0];
+  };
+  const auto owned = [](const sim::SimContext& c) {
+    const auto it =
+        std::find_if(c.ivc_pkt.begin(), c.ivc_pkt.end(),
+                     [](PacketId id) { return id != kInvalidPacket; });
+    EXPECT_NE(it, c.ivc_pkt.end()) << "no VC owns a packet";
+    return it == c.ivc_pkt.end() ? PacketId{0} : *it;
+  };
+  const auto push = [](sim::SimContext& c, std::uint32_t vc_flat, NodeId node,
+                       sim::Flit f) {
+    c.wheel[0].push_back(sim::WheelEvent{vc_flat, node, f});
+  };
+  constexpr std::uint32_t kLane0 = sim::Network::kOvcLane0;  // port 0, VC 0
+  const std::vector<Case> cases = {
+      {"queued packet past the pool", "source queue",
+       [&](sim::SimContext& c, const sim::Network&) {
+         c.terms[0].queue.push_back(pool_end(c));
+       }},
+      {"queued free packet", "source queue",
+       [&](sim::SimContext& c, const sim::Network&) {
+         c.terms[0].queue.push_back(freed(c));
+       }},
+      {"VC owner past the pool", "VC owner",
+       [&](sim::SimContext& c, const sim::Network&) {
+         c.ivc_pkt[0] = pool_end(c);
+       }},
+      {"wheel flit of a free packet", "wheel flit",
+       [&](sim::SimContext& c, const sim::Network&) {
+         push(c, 0, 0, sim::Flit(freed(c), true, true));
+       }},
+      {"wheel event at an unknown router", "wheel event",
+       [&](sim::SimContext& c, const sim::Network& net) {
+         push(c, kLane0, static_cast<NodeId>(net.num_routers()), sim::Flit{});
+       }},
+      {"wheel flit into an unknown VC", "wheel event",
+       [&](sim::SimContext& c, const sim::Network& net) {
+         push(c, static_cast<std::uint32_t>(net.fifos().num_fifos()), 0,
+              sim::Flit(owned(c), true, true));
+       }},
+      {"credit to an unknown port", "wheel event",
+       [&](sim::SimContext& c, const sim::Network& net) {
+         push(c, (net.num_out_ports() << sim::Network::kPortLaneBits) | kLane0,
+              0, sim::Flit{});
+       }},
+      {"credit past the port's VC lanes", "wheel event",
+       [&](sim::SimContext& c, const sim::Network& net) {
+         push(c, kLane0 + static_cast<std::uint32_t>(net.num_vcs()), 0,
+              sim::Flit{});
+       }},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    sim::SimContext ctx;
+    Engine src(s, &ctx);
+    // Past the checkpoint cycle until some packet was delivered, so the
+    // free list has an id to name.
+    while (src.sim->now() < kSmallAt || ctx.pool.free_list().empty()) {
+      ASSERT_LT(src.sim->now(), 10 * kSmallAt) << "no packet delivered";
+      src.sim->step();
+    }
+    const std::string good = src.save();
+    k.corrupt(ctx, src.net);
+    const std::string bad = src.save();
+    ASSERT_NE(bad, good);
+    Engine dst(s);
+    try {
+      dst.restore(bad);
+      ADD_FAILURE() << "a stream with a " << k.name << " restored";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find(k.what), std::string::npos)
+          << err.what();
+    }
+    dst.restore(good);  // the uncorrupted stream still restores
+    EXPECT_TRUE(dst.save() == good);
   }
 }

@@ -7,8 +7,11 @@
 // the placement allocator's fault-epoch guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -315,6 +318,166 @@ TEST(TimelineRun, ClosedLoopFailRepairFailBitIdenticalAcrossShards) {
     EXPECT_EQ(a.result.dropped_packets, other->dropped_packets);
     EXPECT_EQ(a.result.rescued_packets, other->rescued_packets);
     EXPECT_EQ(a.result.avg_msg_cycles, other->avg_msg_cycles);
+  }
+}
+
+// ------------------------------------------------------ engine-state audit ---
+
+namespace {
+
+/// Checks, from first principles, the engine state a fault step must leave
+/// consistent for the pipeline (it tears VCs down and hands credits back so
+/// that flow control survives a later repair):
+///   - per channel VC: upstream credits + downstream FIFO flits + flits in
+///     flight + credits in flight == vc_buf;
+///   - a port's SA requesters are exactly the Active input VCs granted it;
+///   - an output VC is busy exactly when one Active input VC holds it;
+///   - a Routed input VC is pending or parked on its output VC's chain,
+///     a chain holds nothing else, and only a busy output VC has one;
+///   - ract[r] >> 1 is the number of flits buffered at router r.
+/// Returns the first violation ("" when the state is consistent).
+std::string audit_engine_state(const sim::Network& net,
+                               const sim::SimContext& ctx) {
+  const auto nvc = static_cast<std::uint32_t>(net.num_vcs());
+  const sim::FlitFifoArena& fifos = net.fifos();
+  std::ostringstream err;
+  std::vector<std::uint32_t> wheel_flits(fifos.num_fifos(), 0);
+  std::vector<std::uint32_t> wheel_credits(
+      static_cast<std::size_t>(net.num_out_ports()) * nvc, 0);
+  for (const auto& slot : ctx.wheel) {
+    for (const sim::WheelEvent& ev : slot) {
+      if (ev.flit.carries_packet()) {
+        ++wheel_flits[ev.vc_flat];
+        continue;
+      }
+      const std::uint32_t pflat = ev.vc_flat >> sim::Network::kPortLaneBits;
+      const std::uint32_t lane = ev.vc_flat & sim::Network::kLaneMask;
+      ++wheel_credits[pflat * nvc + (lane - sim::Network::kOvcLane0)];
+    }
+  }
+  for (std::size_t c = 0; c < net.num_channels(); ++c) {
+    const sim::Channel& ch = net.chan(static_cast<ChanId>(c));
+    const std::uint32_t pflat = net.out_port_index(ch.src, ch.src_port);
+    const std::uint16_t* ov = sim::Network::ovc16(net.port_rec(pflat));
+    for (std::uint32_t v = 0; v < nvc; ++v) {
+      const std::uint32_t ix = ch.dst_vc_base + v;
+      const std::uint32_t sum = (ov[v] >> 1) + fifos.size(ix) +
+                                wheel_flits[ix] +
+                                wheel_credits[pflat * nvc + v];
+      if (sum != static_cast<std::uint32_t>(net.vc_buf()))
+        err << "channel " << c << " vc " << v << ": credits " << (ov[v] >> 1)
+            << " + buffered " << fifos.size(ix) << " + flits in flight "
+            << wheel_flits[ix] << " + credits in flight "
+            << wheel_credits[pflat * nvc + v] << " != vc_buf " << net.vc_buf();
+      if (!err.str().empty()) return err.str();
+    }
+  }
+  // Which output VC's waiter chain each input VC is parked on.
+  std::vector<std::uint32_t> parked_on(fifos.num_fifos(), sim::kNoWaiter);
+  for (std::uint32_t ovc = 0; ovc < ctx.ovc_waiters.size(); ++ovc) {
+    const bool busy =
+        (sim::Network::ovc16(net.port_rec(ovc / nvc))[ovc % nvc] & 1) != 0;
+    if (ctx.ovc_waiters[ovc] != sim::kNoWaiter && !busy)
+      return "input VCs wait on free output VC " + std::to_string(ovc);
+    for (std::uint32_t w = ctx.ovc_waiters[ovc]; w != sim::kNoWaiter;
+         w = ctx.ivc_wait_next[w]) {
+      if (parked_on[w] != sim::kNoWaiter)
+        return "input VC " + std::to_string(w) + " is parked twice";
+      parked_on[w] = ovc;
+    }
+  }
+  std::vector<std::uint32_t> active_of_port(net.num_out_ports(), 0);
+  std::vector<std::uint32_t> holders(wheel_credits.size(), 0);
+  const auto pending = [&](std::uint32_t ix) {
+    return ((ctx.ivc_pending[ix >> 6] >> (ix & 63)) & 1) != 0;
+  };
+  for (std::size_t r = 0; r < net.num_routers(); ++r) {
+    const auto rid = static_cast<NodeId>(r);
+    std::uint32_t buffered = 0;
+    for (std::uint32_t p = 0; p < net.num_in_ports_of(rid); ++p) {
+      for (std::uint32_t v = 0; v < nvc; ++v) {
+        const std::uint32_t ix =
+            net.in_vc_index(rid, static_cast<PortIx>(p), static_cast<VcIx>(v));
+        buffered += fifos.size(ix);
+        const std::uint32_t meta = fifos.meta(ix);
+        const sim::IvcState st = sim::Network::ivc_state_of(meta);
+        if (st != sim::IvcState::Routed && parked_on[ix] != sim::kNoWaiter)
+          return "input VC " + std::to_string(ix) +
+                 " is parked on a waiter chain but not Routed";
+        if (st == sim::IvcState::Idle) continue;
+        const std::uint32_t pflat = net.out_port_index(
+            rid, static_cast<PortIx>(sim::Network::ivc_port_of(meta)));
+        const std::uint32_t ovc = pflat * nvc + sim::Network::ivc_vc_of(meta);
+        if (st == sim::IvcState::Active) {
+          ++active_of_port[pflat];
+          ++holders[ovc];
+          const std::uint32_t* rec = net.port_rec(pflat);
+          const std::uint16_t* reqs = sim::Network::ovc16(rec) + nvc;
+          const auto enc = static_cast<std::uint16_t>((p << 8) | v);
+          if (std::find(reqs, reqs + (rec[0] & 0xff), enc) ==
+              reqs + (rec[0] & 0xff))
+            err << "Active input VC " << ix << " missing from port " << pflat
+                << "'s requesters";
+        } else if (parked_on[ix] != sim::kNoWaiter
+                       ? parked_on[ix] != ovc
+                       : !pending(ix)) {  // Routed
+          err << "Routed input VC " << ix << " is neither pending nor "
+              << "parked on its output VC " << ovc;
+        }
+        if (!err.str().empty()) return err.str();
+      }
+    }
+    if ((ctx.ract[r] >> 1) != buffered)
+      return "router " + std::to_string(r) + ": ract counts " +
+             std::to_string(ctx.ract[r] >> 1) + " buffered flits, FIFOs hold " +
+             std::to_string(buffered);
+  }
+  for (std::uint32_t pflat = 0; pflat < net.num_out_ports(); ++pflat) {
+    const std::uint32_t* rec = net.port_rec(pflat);
+    if ((rec[0] & 0xff) != active_of_port[pflat])
+      return "port " + std::to_string(pflat) + ": " +
+             std::to_string(rec[0] & 0xff) + " SA requesters, " +
+             std::to_string(active_of_port[pflat]) + " Active input VCs";
+    for (std::uint32_t v = 0; v < nvc; ++v) {
+      const bool busy = (sim::Network::ovc16(rec)[v] & 1) != 0;
+      if (holders[pflat * nvc + v] != (busy ? 1u : 0u))
+        return "output VC " + std::to_string(pflat * nvc + v) + ": busy " +
+               std::to_string(busy) + ", held by " +
+               std::to_string(holders[pflat * nvc + v]) + " Active input VCs";
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(EngineAudit, FailRepairFailKeepsFlowControlConsistent) {
+  auto s = tiny_spec();
+  // Fault seed 3 at saturation tears down Active and Routed (VA-blocked)
+  // VCs both on dying ports and owned by destroyed packets: cable and chip
+  // deaths, repairs, and a second wave of failures over the repaired state.
+  s.fault.seed = 3;
+  s.fault.events =
+      "fail@150:local=0.3;fail@150:global=0.3;repair@300:local=0.1;"
+      "fail@450:local=0.25;fail@450:chip1;repair@600:local=0;"
+      "repair@600:global=0";
+  for (const int shards : {1, 2}) {
+    sim::Network net;
+    core::build_network(net, s);
+    const auto pattern = traffic::make_pattern("uniform", net, {});
+    sim::SimConfig cfg = s.sim;
+    cfg.inj_rate_per_chip = 0.9;
+    cfg.shards = shards;
+    sim::SimContext ctx;
+    sim::Simulator sim(net, cfg, *pattern, ctx);
+    while (sim.now() < 800) {
+      sim.step();
+      const std::string bad = audit_engine_state(net, ctx);
+      ASSERT_EQ(bad, "") << "shards=" << shards << ", after cycle "
+                         << sim.now() - 1;
+    }
+    EXPECT_GT(sim.dropped_packets() + sim.rescued_packets(), 0u)
+        << "the timeline tore no packet apart";
   }
 }
 
