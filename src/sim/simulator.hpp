@@ -124,7 +124,7 @@ struct SimResult {
   double avg_hops_total = 0.0;
   Cycle cycles_run = 0;
   /// Flits forwarded onto channels over the whole run (excludes ejection):
-  /// the engine-throughput numerator reported by sldf-bench.
+  /// the engine-throughput numerator of `sldf`'s `totals` line.
   std::uint64_t flit_hops = 0;
   // --- online-resilience accounting (fault event timelines only) ---
   std::uint64_t dropped_packets = 0;  ///< Destroyed by fault events, unrescued.

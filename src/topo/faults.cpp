@@ -59,13 +59,39 @@ bool is_candidate(const sim::Network& net, const sim::Channel& ch,
   return false;
 }
 
-/// fault.plane filter: -1 admits every plane. Both the static injector and
-/// the online-timeline candidate list (permuted_cables) apply the same
-/// predicate in the same enumeration order, so the superset-prefix property
-/// of the seeded shuffle holds per plane exactly as it does globally.
+/// fault.plane filter: -1 admits every plane.
 bool plane_admits(const sim::Network& net, const sim::Channel& ch,
                   int plane) {
   return plane < 0 || net.plane_of_node(ch.src) == plane;
+}
+
+/// The kind's duplex cables (a failed cable takes both directions down,
+/// keyed by the unordered endpoint pair) in seeded-permutation order. The
+/// static injector fails the first n entries and an online timeline's
+/// level n is the same prefix, so a higher rate's set contains a lower
+/// rate's.
+std::vector<std::vector<ChanId>> permuted_cables(const sim::Network& net,
+                                                 FaultKind kind,
+                                                 std::uint64_t seed,
+                                                 int plane) {
+  std::map<std::pair<NodeId, NodeId>, std::vector<ChanId>> cables;
+  for (std::size_t i = 0; i < net.num_channels(); ++i) {
+    const auto c = static_cast<ChanId>(i);
+    const sim::Channel& ch = net.chan(c);
+    if (!is_candidate(net, ch, kind)) continue;
+    if (!plane_admits(net, ch, plane)) continue;
+    cables[{std::min(ch.src, ch.dst), std::max(ch.src, ch.dst)}].push_back(c);
+  }
+  std::vector<std::vector<ChanId>> out;
+  out.reserve(cables.size());
+  for (auto& [key, chans] : cables) out.push_back(std::move(chans));
+  Rng rng(seed);
+  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.below(out.size() - i));
+    std::swap(out[i], out[j]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -79,32 +105,12 @@ FaultReport inject_faults(sim::Network& net, const FaultSpec& spec) {
 
   FaultReport rep;
 
-  // Group directed channels into duplex cables (a failed cable takes both
-  // directions down) keyed by the unordered endpoint pair.
-  std::map<std::pair<NodeId, NodeId>, std::vector<ChanId>> cables;
-  for (std::size_t i = 0; i < net.num_channels(); ++i) {
-    const auto c = static_cast<ChanId>(i);
-    const sim::Channel& ch = net.chan(c);
-    if (!is_candidate(net, ch, spec.kind)) continue;
-    if (!plane_admits(net, ch, spec.plane)) continue;
-    cables[{std::min(ch.src, ch.dst), std::max(ch.src, ch.dst)}].push_back(c);
-  }
-  std::vector<const std::vector<ChanId>*> candidates;
-  candidates.reserve(cables.size());
-  for (const auto& [key, chans] : cables) candidates.push_back(&chans);
-  rep.candidate_cables = candidates.size();
-
-  // Seeded partial Fisher-Yates: the first n_fail slots of the permutation
-  // are the failure set, so a higher rate's set contains a lower rate's.
+  const auto cables = permuted_cables(net, spec.kind, spec.seed, spec.plane);
+  rep.candidate_cables = cables.size();
   const auto n_fail = static_cast<std::size_t>(
-      std::llround(spec.rate * static_cast<double>(candidates.size())));
-  Rng rng(spec.seed);
-  for (std::size_t i = 0; i < n_fail; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng.below(candidates.size() - i));
-    std::swap(candidates[i], candidates[j]);
-    for (const ChanId c : *candidates[i]) net.disable_channel(c);
-  }
+      std::llround(spec.rate * static_cast<double>(cables.size())));
+  for (std::size_t i = 0; i < n_fail; ++i)
+    for (const ChanId c : cables[i]) net.disable_channel(c);
   rep.failed_cables = n_fail;
 
   for (const ChipId chip : spec.chips) {
@@ -361,9 +367,8 @@ FaultTimeline parse_fault_schedule(std::istream& in,
     } else {
       try {
         ev.kind = parse_fault_kind(toks[2]);
-      } catch (const std::invalid_argument&) {
-        throw err("unknown fault kind '" + toks[2] +
-                  "' (expected any|intra|local|global)");
+      } catch (const std::invalid_argument& e) {
+        throw err(e.what());
       }
       if (!parse_rate(toks[3], ev.rate))
         throw err("bad rate '" + toks[3] + "' (expected a number in [0, 1])");
@@ -390,34 +395,6 @@ FaultTimeline load_fault_schedule(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// The kind's duplex cables in full seeded-permutation order. The first n
-/// entries are exactly the set a static inject_faults at level n fails:
-/// inject's partial Fisher-Yates and this full shuffle share the RNG stream,
-/// and position i is finalized at step i, so prefixes coincide.
-std::vector<std::vector<ChanId>> permuted_cables(const sim::Network& net,
-                                                 FaultKind kind,
-                                                 std::uint64_t seed,
-                                                 int plane) {
-  std::map<std::pair<NodeId, NodeId>, std::vector<ChanId>> cables;
-  for (std::size_t i = 0; i < net.num_channels(); ++i) {
-    const auto c = static_cast<ChanId>(i);
-    const sim::Channel& ch = net.chan(c);
-    if (!is_candidate(net, ch, kind)) continue;
-    if (!plane_admits(net, ch, plane)) continue;
-    cables[{std::min(ch.src, ch.dst), std::max(ch.src, ch.dst)}].push_back(c);
-  }
-  std::vector<std::vector<ChanId>> out;
-  out.reserve(cables.size());
-  for (auto& [key, chans] : cables) out.push_back(std::move(chans));
-  Rng rng(seed);
-  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng.below(out.size() - i));
-    std::swap(out[i], out[j]);
-  }
-  return out;
-}
 
 struct KindState {
   std::vector<std::vector<ChanId>> cables;  ///< Permuted duplex cables.

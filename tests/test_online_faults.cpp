@@ -107,6 +107,23 @@ TEST(TimelineParse, ScheduleFormatAndOriginLine) {
   }
 }
 
+TEST(TimelineParse, ScheduleUnknownKindListsEveryKind) {
+  // The schedule accepts every FaultKind, vertical included, so its
+  // unknown-kind error must list the same kinds parse_fault_kind does.
+  std::istringstream ok("sldf-faults 1\nfail 100 vertical 0.1\n");
+  EXPECT_EQ(topo::parse_fault_schedule(ok, "ok.sched").events[0].kind,
+            topo::FaultKind::Vertical);
+  std::istringstream bad("sldf-faults 1\nfail 100 bogus 0.1\n");
+  try {
+    topo::parse_fault_schedule(bad, "bad.sched");
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    EXPECT_STREQ(e.what(),
+                 "bad.sched:2: unknown fault kind 'bogus' (expected "
+                 "any|intra|local|global|vertical)");
+  }
+}
+
 TEST(TimelineParse, ScheduleHeaderAndFileErrors) {
   std::istringstream no_header("fail 100 global 0.1\n");
   EXPECT_THROW(topo::parse_fault_schedule(no_header, "x"), FaultError);

@@ -12,6 +12,15 @@
 // several labelled series as one experiment, each starting from the shared
 // base keys above the first section (sections are independent of one
 // another). CLI scenario keys override the file for every series.
+//
+// Every run ends with one `totals` line of key=value work counters, wall
+// time and process peak RSS; the perf ledger (BENCH_sim.json, rerun by
+// tools/bench_ledger.py) is that line for each configs/bench/*.conf:
+//
+//   sldf --config configs/bench/radix16-sat.conf --shards=2 --phases
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -37,8 +46,8 @@ using namespace sldf;
 namespace {
 
 const std::vector<std::string> kDriverFlags = {
-    "config",   "out",   "series-threads", "list", "doc-keys",
-    "print",    "serve", "emit-trace",     "help"};
+    "config", "out",        "series-threads", "list", "doc-keys",
+    "print",  "serve",      "emit-trace",     "phases", "help"};
 
 void print_usage() {
   std::printf(
@@ -63,6 +72,9 @@ void print_usage() {
       "                       request, not fatal\n"
       "  --emit-trace FILE    write the (single) series' workload graph as\n"
       "                       an sldf-trace file instead of running it\n"
+      "  --phases             time the engine phases of every rate-sweep\n"
+      "                       series and print the split (a few clock reads\n"
+      "                       per cycle; counters unchanged)\n"
       "  --help               this text\n"
       "\n"
       "scenario keys (also valid in config files; see --doc-keys):\n");
@@ -136,6 +148,82 @@ void print_registries() {
   std::printf(
       "\nroute modes:  minimal | valiant | adaptive\n"
       "VC schemes:   baseline | reduced | reduced-safe\n");
+}
+
+/// Peak RSS of this process image: VmHWM, which starts afresh at exec. Each
+/// perf-ledger row runs in a process of its own, so this is that row's
+/// peak. getrusage's ru_maxrss is only the fallback: Linux carries the
+/// launching process's peak across exec into it (a tiny row launched from
+/// Python reads Python's footprint).
+double peak_rss_mb() {
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    double kb = -1.0;
+    while (std::fgets(line, sizeof(line), f) != nullptr &&
+           std::sscanf(line, "VmHWM: %lf kB", &kb) != 1) {
+    }
+    std::fclose(f);
+    if (kb >= 0.0) return kb / 1024.0;
+  }
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
+}
+
+/// The work a run did, summed over its series and points: the counters of
+/// the `totals` line.
+struct Totals {
+  std::uint64_t points = 0;
+  std::uint64_t cycles = 0;     ///< Simulated cycles.
+  std::uint64_t flit_hops = 0;  ///< Channel traversals.
+  std::uint64_t delivered = 0;  ///< Packets delivered.
+};
+
+void add_phases(sim::EnginePhases& sum, const sim::EnginePhases& p) {
+  sum.fault_s += p.fault_s;
+  sum.deliver_s += p.deliver_s;
+  sum.generate_s += p.generate_s;
+  sum.walk_s += p.walk_s;
+  sum.commit_s += p.commit_s;
+  sum.parallel_cycles += p.parallel_cycles;
+  sum.serial_cycles += p.serial_cycles;
+  sum.routers_walked += p.routers_walked;
+  sum.skips += p.skips;
+  sum.cycles_skipped += p.cycles_skipped;
+  sum.deep_prefetch = sum.deep_prefetch || p.deep_prefetch;
+}
+
+void print_phases_header() {
+  std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %9s %8s %9s\n",
+              "series", "fault%", "deliv%", "gen%", "walk%", "commit%",
+              "serial%", "par_cyc", "ser_cyc", "avg_snap", "prefetch",
+              "skipped");
+}
+
+/// One series' shares of the engine's host time. "serial" is what only the
+/// driving thread runs in a parallel cycle (faults, generation, the
+/// commit); par_cyc / ser_cyc and prefetch show which side of the shard
+/// work gate and of the deep-prefetch gate (sim::deep_prefetch_pays) the
+/// series ran on.
+void print_phases_row(const std::string& label, const sim::EnginePhases& p) {
+  const double total =
+      p.fault_s + p.deliver_s + p.generate_s + p.walk_s + p.commit_s;
+  if (total <= 0.0) return;
+  const auto pct = [total](double s) { return 100.0 * s / total; };
+  const std::uint64_t stepped = p.parallel_cycles + p.serial_cycles;
+  std::printf(
+      "%-16s %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f %9llu %9llu %9.0f %8s "
+      "%9llu\n",
+      label.c_str(), pct(p.fault_s), pct(p.deliver_s), pct(p.generate_s),
+      pct(p.walk_s), pct(p.commit_s),
+      pct(p.fault_s + p.generate_s + p.commit_s),
+      static_cast<unsigned long long>(p.parallel_cycles),
+      static_cast<unsigned long long>(p.serial_cycles),
+      stepped ? static_cast<double>(p.routers_walked) /
+                    static_cast<double>(stepped)
+              : 0.0,
+      p.deep_prefetch ? "deep" : "off",
+      static_cast<unsigned long long>(p.cycles_skipped));
 }
 
 /// `sldf --serve`: one request per stdin line, each a whitespace-separated
@@ -244,6 +332,8 @@ int main(int argc, char** argv) {
     } else {
       series.push_back(core::spec_from_cli(cli, {}, nullptr));
     }
+    const bool phases = cli.has("phases");
+    for (auto& spec : series) spec.sim.phase_timers = phases;
 
     // Validate registry names up front so a misspelled topology/traffic/
     // workload fails before any series starts running. Option-key typos
@@ -331,6 +421,7 @@ int main(int argc, char** argv) {
       std::string error;
     };
     std::vector<Outcome> outcomes(series.size());
+    const auto t0 = std::chrono::steady_clock::now();
     ThreadPool::parallel_for(series.size(), threads == 0 ? 1 : threads,
                              [&](std::size_t i) {
                                Outcome& o = outcomes[i];
@@ -351,8 +442,14 @@ int main(int argc, char** argv) {
                                  o.error = e.what();
                                }
                              });
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
 
+    // Work counters per run kind: a sweep sums its points' whole runs; a
+    // tenant run adds its isolation baselines, which are real simulations.
     int failures = 0;
+    Totals totals;
     for (const auto& o : outcomes) {
       if (!o.error.empty()) {
         ++failures;
@@ -360,10 +457,35 @@ int main(int argc, char** argv) {
                      o.label.c_str(), o.error.c_str());
       } else if (o.is_tenants) {
         trace::print_tenants(o.tenants);
+        ++totals.points;
+        totals.cycles += o.tenants.cycles;
+        for (const auto& t : o.tenants.tenants)
+          totals.cycles += t.isolated_ttc;
+        totals.flit_hops += o.tenants.flit_hops;
+        totals.delivered += o.tenants.packets_delivered;
       } else if (o.is_workload) {
         core::print_workload(o.workload);
+        ++totals.points;
+        totals.cycles += o.workload.result.cycles;
+        totals.flit_hops += o.workload.result.flit_hops;
+        totals.delivered += o.workload.result.packets_delivered;
       } else {
         core::print_series(o.result);
+        for (const auto& pt : o.result.points) {
+          ++totals.points;
+          totals.cycles += pt.res.cycles_run;
+          totals.flit_hops += pt.res.flit_hops;
+          totals.delivered += pt.res.delivered_total;
+        }
+      }
+    }
+    if (phases && workload_series + tenant_series < series.size()) {
+      print_phases_header();
+      for (const auto& o : outcomes) {
+        if (!o.error.empty() || o.is_tenants || o.is_workload) continue;
+        sim::EnginePhases sum;
+        for (const auto& pt : o.result.points) add_phases(sum, pt.res.phases);
+        print_phases_row(o.label, sum);
       }
     }
     if (cli.has("out")) {
@@ -387,6 +509,14 @@ int main(int argc, char** argv) {
       }
       std::printf("wrote %s\n", cli.get("out").c_str());
     }
+    std::printf(
+        "totals points=%llu cycles=%llu flit_hops=%llu delivered=%llu "
+        "wall_s=%.3f peak_rss_mb=%.1f\n",
+        static_cast<unsigned long long>(totals.points),
+        static_cast<unsigned long long>(totals.cycles),
+        static_cast<unsigned long long>(totals.flit_hops),
+        static_cast<unsigned long long>(totals.delivered), wall_s,
+        peak_rss_mb());
     return failures > 0 ? 1 : 0;
   } catch (const topo::FaultError& e) {
     std::fprintf(stderr, "sldf: error: fault timeline: %s\n", e.what());
