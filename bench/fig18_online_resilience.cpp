@@ -20,14 +20,24 @@
 // sweep fails, so the settled post-recovery fabric is bit-identical to a
 // static injection at the same rate.
 // Equivalent driver invocation: sldf --fault.events=fail@N:global=R ...
+//
+//   fig18_online_resilience [--quick] [--out DIR] [--seed N] [--g G]
+//
+// --quick shrinks the fabric and horizon (CI smoke); the CSV goes to
+// DIR/fig18_online_resilience.csv (default DIR: results).
 #include <algorithm>
-#include <memory>
+#include <cstdio>
+#include <exception>
+#include <filesystem>
+#include <string>
+#include <vector>
 
-#include "bench_common.hpp"
+#include "common/cli.hpp"
+#include "common/csv.hpp"
+#include "core/scenario.hpp"
 #include "sim/simulator.hpp"
 
 using namespace sldf;
-using namespace sldf::bench;
 
 namespace {
 
@@ -87,21 +97,24 @@ Convergence measure_convergence(sim::Network& net, const sim::SimConfig& cfg,
   return c;
 }
 
-int bench_main(int argc, char** argv) {
-  const Cli cli(argc, argv);
-  const BenchEnv env(cli);
-  banner("Fig 18: reroute convergence after an online global-cable fault");
+int bench_main(const Cli& cli) {
+  const bool quick = cli.has("quick");
+  const std::string out_dir = cli.get("out", "results");
+  std::filesystem::create_directories(out_dir);
+  std::printf("Fig 18: reroute convergence after an online global-cable "
+              "fault\n\n");
 
   const Cycle window = 100;
-  const Cycle fault_at = env.quick ? 800 : 1600;
-  const Cycle horizon = env.quick ? 2400 : 4800;
+  const Cycle fault_at = quick ? 800 : 1600;
+  const Cycle horizon = quick ? 2400 : 4800;
   const double fail_rate = 0.10;
   // Below the *degraded* fabric's saturation point: accepted throughput can
   // return to the offered rate once rerouting converges, so the recovery
   // metric measures the transient, not a permanent capacity loss.
   // (0.05 also clears Valiant's halved capacity on the degraded fabric.)
   const double offered = 0.05;
-  const int g = env.quick ? 5 : static_cast<int>(cli.get_int("g", 11));
+  const int g = quick ? 5 : static_cast<int>(cli.get_int("g", 11));
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
 
   struct Fabric {
     const char* label;
@@ -113,7 +126,7 @@ int bench_main(int argc, char** argv) {
                                     route::RouteMode::Valiant,
                                     route::RouteMode::Adaptive};
 
-  CsvWriter csv(env.out_dir + "/fig18_online_resilience.csv",
+  CsvWriter csv(out_dir + "/fig18_online_resilience.csv",
                 {"series", "mode", "fail_at", "fail_frac", "pre_accepted",
                  "dip_accepted", "dip_depth", "recover_cycles", "dropped",
                  "rescued"});
@@ -121,7 +134,10 @@ int bench_main(int argc, char** argv) {
               "pre", "dip", "depth", "recover", "dropped", "rescued");
   for (const auto& fab : fabrics) {
     for (const auto mode : modes) {
-      auto s = env.spec(fab.label, fab.topology, "uniform");
+      core::ScenarioSpec s;
+      s.label = fab.label;
+      s.topology = fab.topology;
+      s.sim.seed = seed;
       s.topo["g"] = std::to_string(g);
       s.topo["fault_tolerant"] = "1";
       s.mode = mode;
@@ -161,6 +177,10 @@ int bench_main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return sldf::bench::guarded("fig18_online_resilience",
-                              [&] { return bench_main(argc, argv); });
+  try {
+    return bench_main(Cli(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fig18_online_resilience: error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/network.hpp"
 #include "topo/composite.hpp"
 #include "traffic/pattern.hpp"
@@ -405,7 +404,8 @@ std::span<const ScenarioKey> scenario_key_table() {
             [](auto& s) -> auto& { return s.fault.rate; }, Num{0.0, 1.0},
             {.network = true, .elide_default = true}),
       fixed("fault.kind",
-            "Failed-link class: `any` \\| `intra` \\| `local` \\| `global`",
+            "Failed-link class: `any` \\| `intra` \\| `local` \\| `global` "
+            "\\| `vertical`",
             [](auto& s) -> auto& { return s.fault.kind; },
             Enum<topo::FaultKind>{&topo::parse_fault_kind, &topo::to_string},
             {.network = true, .elide_default = true}),
@@ -721,17 +721,22 @@ TrafficFactory traffic_factory(const ScenarioSpec& spec) {
   };
 }
 
-SweepSeries run_scenario(const ScenarioSpec& spec) {
-  if (!spec.workload.empty())
-    throw std::invalid_argument(
-        "run_scenario: spec selects workload '" + spec.workload +
-        "' — use run_workload_scenario()");
+SweepConfig sweep_config(const ScenarioSpec& spec) {
   SweepConfig cfg;
   cfg.rates = spec.effective_rates();
   cfg.base = spec.sim;
   cfg.stop_latency_factor = spec.stop_latency_factor;
   cfg.threads = spec.threads;
-  return run_sweep(spec.label, net_factory(spec), traffic_factory(spec), cfg);
+  return cfg;
+}
+
+SweepSeries run_scenario(const ScenarioSpec& spec) {
+  if (!spec.workload.empty())
+    throw std::invalid_argument(
+        "run_scenario: spec selects workload '" + spec.workload +
+        "' — use run_workload_scenario()");
+  return run_sweep(spec.label, net_factory(spec), traffic_factory(spec),
+                   sweep_config(spec));
 }
 
 workload::WorkloadRunConfig workload_run_config(const ScenarioSpec& spec,
@@ -851,20 +856,6 @@ void append_workload_csv(CsvWriter& csv, const WorkloadRun& run) {
       std::to_string(r.flits), std::to_string(r.cycles),
       CsvWriter::format_num(r.gbps_per_chip),
       CsvWriter::format_num(r.avg_msg_cycles), r.completed ? "1" : "0"});
-}
-
-std::vector<SweepSeries> run_scenarios(const std::vector<ScenarioSpec>& specs,
-                                       unsigned threads) {
-  std::vector<SweepSeries> out(specs.size());
-  ThreadPool::parallel_for(
-      specs.size(), threads == 0 ? 1 : threads, [&](std::size_t i) {
-        ScenarioSpec s = specs[i];
-        // Concurrent series already fill the cores (see point_config()).
-        if (threads > 1 && specs.size() > 1)
-          s.sim.shards = sim::resolve_shards(s.sim.shards, 1);
-        out[i] = run_scenario(s);
-      });
-  return out;
 }
 
 }  // namespace sldf::core

@@ -175,6 +175,10 @@ void build_network(sim::Network& net, const ScenarioSpec& spec);
 NetFactory net_factory(const ScenarioSpec& spec);
 TrafficFactory traffic_factory(const ScenarioSpec& spec);
 
+/// The spec's sweep: its rates, engine config, early-stop factor and
+/// point parallelism.
+SweepConfig sweep_config(const ScenarioSpec& spec);
+
 /// Runs the spec's sweep through the registries (label, net, traffic,
 /// rates, sim config all from the spec). Requires a rate-sweep spec
 /// (workload empty).
@@ -222,11 +226,5 @@ WorkloadRun run_workload_scenario(const ScenarioSpec& spec);
 void print_workload(const WorkloadRun& run);
 void append_workload_csv(CsvWriter& csv, const WorkloadRun& run);
 const std::vector<std::string>& workload_csv_header();
-
-/// Runs several specs as one experiment, `threads` series in flight at a
-/// time on a thread pool (each series runs its own sweep serially, keeping
-/// per-series early-stop semantics). Results are in spec order.
-std::vector<SweepSeries> run_scenarios(const std::vector<ScenarioSpec>& specs,
-                                       unsigned threads);
 
 }  // namespace sldf::core

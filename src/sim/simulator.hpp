@@ -20,7 +20,7 @@
 #include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "common/types.hpp"
 #include "sim/network.hpp"
 

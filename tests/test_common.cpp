@@ -12,7 +12,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strfmt.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 
 using namespace sldf;
 
@@ -129,27 +129,19 @@ TEST(Strf, FormatsLikePrintf) {
   EXPECT_EQ(strf("empty"), "empty");
 }
 
-TEST(ThreadPool, ParallelForRunsAll) {
+TEST(Parallel, ParallelForRunsAll) {
   std::atomic<int> sum{0};
-  ThreadPool::parallel_for(100, 4, [&](std::size_t i) {
-    sum += static_cast<int>(i);
-  });
+  parallel_for(100, 4, [&](std::size_t i) { sum += static_cast<int>(i); });
   EXPECT_EQ(sum.load(), 4950);
 }
 
-TEST(ThreadPool, ParallelForPropagatesException) {
-  EXPECT_THROW(ThreadPool::parallel_for(
-                   8, 2,
-                   [](std::size_t i) {
-                     if (i == 3) throw std::runtime_error("boom");
-                   }),
+TEST(Parallel, ParallelForPropagatesException) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(8, 2,
+                            [&](std::size_t i) {
+                              ++ran;
+                              if (i == 3) throw std::runtime_error("boom");
+                            }),
                std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> n{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&] { ++n; });
-  pool.wait_idle();
-  EXPECT_EQ(n.load(), 10);
+  EXPECT_EQ(ran.load(), 8);  // the other tasks still ran
 }

@@ -342,7 +342,8 @@ TEST(FaultScenario, RepeatRunsAndThreadCountsAreBitIdentical) {
   const auto serial2 = core::run_scenario(spec);
   auto par = spec;
   par.threads = 0;  // auto
-  const auto parallel = core::run_scenarios({par}, 1)[0];
+  par.sim = core::worker_config(par.sim, 2);  // as one of two series
+  const auto parallel = core::run_scenario(par);
   ASSERT_EQ(serial1.points.size(), serial2.points.size());
   ASSERT_EQ(serial1.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial1.points.size(); ++i) {

@@ -7,9 +7,17 @@
 // same conservation ledger as the presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/csv.hpp"
 #include "core/scenario.hpp"
 #include "route/plane_select.hpp"
 #include "test_fixtures.hpp"
@@ -142,6 +150,56 @@ TEST(PlaneFaults, PlaneZeroFailureNeverTouchesPlaneOne) {
   EXPECT_GT(r.plane_delivered[1], 0u);
   EXPECT_EQ(r.dropped_packets, r.plane_dropped[0]);
   EXPECT_TRUE(audit_conservation(r));
+}
+
+// The sweep CSV carries a faulted two-plane point's whole ledger: written
+// through CsvWriter and read back, each column equals its SimResult field,
+// and the first seven header cells are the historical ones.
+TEST(PlaneFaults, SweepCsvCarriesTheFaultLedger) {
+  auto s = plane_spec(2);
+  s.label = "planes-k2-f40";
+  s.topo["fault_tolerant"] = "1";
+  s.fault.seed = 7;
+  s.fault.rescue = false;
+  s.fault.plane = 0;
+  s.fault.events = "fail@300:global=0.4";
+  const auto series = core::run_scenario(s);
+  ASSERT_EQ(series.points.size(), 1u);
+  const sim::SimResult& r = series.points[0].res;
+  ASSERT_GT(r.dropped_packets, 0u);
+  const std::string path = ::testing::TempDir() + "sweep_csv_planes.csv";
+  {
+    CsvWriter csv(path, core::sweep_csv_header());
+    core::append_series_csv(csv, series);
+  }
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> cells;
+    std::stringstream ss(line);
+    for (std::string cell; std::getline(ss, cell, ',');) cells.push_back(cell);
+    return cells;
+  };
+  std::ifstream in(path);
+  std::string header_line, row_line, extra;
+  ASSERT_TRUE(std::getline(in, header_line));
+  ASSERT_TRUE(std::getline(in, row_line));
+  EXPECT_FALSE(std::getline(in, extra));
+  const auto header = split(header_line);
+  const auto row = split(row_line);
+  ASSERT_EQ(header.size(), row.size());
+  const std::vector<std::string> legacy = {
+      "series", "offered", "avg_latency", "accepted", "p99", "delivered",
+      "drained"};
+  ASSERT_GE(header.size(), legacy.size());
+  EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), header.begin()));
+  std::map<std::string, std::string> cell;
+  for (std::size_t i = 0; i < header.size(); ++i) cell[header[i]] = row[i];
+  EXPECT_EQ(cell["series"], "planes-k2-f40");
+  EXPECT_EQ(cell["dropped_packets"], std::to_string(r.dropped_packets));
+  EXPECT_EQ(cell["rescued_packets"], std::to_string(r.rescued_packets));
+  EXPECT_EQ(cell["inflight_packets"], std::to_string(r.inflight_packets));
+  EXPECT_EQ(cell["plane_dropped"], std::to_string(r.plane_dropped[0]) + ";" +
+                                       std::to_string(r.plane_dropped[1]));
+  std::remove(path.c_str());
 }
 
 // ---- scenario keys -------------------------------------------------------

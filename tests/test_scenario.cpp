@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/cli.hpp"
+#include "common/parallel.hpp"
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
 #include "sim/network.hpp"
@@ -546,14 +547,20 @@ TEST(RunScenario, ParallelSeriesMatchSerial) {
   a.label = "a";
   b.label = "b";
   b.sim.seed = 2;
-  const auto serial = core::run_scenarios({a, b}, 1);
-  const auto parallel = core::run_scenarios({a, b}, 2);
-  ASSERT_EQ(serial.size(), 2u);
-  ASSERT_EQ(parallel.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(serial[i].label, parallel[i].label);
-    ASSERT_EQ(serial[i].points.size(), parallel[i].points.size());
-    EXPECT_DOUBLE_EQ(serial[i].points[0].res.avg_latency,
+  const std::vector<ScenarioSpec> specs = {a, b};
+  // `sldf --series-threads 2`'s pool: each series on its own worker, its
+  // engine config resolved through worker_config().
+  std::vector<core::SweepSeries> parallel(specs.size());
+  parallel_for(specs.size(), 2, [&](std::size_t i) {
+    ScenarioSpec spec = specs[i];
+    spec.sim = core::worker_config(spec.sim, 2);
+    parallel[i] = core::run_scenario(spec);
+  });
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto serial = core::run_scenario(specs[i]);
+    EXPECT_EQ(serial.label, parallel[i].label);
+    ASSERT_EQ(serial.points.size(), parallel[i].points.size());
+    EXPECT_DOUBLE_EQ(serial.points[0].res.avg_latency,
                      parallel[i].points[0].res.avg_latency);
   }
 }

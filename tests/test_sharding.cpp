@@ -12,7 +12,7 @@
 #include <sstream>
 #include <string>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "core/scenario.hpp"
 #include "test_fixtures.hpp"
 #include "topo/faults.hpp"
@@ -198,6 +198,26 @@ TEST(ResolveShards, SweepWorkersResolveAutoToOne) {
   cfg.base.shards = 0;
   setenv("SLDF_SHARDS", "2", 1);  // so is the env override
   EXPECT_EQ(core::point_config(cfg, 0, 2).shards, 2);
+}
+
+// One rule for sweep points and for `sldf --series-threads` series of
+// every kind: a lone worker keeps its config; with two workers `auto`
+// resolves to one shard, while an explicit count or SLDF_SHARDS wins.
+TEST(ResolveShards, WorkerConfigSharesTheCores) {
+  ScopedShardsEnv env(nullptr);
+  sim::SimConfig sc;
+  sc.seed = 9;
+  sc.shards = 0;  // auto
+  EXPECT_EQ(core::worker_config(sc, 1).shards, 0);
+  EXPECT_EQ(core::worker_config(sc, 2).shards, 1);
+  EXPECT_EQ(core::worker_config(sc, 2).seed, 9u);
+  sc.shards = 3;
+  EXPECT_EQ(core::worker_config(sc, 1).shards, 3);
+  EXPECT_EQ(core::worker_config(sc, 2).shards, 3);
+  sc.shards = 0;
+  setenv("SLDF_SHARDS", "2", 1);
+  EXPECT_EQ(core::worker_config(sc, 1).shards, 0);  // resolved at init
+  EXPECT_EQ(core::worker_config(sc, 2).shards, 2);
 }
 
 // ---- per-cycle work gate -------------------------------------------------

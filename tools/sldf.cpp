@@ -20,6 +20,7 @@
 //   sldf --config configs/bench/radix16-sat.conf --shards=2 --phases
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -33,7 +34,7 @@
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
 #include "trace/tenants.hpp"
@@ -275,17 +276,13 @@ int run_serve(const Cli& cli) {
       } else {
         const auto pattern =
             traffic::make_pattern(spec.traffic, net, spec.traffic_opts);
-        for (const double rate : spec.effective_rates()) {
-          sim::SimConfig sc = spec.sim;
-          sc.inj_rate_per_chip = rate;
-          const sim::SimResult res = sim::run_sim(net, sc, *pattern);
-          std::printf(
-              "  rate=%.4f accepted=%.4f avg_latency=%.2f p99=%.2f "
-              "delivered=%llu dropped=%llu drained=%d\n",
-              res.offered, res.accepted, res.avg_latency, res.p99_latency,
-              static_cast<unsigned long long>(res.delivered_measured),
-              static_cast<unsigned long long>(res.dropped_packets),
-              res.drained ? 1 : 0);
+        const core::SweepSeries series = core::run_points(
+            spec.label, net, *pattern, core::sweep_config(spec));
+        for (const auto& pt : series.points) {
+          std::string out = " ";
+          for (const auto& [name, cell] : core::sweep_cells(spec.label, pt))
+            out += " " + name + "=" + cell;
+          std::printf("%s\n", out.c_str());
         }
       }
       std::fflush(stdout);
@@ -403,10 +400,11 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const auto threads =
-        static_cast<unsigned>(cli.get_int("series-threads", 1));
+    // Concurrent series share the cores: each runs `auto` shards as 1.
+    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
+        std::max(cli.get_int("series-threads", 1), 1L), series.size()));
     std::printf("sldf: running %zu series (%u in flight)\n\n", series.size(),
-                threads);
+                workers);
 
     // Run with per-series isolation: a failure (e.g. an option typo that
     // only surfaces at build time) is reported but never discards the
@@ -422,26 +420,24 @@ int main(int argc, char** argv) {
     };
     std::vector<Outcome> outcomes(series.size());
     const auto t0 = std::chrono::steady_clock::now();
-    ThreadPool::parallel_for(series.size(), threads == 0 ? 1 : threads,
-                             [&](std::size_t i) {
-                               Outcome& o = outcomes[i];
-                               o.label = series[i].label;
-                               o.is_tenants = series[i].tenants > 0;
-                               o.is_workload = !o.is_tenants &&
-                                               !series[i].workload.empty();
-                               try {
-                                 if (o.is_tenants)
-                                   o.tenants =
-                                       trace::run_tenant_scenario(series[i]);
-                                 else if (o.is_workload)
-                                   o.workload =
-                                       core::run_workload_scenario(series[i]);
-                                 else
-                                   o.result = core::run_scenario(series[i]);
-                               } catch (const std::exception& e) {
-                                 o.error = e.what();
-                               }
-                             });
+    parallel_for(series.size(), workers, [&](std::size_t i) {
+      core::ScenarioSpec spec = series[i];
+      spec.sim = core::worker_config(spec.sim, workers);
+      Outcome& o = outcomes[i];
+      o.label = spec.label;
+      o.is_tenants = spec.tenants > 0;
+      o.is_workload = !o.is_tenants && !spec.workload.empty();
+      try {
+        if (o.is_tenants)
+          o.tenants = trace::run_tenant_scenario(spec);
+        else if (o.is_workload)
+          o.workload = core::run_workload_scenario(spec);
+        else
+          o.result = core::run_scenario(spec);
+      } catch (const std::exception& e) {
+        o.error = e.what();
+      }
+    });
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -493,11 +489,8 @@ int main(int argc, char** argv) {
       const bool workload_csv = workload_series == series.size();
       CsvWriter csv(cli.get("out"),
                     tenants_csv ? trace::tenants_csv_header()
-                    : workload_csv
-                        ? core::workload_csv_header()
-                        : std::vector<std::string>{
-                              "series", "offered", "avg_latency", "accepted",
-                              "p99", "delivered", "drained"});
+                    : workload_csv ? core::workload_csv_header()
+                                   : core::sweep_csv_header());
       for (const auto& o : outcomes) {
         if (!o.error.empty()) continue;
         if (o.is_tenants)
