@@ -40,10 +40,14 @@ struct RegistryDoc {
 };
 
 /// Generic string-keyed factory registry with per-entry docs. Lookup
-/// failures throw std::invalid_argument listing the known names.
-template <typename Factory>
+/// failures throw std::invalid_argument listing the known names. The
+/// topology, traffic and workload registries derive from it and add only
+/// their process-wide instance() and a typed lookup.
+template <typename F>
 class NamedRegistry {
  public:
+  using Factory = F;
+
   void add(const std::string& name, std::string help, Factory make) {
     entries_[name] = Entry{RegistryDoc{std::move(help), {}}, std::move(make)};
   }
@@ -145,33 +149,17 @@ using TopologyBuilder =
 /// Named topology presets: the paper's radix-16/radix-32 switch-less and
 /// switch-based networks, the raw parameter structs, the standalone C-group
 /// mesh, and the ideal crossbar. Unknown override keys throw.
-class TopologyRegistry {
+class TopologyRegistry : public NamedRegistry<TopologyBuilder> {
  public:
   /// The process-wide registry, with the built-in presets registered.
   static TopologyRegistry& instance();
 
-  void add(const std::string& name, std::string help, TopologyBuilder make) {
-    reg_.add(name, std::move(help), std::move(make));
-  }
-  void add(const std::string& name, RegistryDoc doc, TopologyBuilder make) {
-    reg_.add(name, std::move(doc), std::move(make));
-  }
-  [[nodiscard]] bool contains(const std::string& name) const {
-    return reg_.contains(name);
-  }
-  [[nodiscard]] std::vector<std::string> names() const { return reg_.names(); }
-  [[nodiscard]] const std::string& help(const std::string& name) const {
-    return reg_.help(name);
-  }
-  [[nodiscard]] const RegistryDoc& doc(const std::string& name) const {
-    return reg_.doc(name);
-  }
   /// Wires the named preset into `net` (applying overrides/mode/scheme)
   /// without installing or finalizing; the caller owns the returned fabric.
   [[nodiscard]] topo::WiredFabric wire(const std::string& name,
                                        sim::Network& net,
                                        const TopoConfig& cfg) const {
-    return reg_.at(name, "topology")(net, cfg);
+    return at(name, "topology")(net, cfg);
   }
   /// Builds the named preset into `net`, applying overrides/mode/scheme.
   void build(const std::string& name, sim::Network& net,
@@ -181,7 +169,6 @@ class TopologyRegistry {
 
  private:
   TopologyRegistry();
-  NamedRegistry<TopologyBuilder> reg_;
 };
 
 }  // namespace sldf::core

@@ -97,7 +97,7 @@ struct Str {
 
 /// An online fault timeline. Parsed now so a malformed one fails at
 /// config-read time with its typed FaultError; the text is kept and
-/// re-resolved against the finalized network in build_network().
+/// resolved against the finalized network by topo::inject_faults().
 struct Timeline : Str {
   std::string parse(const std::string&, const std::string& v) const {
     (void)topo::parse_fault_events(v);
@@ -424,8 +424,9 @@ std::span<const ScenarioKey> scenario_key_table() {
             {.network = true, .elide_default = true, .def = "unset"}),
       // The file's existence and contents are checked at build time.
       fixed("fault.schedule",
-            "Fault-timeline file (`sldf-faults 1` format); exclusive with "
-            "`fault.events`",
+            "Fault-timeline file: a `sldf-faults 2` header line, then "
+            "`fault.events` syntax (`;` or newline between events, `#` "
+            "comments); exclusive with `fault.events`",
             [](auto& s) -> auto& { return s.fault.schedule; }, Str{},
             {.network = true, .elide_default = true, .def = "unset"}),
       fixed("fault.rescue",
@@ -685,27 +686,9 @@ void build_network(sim::Network& net, const ScenarioSpec& spec) {
     TopologyRegistry::instance().build(spec.topology, net,
                                        spec.topo_config());
   }
-  if (spec.fault.active()) {
+  if (spec.fault.armed()) {
     const topo::FaultReport rep = topo::inject_faults(net, spec.fault);
     log_debug("%s", rep.to_string().c_str());
-  }
-  if (spec.fault.has_timeline()) {
-    if (!spec.fault.events.empty() && !spec.fault.schedule.empty())
-      throw topo::FaultError(
-          "scenario sets both fault.events and fault.schedule; give the "
-          "timeline one way");
-    // A timeline over a fault-free cycle-0 state still needs the mask
-    // armed: fault steps rewrite live port records at runtime.
-    if (!spec.fault.active()) net.enable_fault_mask();
-    const topo::FaultTimeline tl =
-        !spec.fault.events.empty()
-            ? topo::parse_fault_events(spec.fault.events)
-            : topo::load_fault_schedule(spec.fault.schedule);
-    auto sched = std::make_shared<sim::FaultSchedule>(
-        topo::resolve_timeline(net, tl, spec.fault));
-    sched->rescue = spec.fault.rescue;
-    net.set_fault_schedule(std::move(sched));
-    net.capture_fault_baseline();
   }
 }
 
@@ -730,11 +713,31 @@ SweepConfig sweep_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
+namespace {
+
+/// A timeline event at or past the end of a point's window never fires, so
+/// the series reports the fabric without it: say so once.
+void warn_events_past_horizon(const ScenarioSpec& spec) {
+  if (!spec.fault.has_timeline()) return;
+  const Cycle horizon = spec.sim.warmup + spec.sim.measure + spec.sim.drain;
+  for (const topo::FaultEvent& e : topo::load_timeline(spec.fault).events) {
+    if (e.at < horizon) continue;
+    log_warn("series '%s': fault event %s never fires: the run ends at cycle "
+             "%llu (warmup+measure+drain)",
+             spec.label.c_str(), topo::to_string(e).c_str(),
+             static_cast<unsigned long long>(horizon));
+    return;
+  }
+}
+
+}  // namespace
+
 SweepSeries run_scenario(const ScenarioSpec& spec) {
   if (!spec.workload.empty())
     throw std::invalid_argument(
         "run_scenario: spec selects workload '" + spec.workload +
         "' — use run_workload_scenario()");
+  warn_events_past_horizon(spec);
   return run_sweep(spec.label, net_factory(spec), traffic_factory(spec),
                    sweep_config(spec));
 }

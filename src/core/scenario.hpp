@@ -112,8 +112,7 @@ struct ScenarioSpec {
   [[nodiscard]] TopoConfig topo_config() const {
     // A timeline needs the fault-tolerant build even when cycle 0 is
     // fault-free: failures arrive while the simulation runs.
-    return TopoConfig{topo, mode, scheme,
-                      fault.active() || fault.has_timeline()};
+    return TopoConfig{topo, mode, scheme, fault.armed()};
   }
 };
 

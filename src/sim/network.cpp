@@ -270,19 +270,6 @@ void Network::disable_channel(ChanId c) {
   rec[0] &= 0xffffu;                 // bucket = 0; count/rr untouched
 }
 
-void Network::disable_node(NodeId n) {
-  if (!has_fault_mask())
-    throw std::logic_error("disable_node: fault mask not enabled");
-  auto& alive = node_alive_[static_cast<std::size_t>(n)];
-  if (alive != 0) {
-    alive = 0;
-    ++dead_nodes_;
-  }
-  for (std::size_t i = 0; i < channels_.size(); ++i)
-    if (channels_[i].src == n || channels_[i].dst == n)
-      disable_channel(static_cast<ChanId>(i));
-}
-
 void Network::enable_channel(ChanId c, Cycle now) {
   if (!has_fault_mask())
     throw std::logic_error("enable_channel: fault mask not enabled");
@@ -310,6 +297,13 @@ void Network::set_node_alive(NodeId n, bool alive) {
   if ((a != 0) == alive) return;
   a = alive ? 1 : 0;
   dead_nodes_ += alive ? -1 : 1;
+}
+
+void Network::apply_fault_lists(const FaultStep& s, Cycle now) {
+  for (const NodeId n : s.fail_nodes) set_node_alive(n, false);
+  for (const ChanId c : s.fail_chans) disable_channel(c);
+  for (const ChanId c : s.repair_chans) enable_channel(c, now);
+  for (const NodeId n : s.repair_nodes) set_node_alive(n, true);
 }
 
 void Network::capture_fault_baseline() {

@@ -43,8 +43,9 @@ struct TopoInfo {
 /// nodes) and mutually consistent: a repaired channel is listed only when
 /// both its endpoints are live after this step, a channel failed by both a
 /// cable event and a chip event appears once, etc. — all cross-event
-/// interaction is worked out at resolve time (topo::resolve_timeline), so
-/// applying a step is a plain sequence of disable/enable calls.
+/// interaction is worked out by the fault model (topo::inject_faults), so
+/// applying a step is a plain sequence of disable/enable calls. The
+/// cycle-0 fault state is a step too: its fail lists are the static faults.
 struct FaultStep {
   Cycle at = 0;
   std::vector<NodeId> fail_nodes;
@@ -102,7 +103,8 @@ class Network {
 
   /// Clears all dynamic state (buffers, pipelines, allocations) so a network
   /// can be re-simulated without rebuilding the topology. Allocation-free.
-  /// Disabled channels/nodes (fault mask) survive the reset.
+  /// The fault mask survives the reset, rewound to its captured baseline
+  /// when there is one.
   void reset_dynamic_state();
 
   // ---- fault mask (degraded operation; see topo/faults.hpp) --------------
@@ -137,22 +139,26 @@ class Network {
   /// the engine cannot move flits over it (token width zeroed: the bucket
   /// never refills), independent of what routing decides.
   void disable_channel(ChanId c);
-  /// Marks node `n` dead and disables every channel incident to it (a
-  /// failed chip takes its links down with it). Terminals of dead nodes
-  /// neither generate nor accept traffic (see Simulator).
-  void disable_node(NodeId n);
   /// Online repair: re-marks channel `c` live and restores its source
   /// output-port record — the token width comes back from the immutable
   /// Channel struct, the bucket refills to capacity, and the refresh clock
   /// is re-based at `now` so the elapsed dead time does not grant a burst.
   /// No-op on an already-live channel. Callers (the Simulator applying a
   /// FaultStep, audits) are responsible for endpoint liveness consistency:
-  /// resolve_timeline never lists a channel with a dead endpoint.
+  /// the fault model never lists a channel with a dead endpoint.
   void enable_channel(ChanId c, Cycle now);
-  /// Online node fail/repair: flips only the node's liveness flag (and the
+  /// Node fail/repair: flips only the node's liveness flag (and the
   /// dead-node count). Incident channels are NOT touched — a resolved
-  /// FaultStep lists them explicitly in fail_chans/repair_chans.
+  /// FaultStep lists them explicitly in fail_chans/repair_chans. Terminals
+  /// of dead nodes neither generate nor accept traffic (see Simulator).
   void set_node_alive(NodeId n, bool alive);
+  /// Applies a FaultStep's lists to the mask alone: fail nodes, fail
+  /// channels, repair channels (refresh clock re-based at `now`), repair
+  /// nodes. Leaves engine state and the fault epoch alone. The cycle-0
+  /// state (topo::inject_faults) and timeline audits (topo::audit_at) use
+  /// it; the Simulator interleaves packet teardown and rescue between the
+  /// same calls instead.
+  void apply_fault_lists(const FaultStep& s, Cycle now);
   [[nodiscard]] std::size_t num_dead_channels() const;
   [[nodiscard]] std::size_t num_dead_nodes() const;
 
@@ -167,8 +173,8 @@ class Network {
   [[nodiscard]] const FaultSchedule* fault_schedule() const {
     return fault_schedule_.get();
   }
-  /// Snapshots the current mask (typically right after static injection)
-  /// as the cycle-0 baseline that reset_dynamic_state() restores. Without
+  /// Snapshots the current mask (inject_faults: the cycle-0 fault state)
+  /// as the baseline that reset_dynamic_state() restores. Without
   /// a captured baseline, resets leave the mask untouched (the pre-online
   /// behaviour manual disable_channel() users rely on).
   void capture_fault_baseline();

@@ -262,7 +262,7 @@ void Simulator::init() {
   if (fault_sched_ != nullptr && !net_.has_fault_baseline())
     throw std::logic_error(
         "Simulator: network has a fault schedule but no captured fault "
-        "baseline (call capture_fault_baseline() after static injection)");
+        "baseline (topo::inject_faults sets up both)");
 
   // Sharded engine setup. More shards than chips cannot be chip-aligned
   // and would only add empty phases, so the resolved count is clamped.
@@ -411,7 +411,8 @@ void Simulator::checkpoint(CheckpointIo& io) {
   SimContext& c = *ctx_;
   c.pool.checkpoint(io);
   // Restore trusts no id in the stream: a packet id must name a live pool
-  // slot, a wheel event a router and an input VC or a credit lane.
+  // slot, a wheel event a router and an input VC or a credit lane, and a
+  // buffered flit a live packet.
   std::vector<std::uint8_t> live(io.loading() ? c.pool.capacity() : 0, 1);
   for (std::size_t i = 0; io.loading() && i < c.pool.free_list().size(); ++i)
     live[c.pool.free_list()[i]] = 0;
@@ -470,6 +471,13 @@ void Simulator::checkpoint(CheckpointIo& io) {
     if (c.ivc_pkt[i] != kInvalidPacket) check_packet(c.ivc_pkt[i], "VC owner");
 
   net_.checkpoint(io);
+  const FlitFifoArena& fifos = net_.fifos();
+  for (std::size_t ix = 0; io.loading() && ix < fifos.num_fifos(); ++ix) {
+    if (fifos.size(ix) > fifos.capacity())
+      throw std::runtime_error("checkpoint: FIFO holds more flits than a VC");
+    for (std::uint32_t k = 0; k < fifos.size(ix); ++k)
+      check_packet(fifos.at(ix, k).pkt(), "buffered flit");
+  }
 }
 
 void Simulator::save_checkpoint(std::ostream& out) const {

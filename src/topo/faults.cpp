@@ -1,14 +1,16 @@
 #include "topo/faults.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/strfmt.hpp"
 
@@ -66,10 +68,9 @@ bool plane_admits(const sim::Network& net, const sim::Channel& ch,
 }
 
 /// The kind's duplex cables (a failed cable takes both directions down,
-/// keyed by the unordered endpoint pair) in seeded-permutation order. The
-/// static injector fails the first n entries and an online timeline's
-/// level n is the same prefix, so a higher rate's set contains a lower
-/// rate's.
+/// keyed by the unordered endpoint pair) in seeded-permutation order. A
+/// kind's level n, static or online, fails the first n entries, so a
+/// higher rate's set contains a lower rate's.
 std::vector<std::vector<ChanId>> permuted_cables(const sim::Network& net,
                                                  FaultKind kind,
                                                  std::uint64_t seed,
@@ -94,34 +95,308 @@ std::vector<std::vector<ChanId>> permuted_cables(const sim::Network& net,
   return out;
 }
 
+struct KindState {
+  std::vector<std::vector<ChanId>> cables;  ///< Permuted duplex cables.
+  std::size_t level = 0;                    ///< Dead prefix length.
+};
+
+/// The one fault-state model: per-kind dead prefixes of the seeded cable
+/// permutations plus a dead flag per chip. The static spec sets its
+/// cycle-0 state and timeline events move it; take_step() turns each move
+/// into the concrete node and channel transitions of a sim::FaultStep. A
+/// directed channel is dead while any failed cable covers it or either
+/// endpoint node is dead; cables are counted, not flagged, because
+/// FaultKind::Any and a specific kind can fail the same cable independently.
+class LevelModel {
+ public:
+  LevelModel(const sim::Network& net, const FaultSpec& spec)
+      : net_(net),
+        seed_(spec.seed),
+        plane_(spec.plane),
+        cable_dead_(net.num_channels(), 0),
+        node_dead_(net.num_routers(), 0),
+        chip_dead_(net.num_chips(), 0),
+        prev_chan_(net.num_channels(), 0),
+        prev_node_(net.num_routers(), 0) {}
+
+  /// The kind's cables, enumerated and permuted on first use.
+  KindState& kind(FaultKind k) {
+    auto it = kinds_.find(k);
+    if (it == kinds_.end())
+      it = kinds_
+               .emplace(k, KindState{permuted_cables(net_, k, seed_, plane_),
+                                     0})
+               .first;
+    return it->second;
+  }
+
+  /// round(rate * candidates): the dead prefix a rate stands for.
+  static std::size_t level_of(const KindState& ks, double rate) {
+    return static_cast<std::size_t>(
+        std::llround(rate * static_cast<double>(ks.cables.size())));
+  }
+
+  void set_level(KindState& ks, std::size_t lvl) {
+    for (; ks.level < lvl; ++ks.level)
+      for (const ChanId c : ks.cables[ks.level])
+        ++cable_dead_[static_cast<std::size_t>(c)];
+    while (ks.level > lvl) {
+      --ks.level;
+      for (const ChanId c : ks.cables[ks.level])
+        --cable_dead_[static_cast<std::size_t>(c)];
+    }
+  }
+
+  [[nodiscard]] std::size_t num_chips() const { return chip_dead_.size(); }
+  [[nodiscard]] bool chip_dead(ChipId chip) const {
+    return chip_dead_[static_cast<std::size_t>(chip)] != 0;
+  }
+  void set_chip(ChipId chip, bool dead) {
+    chip_dead_[static_cast<std::size_t>(chip)] = dead ? 1 : 0;
+    for (const NodeId n : net_.chip_nodes(chip))
+      node_dead_[static_cast<std::size_t>(n)] = dead ? 1 : 0;
+  }
+
+  /// The transitions since the previous call (since all-live on the
+  /// first), stamped `at`. Lists come out in ascending id order, each
+  /// channel once however many causes it has.
+  sim::FaultStep take_step(Cycle at) {
+    sim::FaultStep step;
+    step.at = at;
+    for (std::size_t i = 0; i < node_dead_.size(); ++i) {
+      if (node_dead_[i] == prev_node_[i]) continue;
+      (node_dead_[i] ? step.fail_nodes : step.repair_nodes)
+          .push_back(static_cast<NodeId>(i));
+      prev_node_[i] = node_dead_[i];
+    }
+    for (std::size_t i = 0; i < cable_dead_.size(); ++i) {
+      const sim::Channel& ch = net_.chan(static_cast<ChanId>(i));
+      const std::uint8_t dead =
+          cable_dead_[i] > 0 ||
+                  node_dead_[static_cast<std::size_t>(ch.src)] != 0 ||
+                  node_dead_[static_cast<std::size_t>(ch.dst)] != 0
+              ? 1
+              : 0;
+      if (dead == prev_chan_[i]) continue;
+      (dead ? step.fail_chans : step.repair_chans)
+          .push_back(static_cast<ChanId>(i));
+      prev_chan_[i] = dead;
+    }
+    return step;
+  }
+
+ private:
+  const sim::Network& net_;
+  std::uint64_t seed_;
+  int plane_;
+  std::map<FaultKind, KindState> kinds_;
+  std::vector<std::uint32_t> cable_dead_;
+  std::vector<std::uint8_t> node_dead_;
+  std::vector<std::uint8_t> chip_dead_;
+  std::vector<std::uint8_t> prev_chan_;  ///< Channel state at the last step.
+  std::vector<std::uint8_t> prev_node_;
+};
+
+/// Moves the model through the timeline's events, one FaultStep per cycle
+/// that changes anything. Validates verbs against the model's state: a
+/// fail must not lower a level, a repair must not raise one, and a chip
+/// event must flip its chip.
+sim::FaultSchedule resolve_timeline(LevelModel& model,
+                                    const FaultTimeline& timeline) {
+  const std::size_t num_chips = model.num_chips();
+  sim::FaultSchedule sched;
+  const auto& evs = timeline.events;
+  for (std::size_t ei = 0; ei < evs.size();) {
+    const Cycle at = evs[ei].at;
+    for (; ei < evs.size() && evs[ei].at == at; ++ei) {
+      const FaultEvent& e = evs[ei];
+      const auto cycle = static_cast<unsigned long long>(e.at);
+      if (e.is_chip) {
+        if (e.chip < 0 || e.chip >= static_cast<ChipId>(num_chips))
+          throw FaultError(strf(
+              "fault timeline: chip %d out of range at cycle %llu "
+              "(network has %zu chips)",
+              e.chip, cycle, num_chips));
+        if (e.fail == model.chip_dead(e.chip))
+          throw FaultError(strf("fault timeline: %s chip %d at cycle %llu",
+                                e.fail ? "fail of already-failed"
+                                       : "repair of live",
+                                e.chip, cycle));
+        model.set_chip(e.chip, e.fail);
+      } else {
+        KindState& ks = model.kind(e.kind);
+        const std::size_t lvl = LevelModel::level_of(ks, e.rate);
+        if (e.fail ? lvl < ks.level : lvl > ks.level)
+          throw FaultError(strf(
+              "fault timeline: %s event at cycle %llu %s the %s level "
+              "(%zu -> %zu cables); use %s to %s a rate",
+              e.fail ? "fail" : "repair", cycle,
+              e.fail ? "lowers" : "raises", to_string(e.kind), ks.level, lvl,
+              e.fail ? "repair" : "fail", e.fail ? "lower" : "raise"));
+        model.set_level(ks, lvl);
+      }
+    }
+    sim::FaultStep step = model.take_step(at);
+    if (!step.fail_nodes.empty() || !step.repair_nodes.empty() ||
+        !step.fail_chans.empty() || !step.repair_chans.empty())
+      sched.steps.push_back(std::move(step));
+  }
+  return sched;
+}
+
+// ---- the timeline grammar --------------------------------------------------
+
+/// One `<fail|repair>@<cycle>:<what>` event. Returns false on a malformed
+/// event; an unknown kind throws parse_fault_kind's std::invalid_argument.
+bool parse_event(const std::string& tok, FaultEvent& ev) {
+  const auto at_pos = tok.find('@');
+  if (at_pos == std::string::npos) return false;
+  const auto colon = tok.find(':', at_pos + 1);
+  if (colon == std::string::npos) return false;
+  const std::string verb = Cli::trim(tok.substr(0, at_pos));
+  if (verb != "fail" && verb != "repair") return false;
+  ev.fail = verb == "fail";
+  if (!Cli::parse_u64(tok.substr(at_pos + 1, colon - at_pos - 1), ev.at))
+    return false;
+  const std::string what = Cli::trim(tok.substr(colon + 1));
+  if (what.rfind("chip", 0) == 0) {
+    std::uint64_t id = 0;
+    // Digits only: `chip 3` and `chip-2` are malformed.
+    if (what.find_first_not_of("0123456789", 4) != std::string::npos ||
+        !Cli::parse_u64(what.substr(4), id) || id > 0x7fffffffULL)
+      return false;
+    ev.is_chip = true;
+    ev.chip = static_cast<ChipId>(id);
+    return true;
+  }
+  const auto eq = what.find('=');
+  if (eq == std::string::npos) return false;
+  ev.kind = parse_fault_kind(Cli::trim(what.substr(0, eq)));
+  return Cli::parse_double(what.substr(eq + 1), ev.rate) && ev.rate >= 0.0 &&
+         ev.rate <= 1.0;
+}
+
 }  // namespace
 
+std::string to_string(const FaultEvent& e) {
+  const auto at = static_cast<unsigned long long>(e.at);
+  const char* verb = e.fail ? "fail" : "repair";
+  return e.is_chip ? strf("%s@%llu:chip%d", verb, at, e.chip)
+                   : strf("%s@%llu:%s=%g", verb, at, to_string(e.kind), e.rate);
+}
+
+FaultTimeline parse_fault_events(const std::string& s,
+                                 const std::string& origin) {
+  FaultTimeline tl;
+  std::size_t line = 1;
+  for (std::size_t pos = 0; pos < s.size(); ++line) {
+    const std::size_t eol = std::min(s.find('\n', pos), s.size());
+    const std::string row = s.substr(pos, std::min(s.find('#', pos), eol) - pos);
+    pos = eol + 1;
+    const auto err = [&](const std::string& msg) {
+      return FaultError(strf("%s:%zu: %s", origin.c_str(), line, msg.c_str()));
+    };
+    for (std::size_t b = 0; b <= row.size();) {
+      const std::size_t semi = std::min(row.find(';', b), row.size());
+      const std::string tok = Cli::trim(row.substr(b, semi - b));
+      b = semi + 1;
+      if (tok.empty()) continue;
+      FaultEvent ev;
+      bool ok = false;
+      try {
+        ok = parse_event(tok, ev);
+      } catch (const std::invalid_argument& e) {  // unknown kind
+        throw err(e.what());
+      }
+      if (!ok)
+        throw err("bad event '" + tok +
+                  "' (expected fail|repair@<cycle>:<kind>=<rate> or "
+                  "fail|repair@<cycle>:chip<N>)");
+      if (!tl.events.empty() && ev.at < tl.events.back().at)
+        throw err(strf("cycle %llu precedes the previous event's cycle %llu; "
+                       "the timeline must be non-decreasing in cycle",
+                       static_cast<unsigned long long>(ev.at),
+                       static_cast<unsigned long long>(tl.events.back().at)));
+      tl.events.push_back(ev);
+    }
+  }
+  return tl;
+}
+
+FaultTimeline parse_fault_schedule(std::istream& in,
+                                   const std::string& origin) {
+  std::string header;
+  if (!std::getline(in, header))
+    throw FaultError(origin +
+                     ":1: empty fault schedule (expected the header "
+                     "'sldf-faults 2')");
+  header = Cli::trim(header);
+  if (header == "sldf-faults 1")
+    throw FaultError(origin +
+                     ":1: 'sldf-faults 1' is no longer read; write the "
+                     "header 'sldf-faults 2' and events in the fault.events "
+                     "grammar, one per line or ';'-separated, e.g. "
+                     "'fail@100:global=0.1'");
+  if (header != "sldf-faults 2")
+    throw FaultError(origin + ":1: bad header '" + header +
+                     "' (expected 'sldf-faults 2')");
+  std::string body;
+  // The body starts at line 2; a leading newline keeps the line numbers.
+  body.push_back('\n');
+  body.append(std::istreambuf_iterator<char>(in), {});
+  return parse_fault_events(body, origin);
+}
+
+FaultTimeline load_fault_schedule(const std::string& path) {
+  std::ifstream in(path);
+  if (!in)
+    throw FaultError("cannot open fault schedule file '" + path + "'");
+  return parse_fault_schedule(in, path);
+}
+
+FaultTimeline load_timeline(const FaultSpec& spec) {
+  if (!spec.events.empty() && !spec.schedule.empty())
+    throw FaultError(
+        "scenario sets both fault.events and fault.schedule; give the "
+        "timeline one way");
+  if (!spec.events.empty()) return parse_fault_events(spec.events);
+  if (!spec.schedule.empty()) return load_fault_schedule(spec.schedule);
+  return {};
+}
+
 FaultReport inject_faults(sim::Network& net, const FaultSpec& spec) {
-  if (!spec.active())
+  if (!spec.armed())
     throw std::invalid_argument("inject_faults: spec has no faults");
   if (spec.rate < 0.0 || spec.rate > 1.0)
     throw std::invalid_argument("inject_faults: rate must be in [0, 1]");
-  net.enable_fault_mask();
-
-  FaultReport rep;
-
-  const auto cables = permuted_cables(net, spec.kind, spec.seed, spec.plane);
-  rep.candidate_cables = cables.size();
-  const auto n_fail = static_cast<std::size_t>(
-      std::llround(spec.rate * static_cast<double>(cables.size())));
-  for (std::size_t i = 0; i < n_fail; ++i)
-    for (const ChanId c : cables[i]) net.disable_channel(c);
-  rep.failed_cables = n_fail;
-
-  for (const ChipId chip : spec.chips) {
+  for (const ChipId chip : spec.chips)
     if (chip < 0 || chip >= static_cast<ChipId>(net.num_chips()))
       throw std::invalid_argument(
           strf("inject_faults: chip %d out of range (network has %zu chips)",
                chip, net.num_chips()));
-    for (const NodeId n : net.chip_nodes(chip)) net.disable_node(n);
-  }
-  rep.failed_chips = spec.chips.size();
+  // A timeline over a fault-free cycle-0 state still needs the mask armed:
+  // fault steps rewrite live port records at runtime.
+  net.enable_fault_mask();
+  const FaultTimeline timeline = load_timeline(spec);
 
+  LevelModel model(net, spec);
+  FaultReport rep;
+  if (spec.active()) {
+    KindState& ks = model.kind(spec.kind);
+    rep.candidate_cables = ks.cables.size();
+    rep.failed_cables = LevelModel::level_of(ks, spec.rate);
+    model.set_level(ks, rep.failed_cables);
+    for (const ChipId chip : spec.chips) model.set_chip(chip, true);
+    rep.failed_chips = spec.chips.size();
+  }
+  net.apply_fault_lists(model.take_step(0), 0);
+  net.capture_fault_baseline();
+  if (spec.has_timeline()) {
+    auto sched = std::make_shared<sim::FaultSchedule>(
+        resolve_timeline(model, timeline));
+    sched->rescue = spec.rescue;
+    net.set_fault_schedule(std::move(sched));
+  }
   rep.dead_channels = net.num_dead_channels();
   rep.dead_nodes = net.num_dead_nodes();
   return rep;
@@ -200,361 +475,6 @@ std::string FaultAudit::to_string() const {
 }
 
 // ---------------------------------------------------------------------------
-// Fault event timeline: parsing.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::string trimmed(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool parse_verb(const std::string& v, bool& fail) {
-  if (v == "fail") return fail = true, true;
-  if (v == "repair") return fail = false, true;
-  return false;
-}
-
-bool parse_cycle(const std::string& s, Cycle& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    if (v > (~0ULL - static_cast<std::uint64_t>(c - '0')) / 10) return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
-bool parse_rate(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  std::size_t consumed = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &consumed);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (consumed != s.size() || !(v >= 0.0 && v <= 1.0)) return false;
-  out = v;
-  return true;
-}
-
-/// Parses the `<what>` payload shared by both formats when it arrives as a
-/// single token: `chip<N>` or `<kind>=<rate>`.
-bool parse_what(const std::string& what, FaultEvent& ev) {
-  if (what.rfind("chip", 0) == 0) {
-    const std::string num = what.substr(4);
-    Cycle id = 0;
-    if (!parse_cycle(num, id) || id > 0x7fffffffULL) return false;
-    ev.is_chip = true;
-    ev.chip = static_cast<ChipId>(id);
-    return true;
-  }
-  const auto eq = what.find('=');
-  if (eq == std::string::npos) return false;
-  try {
-    ev.kind = parse_fault_kind(trimmed(what.substr(0, eq)));
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  ev.is_chip = false;
-  return parse_rate(trimmed(what.substr(eq + 1)), ev.rate);
-}
-
-void check_ordered(const FaultTimeline& tl, const std::string& where) {
-  for (std::size_t i = 1; i < tl.events.size(); ++i) {
-    if (tl.events[i].at < tl.events[i - 1].at)
-      throw FaultError(
-          strf("%s: events out of order (cycle %llu after %llu); the "
-               "timeline must be non-decreasing in cycle",
-               where.c_str(),
-               static_cast<unsigned long long>(tl.events[i].at),
-               static_cast<unsigned long long>(tl.events[i - 1].at)));
-  }
-}
-
-}  // namespace
-
-FaultTimeline parse_fault_events(const std::string& s) {
-  FaultTimeline tl;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto semi = s.find(';', pos);
-    const std::string tok = trimmed(
-        s.substr(pos, semi == std::string::npos ? std::string::npos
-                                                : semi - pos));
-    pos = semi == std::string::npos ? s.size() + 1 : semi + 1;
-    if (tok.empty()) continue;
-    const auto bad = [&tok]() -> FaultError {
-      return FaultError(strf(
-          "fault.events: bad event '%s' (expected "
-          "fail|repair@<cycle>:<kind>=<rate> or fail|repair@<cycle>:chip<N>)",
-          tok.c_str()));
-    };
-    const auto at_pos = tok.find('@');
-    if (at_pos == std::string::npos) throw bad();
-    const auto colon = tok.find(':', at_pos + 1);
-    if (colon == std::string::npos) throw bad();
-    FaultEvent ev;
-    if (!parse_verb(trimmed(tok.substr(0, at_pos)), ev.fail)) throw bad();
-    if (!parse_cycle(trimmed(tok.substr(at_pos + 1, colon - at_pos - 1)),
-                     ev.at))
-      throw bad();
-    if (!parse_what(trimmed(tok.substr(colon + 1)), ev)) throw bad();
-    tl.events.push_back(ev);
-  }
-  check_ordered(tl, "fault.events");
-  return tl;
-}
-
-FaultTimeline parse_fault_schedule(std::istream& in,
-                                   const std::string& origin) {
-  std::string line;
-  std::size_t lineno = 0;
-  const auto err = [&](const std::string& msg) -> FaultError {
-    return FaultError(strf("%s:%zu: %s", origin.c_str(), lineno, msg.c_str()));
-  };
-
-  // Header.
-  if (!std::getline(in, line)) throw err("empty fault schedule");
-  ++lineno;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (trimmed(line) != "sldf-faults 1")
-    throw err("bad header (expected 'sldf-faults 1')");
-
-  FaultTimeline tl;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trimmed(line);
-    if (line.empty()) continue;
-
-    // Tokenize: verb cycle what [arg].
-    std::vector<std::string> toks;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[i])))
-        ++i;
-      std::size_t j = i;
-      while (j < line.size() &&
-             !std::isspace(static_cast<unsigned char>(line[j])))
-        ++j;
-      if (j > i) toks.push_back(line.substr(i, j - i));
-      i = j;
-    }
-    if (toks.size() != 4)
-      throw err(
-          "expected 'fail|repair <cycle> chip <N>' or "
-          "'fail|repair <cycle> <kind> <rate>'");
-    FaultEvent ev;
-    if (!parse_verb(toks[0], ev.fail))
-      throw err("unknown verb '" + toks[0] + "' (expected fail|repair)");
-    if (!parse_cycle(toks[1], ev.at))
-      throw err("bad cycle '" + toks[1] + "'");
-    if (toks[2] == "chip") {
-      Cycle id = 0;
-      if (!parse_cycle(toks[3], id) || id > 0x7fffffffULL)
-        throw err("bad chip id '" + toks[3] + "'");
-      ev.is_chip = true;
-      ev.chip = static_cast<ChipId>(id);
-    } else {
-      try {
-        ev.kind = parse_fault_kind(toks[2]);
-      } catch (const std::invalid_argument& e) {
-        throw err(e.what());
-      }
-      if (!parse_rate(toks[3], ev.rate))
-        throw err("bad rate '" + toks[3] + "' (expected a number in [0, 1])");
-    }
-    if (!tl.events.empty() && ev.at < tl.events.back().at)
-      throw err(strf("cycle %llu precedes the previous event's cycle %llu; "
-                     "the timeline must be non-decreasing in cycle",
-                     static_cast<unsigned long long>(ev.at),
-                     static_cast<unsigned long long>(tl.events.back().at)));
-    tl.events.push_back(ev);
-  }
-  return tl;
-}
-
-FaultTimeline load_fault_schedule(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw FaultError("cannot open fault schedule file '" + path + "'");
-  return parse_fault_schedule(in, path);
-}
-
-// ---------------------------------------------------------------------------
-// Fault event timeline: resolution against a finalized network.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct KindState {
-  std::vector<std::vector<ChanId>> cables;  ///< Permuted duplex cables.
-  std::size_t level = 0;                    ///< Dead prefix length.
-};
-
-}  // namespace
-
-sim::FaultSchedule resolve_timeline(const sim::Network& net,
-                                    const FaultTimeline& timeline,
-                                    const FaultSpec& base) {
-  if (base.rate < 0.0 || base.rate > 1.0)
-    throw FaultError("resolve_timeline: base rate must be in [0, 1]");
-  check_ordered(timeline, "resolve_timeline");
-
-  std::map<FaultKind, KindState> kinds;
-  const auto kind_state = [&](FaultKind k) -> KindState& {
-    auto it = kinds.find(k);
-    if (it == kinds.end())
-      it = kinds
-               .emplace(k, KindState{permuted_cables(net, k, base.seed,
-                                                     base.plane),
-                                     0})
-               .first;
-    return it->second;
-  };
-
-  // Model: a directed channel is dead while any failed cable covers it or
-  // either endpoint node is dead. Counted (not boolean) because FaultKind::Any
-  // and a specific kind can fail the same cable independently.
-  std::vector<std::uint32_t> cable_dead(net.num_channels(), 0);
-  std::vector<std::uint8_t> node_dead(net.num_routers(), 0);
-  std::vector<std::uint8_t> chip_dead(net.num_chips(), 0);
-  const auto chan_dead = [&](ChanId c) {
-    const sim::Channel& ch = net.chan(c);
-    return cable_dead[static_cast<std::size_t>(c)] > 0 ||
-           node_dead[static_cast<std::size_t>(ch.src)] != 0 ||
-           node_dead[static_cast<std::size_t>(ch.dst)] != 0;
-  };
-  const auto set_level = [&](KindState& ks, std::size_t lvl) {
-    while (ks.level < lvl) {
-      for (const ChanId c : ks.cables[ks.level])
-        ++cable_dead[static_cast<std::size_t>(c)];
-      ++ks.level;
-    }
-    while (ks.level > lvl) {
-      --ks.level;
-      for (const ChanId c : ks.cables[ks.level])
-        --cable_dead[static_cast<std::size_t>(c)];
-    }
-  };
-
-  // Cycle-0 state: the static injection the network was built with.
-  if (base.rate > 0.0) {
-    KindState& ks = kind_state(base.kind);
-    set_level(ks, static_cast<std::size_t>(std::llround(
-                      base.rate * static_cast<double>(ks.cables.size()))));
-  }
-  for (const ChipId chip : base.chips) {
-    if (chip < 0 || chip >= static_cast<ChipId>(net.num_chips()))
-      throw FaultError(strf("resolve_timeline: base chip %d out of range",
-                            chip));
-    chip_dead[static_cast<std::size_t>(chip)] = 1;
-    for (const NodeId n : net.chip_nodes(chip))
-      node_dead[static_cast<std::size_t>(n)] = 1;
-  }
-
-  // The model's cycle-0 state must agree with the network's current mask;
-  // a mismatched base spec would make every diff below nonsense.
-  for (std::size_t i = 0; i < net.num_routers(); ++i) {
-    if ((node_dead[i] != 0) != !net.node_live(static_cast<NodeId>(i)))
-      throw FaultError(
-          strf("resolve_timeline: base spec disagrees with the network's "
-               "fault state at node %zu (wrong seed/rate/kind/chips?)",
-               i));
-  }
-  for (std::size_t i = 0; i < net.num_channels(); ++i) {
-    if (chan_dead(static_cast<ChanId>(i)) !=
-        !net.chan_live(static_cast<ChanId>(i)))
-      throw FaultError(
-          strf("resolve_timeline: base spec disagrees with the network's "
-               "fault state at channel %zu (wrong seed/rate/kind?)",
-               i));
-  }
-
-  std::vector<std::uint8_t> prev_chan(net.num_channels());
-  for (std::size_t i = 0; i < net.num_channels(); ++i)
-    prev_chan[i] = chan_dead(static_cast<ChanId>(i)) ? 1 : 0;
-  std::vector<std::uint8_t> prev_node = node_dead;
-
-  sim::FaultSchedule sched;
-  std::size_t ei = 0;
-  const auto& evs = timeline.events;
-  while (ei < evs.size()) {
-    const Cycle at = evs[ei].at;
-    for (; ei < evs.size() && evs[ei].at == at; ++ei) {
-      const FaultEvent& e = evs[ei];
-      if (e.is_chip) {
-        if (e.chip < 0 || e.chip >= static_cast<ChipId>(net.num_chips()))
-          throw FaultError(strf(
-              "resolve_timeline: chip %d out of range at cycle %llu "
-              "(network has %zu chips)",
-              e.chip, static_cast<unsigned long long>(e.at),
-              net.num_chips()));
-        auto& dead = chip_dead[static_cast<std::size_t>(e.chip)];
-        if (e.fail && dead)
-          throw FaultError(strf(
-              "resolve_timeline: fail of already-failed chip %d at cycle "
-              "%llu",
-              e.chip, static_cast<unsigned long long>(e.at)));
-        if (!e.fail && !dead)
-          throw FaultError(strf(
-              "resolve_timeline: repair of live chip %d at cycle %llu",
-              e.chip, static_cast<unsigned long long>(e.at)));
-        dead = e.fail ? 1 : 0;
-        for (const NodeId n : net.chip_nodes(e.chip))
-          node_dead[static_cast<std::size_t>(n)] = dead;
-      } else {
-        KindState& ks = kind_state(e.kind);
-        const auto lvl = static_cast<std::size_t>(std::llround(
-            e.rate * static_cast<double>(ks.cables.size())));
-        if (e.fail && lvl < ks.level)
-          throw FaultError(strf(
-              "resolve_timeline: fail event at cycle %llu lowers the %s "
-              "level (%zu -> %zu cables); use repair to lower a rate",
-              static_cast<unsigned long long>(e.at), to_string(e.kind),
-              ks.level, lvl));
-        if (!e.fail && lvl > ks.level)
-          throw FaultError(strf(
-              "resolve_timeline: repair event at cycle %llu raises the %s "
-              "level (%zu -> %zu cables); use fail to raise a rate",
-              static_cast<unsigned long long>(e.at), to_string(e.kind),
-              ks.level, lvl));
-        set_level(ks, lvl);
-      }
-    }
-
-    sim::FaultStep step;
-    step.at = at;
-    for (std::size_t i = 0; i < net.num_routers(); ++i) {
-      if (node_dead[i] == prev_node[i]) continue;
-      (node_dead[i] ? step.fail_nodes : step.repair_nodes)
-          .push_back(static_cast<NodeId>(i));
-      prev_node[i] = node_dead[i];
-    }
-    for (std::size_t i = 0; i < net.num_channels(); ++i) {
-      const std::uint8_t cur = chan_dead(static_cast<ChanId>(i)) ? 1 : 0;
-      if (cur == prev_chan[i]) continue;
-      (cur ? step.fail_chans : step.repair_chans)
-          .push_back(static_cast<ChanId>(i));
-      prev_chan[i] = cur;
-    }
-    if (!step.fail_nodes.empty() || !step.repair_nodes.empty() ||
-        !step.fail_chans.empty() || !step.repair_chans.empty())
-      sched.steps.push_back(std::move(step));
-  }
-  return sched;
-}
-
-// ---------------------------------------------------------------------------
 // Fault event timeline: instant audits.
 // ---------------------------------------------------------------------------
 
@@ -565,21 +485,15 @@ TimelineAudit audit_at(sim::Network& net, Cycle t, std::size_t max_hops) {
         "audit_at: network has no attached fault schedule and captured "
         "baseline (built without a fault timeline?)");
 
-  const auto apply = [&net](const sim::FaultStep& s) {
-    for (const NodeId n : s.fail_nodes) net.set_node_alive(n, false);
-    for (const ChanId c : s.fail_chans) net.disable_channel(c);
-    for (const ChanId c : s.repair_chans) net.enable_channel(c, 0);
-    for (const NodeId n : s.repair_nodes) net.set_node_alive(n, true);
-  };
-
   TimelineAudit ta;
   ta.at = t;
   net.restore_fault_baseline();
   std::size_t i = 0;
   for (; i < sched->steps.size() && sched->steps[i].at <= t; ++i)
-    apply(sched->steps[i]);
+    net.apply_fault_lists(sched->steps[i], 0);
   ta.snapshot = audit_fault_routing(net, max_hops);
-  for (; i < sched->steps.size(); ++i) apply(sched->steps[i]);
+  for (; i < sched->steps.size(); ++i)
+    net.apply_fault_lists(sched->steps[i], 0);
   ta.settled = audit_fault_routing(net, max_hops);
   net.restore_fault_baseline();
   return ta;

@@ -1,9 +1,12 @@
 // Fault model for degraded-operation studies (wafer-scale yield/defect
 // tolerance): deterministically disables duplex cables by kind — on-wafer
 // intra-C-group mesh links, long-reach local (intra-W-group) cables,
-// long-reach global (inter-W-group) cables — and/or whole chips, rewriting
-// the finalized Network's channel/port tables so dead links can never move
-// flits. Fault-aware routing (route/swless_routing, route/dragonfly_routing)
+// long-reach global (inter-W-group) cables, vertical wafer bonds — and/or
+// whole chips, rewriting the finalized Network's channel/port tables so
+// dead links can never move flits. Every `fault.*` key goes through one
+// entry point, inject_faults(): the static rate/kind/chips are the cycle-0
+// level of the same model that resolves an online fail/repair timeline.
+// Fault-aware routing (route/swless_routing, route/dragonfly_routing)
 // consults the resulting mask and detours around dead resources; the audit
 // below re-validates all-pairs reachability after injection, reporting (not
 // crashing on) unreachable pairs.
@@ -20,7 +23,7 @@
 namespace sldf::topo {
 
 /// Typed error for malformed fault timelines (inline `fault.events` strings
-/// and `fault.schedule` files). File-derived messages carry "origin:line".
+/// and `fault.schedule` files). Messages carry "origin:line".
 class FaultError : public ScenarioError {
  public:
   explicit FaultError(const std::string& what) : ScenarioError(what) {}
@@ -48,7 +51,7 @@ struct FaultSpec {
   // --- online fault timeline (scenario keys fault.events / fault.schedule /
   // fault.rescue; at most one of the two sources may be set) ---
   std::string events;    ///< Inline timeline (parse_fault_events grammar).
-  std::string schedule;  ///< Path of a `sldf-faults 1` schedule file.
+  std::string schedule;  ///< Path of a `sldf-faults 2` schedule file.
   bool rescue = true;    ///< Retransmit torn packets (false: drop + count).
   /// Restrict CABLE failures to one plane of a multi-plane network
   /// (scenario key `fault.plane`; -1 = all planes). Whole-chip failures
@@ -63,6 +66,9 @@ struct FaultSpec {
   [[nodiscard]] bool has_timeline() const {
     return !events.empty() || !schedule.empty();
   }
+  /// Any fault.* key that engages the fault layer: static faults or a
+  /// timeline. Exactly the specs inject_faults() accepts.
+  [[nodiscard]] bool armed() const { return active() || has_timeline(); }
 };
 
 struct FaultReport {
@@ -74,14 +80,25 @@ struct FaultReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Injects the spec's faults into a finalized network: arms the fault mask,
-/// disables round(rate * candidates) cables chosen by a seeded partial
-/// shuffle, and kills every node of the listed chips. Deterministic: the
-/// same seed always fails the same set, and for a fixed seed the set failed
-/// at a higher rate is a superset of the set at any lower rate (shuffle
-/// prefix) — resilience sweeps therefore degrade monotonically instead of
-/// jumping between unrelated fault sets. Throws on an inactive spec, an
-/// out-of-range rate, or bad chip ids.
+/// The one entry point of the fault layer. On a finalized network it arms
+/// the fault mask, parses the timeline (fault.events or fault.schedule, at
+/// most one of them), and runs one level model: per kind, the dead cables
+/// are a prefix of a seeded permutation of that kind's duplex cables, plus
+/// a dead flag per chip. The static rate/kind/chips/plane are the model's
+/// cycle-0 state; it is applied to the mask and captured as the baseline
+/// that reset_dynamic_state() restores. When the spec has a timeline, its
+/// events resolve against the same model into the per-cycle FaultSteps the
+/// Simulator applies (with fault.rescue), attached to the network.
+///
+/// Deterministic: the same seed always fails the same set, and for a fixed
+/// seed the set failed at a higher rate is a superset of the set at any
+/// lower rate (permutation prefix), online or static — resilience sweeps
+/// degrade monotonically instead of jumping between unrelated fault sets.
+/// Throws std::invalid_argument on a spec that arms nothing, a rate
+/// outside [0, 1] or an out-of-range chip, and FaultError on a malformed
+/// timeline or an event that contradicts the fault state (a fail that
+/// lowers a level, a repair that raises one, a chip event that does not
+/// flip the chip).
 FaultReport inject_faults(sim::Network& net, const FaultSpec& spec);
 
 /// Post-injection reachability audit of the installed routing function.
@@ -126,36 +143,34 @@ struct FaultEvent {
 /// Parsed, unresolved timeline (cycle-ordered events).
 struct FaultTimeline {
   std::vector<FaultEvent> events;
-  [[nodiscard]] bool empty() const { return events.empty(); }
 };
 
-/// Parses the inline `fault.events` grammar: semicolon-separated
-/// `<fail|repair>@<cycle>:<what>` where `<what>` is `chip<N>` or
-/// `<kind>=<rate>`, e.g. `fail@2000:global=0.05;repair@5000:global=0`.
-/// Events must be non-decreasing in cycle. Throws FaultError.
-FaultTimeline parse_fault_events(const std::string& s);
+/// Renders one event in the fault.events grammar, e.g. `fail@2000:global=0.05`.
+std::string to_string(const FaultEvent& e);
 
-/// Parses the `fault.schedule` file format: header line `sldf-faults 1`,
-/// then one event per line — `fail|repair <cycle> chip <N>` or
-/// `fail|repair <cycle> <kind> <rate>` — with `#` comments. Errors carry
-/// `origin:line`. Throws FaultError.
+/// Parses the timeline grammar: events `<fail|repair>@<cycle>:<what>`,
+/// where `<what>` is `chip<N>` or `<kind>=<rate>`, separated by `;` or a
+/// newline, with `#` starting a comment that runs to the end of the line,
+/// e.g. `fail@2000:global=0.05;repair@5000:global=0`. Events must be
+/// non-decreasing in cycle. Errors carry `origin:line` (line 1 is the first
+/// line of `s`); an unknown kind reports parse_fault_kind's message. Throws
+/// FaultError.
+FaultTimeline parse_fault_events(const std::string& s,
+                                 const std::string& origin = "fault.events");
+
+/// Parses a `fault.schedule` file: the header line `sldf-faults 2`, then a
+/// body in the parse_fault_events grammar, with errors at the file's own
+/// line numbers. The retired `sldf-faults 1` header is rejected with a
+/// message that shows the new form. Throws FaultError.
 FaultTimeline parse_fault_schedule(std::istream& in, const std::string& origin);
 
 /// Opens `path` and parses it with parse_fault_schedule. Throws FaultError
 /// when the file cannot be opened.
 FaultTimeline load_fault_schedule(const std::string& path);
 
-/// Resolves a timeline against a finalized network into the concrete
-/// per-cycle channel/node transitions the Simulator applies. `base` is the
-/// static spec already injected into `net` (seed + initial levels + chips);
-/// every rate event reuses the base seed's per-kind permutation, so the
-/// cycle-t fault set at rate r is bit-identical to a static injection at
-/// rate r. Validates verbs (a fail event must not lower a level, a repair
-/// must not raise one; chip events must flip state) and that the base spec
-/// matches the network's current mask. Throws FaultError.
-sim::FaultSchedule resolve_timeline(const sim::Network& net,
-                                    const FaultTimeline& timeline,
-                                    const FaultSpec& base);
+/// The spec's timeline: fault.events parsed, or the fault.schedule file
+/// loaded, or empty. Throws FaultError when both sources are set.
+FaultTimeline load_timeline(const FaultSpec& spec);
 
 /// Reachability audit of one instant of a fault timeline, with the end
 /// state alongside so transient partitions (heal after later repairs) are
@@ -183,8 +198,8 @@ struct TimelineAudit {
 /// stands at cycle `t` of the network's attached fault schedule, and again
 /// at the end of the timeline. The mask is rewound to the captured cycle-0
 /// baseline afterwards, so the network is unchanged. Requires a network
-/// with an attached schedule and captured baseline (build_network sets both
-/// up for timeline scenarios). Throws FaultError otherwise.
+/// with an attached schedule and captured baseline (inject_faults sets both
+/// up for a spec with a timeline). Throws FaultError otherwise.
 TimelineAudit audit_at(sim::Network& net, Cycle t, std::size_t max_hops = 4096);
 
 }  // namespace sldf::topo

@@ -77,39 +77,21 @@ class WorstCaseTraffic final : public sim::TrafficSource {
 /// "worst-case", and "ring-allreduce" (options scope=cgroup|wgroup|system,
 /// bidir=0|1). Factories receive the pattern's option map; unknown options
 /// or kinds throw std::invalid_argument.
-class TrafficRegistry {
+class TrafficRegistry
+    : public core::NamedRegistry<std::function<std::unique_ptr<
+          sim::TrafficSource>(const sim::Network&, const core::KvMap&)>> {
  public:
-  using Factory = std::function<std::unique_ptr<sim::TrafficSource>(
-      const sim::Network&, const core::KvMap&)>;
-
   /// The process-wide registry, with the built-in patterns registered.
   static TrafficRegistry& instance();
 
-  void add(const std::string& name, std::string help, Factory make) {
-    reg_.add(name, std::move(help), std::move(make));
-  }
-  void add(const std::string& name, core::RegistryDoc doc, Factory make) {
-    reg_.add(name, std::move(doc), std::move(make));
-  }
-  [[nodiscard]] bool contains(const std::string& name) const {
-    return reg_.contains(name);
-  }
-  [[nodiscard]] std::vector<std::string> names() const { return reg_.names(); }
-  [[nodiscard]] const std::string& help(const std::string& name) const {
-    return reg_.help(name);
-  }
-  [[nodiscard]] const core::RegistryDoc& doc(const std::string& name) const {
-    return reg_.doc(name);
-  }
   [[nodiscard]] std::unique_ptr<sim::TrafficSource> make(
       const std::string& kind, const sim::Network& net,
       const core::KvMap& opts = {}) const {
-    return reg_.at(kind, "traffic pattern")(net, opts);
+    return at(kind, "traffic pattern")(net, opts);
   }
 
  private:
   TrafficRegistry();
-  core::NamedRegistry<Factory> reg_;
 };
 
 /// Registry lookup shorthand (kept as the factory entry point).

@@ -36,37 +36,22 @@ struct WorkloadEnv {
 /// client/server pairs with issue timestamps). Factories receive the
 /// `workload.<opt>` map (runner keys already stripped); unknown options
 /// throw std::invalid_argument.
-class WorkloadRegistry {
+class WorkloadRegistry
+    : public core::NamedRegistry<std::function<WorkloadGraph(
+          const sim::Network&, const core::KvMap&, const WorkloadEnv&)>> {
  public:
-  using Factory = std::function<WorkloadGraph(
-      const sim::Network&, const core::KvMap&, const WorkloadEnv&)>;
-
   /// The process-wide registry, with the built-in generators registered.
   static WorkloadRegistry& instance();
 
-  void add(const std::string& name, core::RegistryDoc doc, Factory make) {
-    reg_.add(name, std::move(doc), std::move(make));
-  }
-  [[nodiscard]] bool contains(const std::string& name) const {
-    return reg_.contains(name);
-  }
-  [[nodiscard]] std::vector<std::string> names() const { return reg_.names(); }
-  [[nodiscard]] const std::string& help(const std::string& name) const {
-    return reg_.help(name);
-  }
-  [[nodiscard]] const core::RegistryDoc& doc(const std::string& name) const {
-    return reg_.doc(name);
-  }
   [[nodiscard]] WorkloadGraph make(const std::string& kind,
                                    const sim::Network& net,
                                    const core::KvMap& opts,
                                    const WorkloadEnv& env) const {
-    return reg_.at(kind, "workload")(net, opts, env);
+    return at(kind, "workload")(net, opts, env);
   }
 
  private:
   WorkloadRegistry();
-  core::NamedRegistry<Factory> reg_;
 };
 
 /// Registry lookup shorthand.

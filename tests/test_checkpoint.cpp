@@ -279,7 +279,7 @@ TEST(CheckpointRestore, RejectsIdsOutsideTheirBounds) {
   struct Case {
     const char* name;
     const char* what;  ///< Expected in the error message.
-    std::function<void(sim::SimContext&, const sim::Network&)> corrupt;
+    std::function<void(sim::SimContext&, sim::Network&)> corrupt;
   };
   const auto pool_end = [](const sim::SimContext& c) {
     return static_cast<PacketId>(c.pool.capacity());
@@ -335,6 +335,14 @@ TEST(CheckpointRestore, RejectsIdsOutsideTheirBounds) {
        [&](sim::SimContext& c, const sim::Network& net) {
          push(c, kLane0 + static_cast<std::uint32_t>(net.num_vcs()), 0,
               sim::Flit{});
+       }},
+      {"buffered flit of a free packet", "buffered flit",
+       [&](sim::SimContext& c, sim::Network& net) {
+         sim::FlitFifoArena& fifos = net.fifos();
+         std::size_t ix = 0;
+         while (ix < fifos.num_fifos() && fifos.full(ix)) ++ix;
+         ASSERT_LT(ix, fifos.num_fifos()) << "every FIFO is full";
+         fifos.push(ix, sim::Flit(freed(c), true, true));
        }},
   };
   for (const Case& k : cases) {

@@ -168,6 +168,28 @@ TEST(FaultInject, RewritesPortTablesSoDeadLinksCannotSend) {
   }
 }
 
+TEST(FaultInject, StaticFaultsAreTheCapturedCycleZeroBaseline) {
+  // The static set is applied as the model's cycle-0 level and captured as
+  // the baseline; resets restore exactly it, and no online transition is
+  // counted (the fault epoch is checkpointed).
+  sim::Network net;
+  build_ft_swless(VcScheme::Baseline, RouteMode::Minimal, 3, net);
+  FaultSpec s;
+  s.rate = 0.2;
+  s.kind = FaultKind::Local;
+  s.chips = {1};
+  const auto rep = topo::inject_faults(net, s);
+  EXPECT_TRUE(net.has_fault_baseline());
+  EXPECT_EQ(net.fault_schedule(), nullptr);  // no timeline, no steps
+  EXPECT_EQ(net.fault_epoch(), 0u);
+  const auto dead = dead_channels(net);
+  EXPECT_EQ(dead.size(), rep.dead_channels);
+  net.reset_dynamic_state();
+  EXPECT_EQ(dead_channels(net), dead);
+  EXPECT_EQ(net.num_dead_nodes(), rep.dead_nodes);
+  EXPECT_EQ(net.fault_epoch(), 0u);
+}
+
 TEST(FaultInject, ChipFaultKillsNodesAndLinks) {
   // g = 3: chip 0 hosts the wg0<->wg1 gateway, so its death must be routed
   // around through wg2 (with g = 2 the fabric would genuinely partition).

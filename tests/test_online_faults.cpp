@@ -1,5 +1,6 @@
-// Online fault-timeline suite: the fault.events / fault.schedule parsers
-// (typed FaultError with origin:line), resolution against the seeded
+// Online fault-timeline suite: the one fault grammar behind fault.events
+// and fault.schedule files (typed FaultError with origin:line, mutation
+// fuzz), resolution against the seeded
 // permutation (verb validation, static-prefix equivalence), engine
 // application (fail -> repair -> fail bit-identity across repeat runs and
 // shard counts, rescue-vs-drop accounting, closed-loop failure surfacing),
@@ -8,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "test_fixtures.hpp"
@@ -83,21 +87,21 @@ TEST(TimelineParse, EventsRejectsMalformed) {
 
 TEST(TimelineParse, ScheduleFormatAndOriginLine) {
   std::istringstream ok(
-      "sldf-faults 1\n"
+      "sldf-faults 2\n"
       "# comment\n"
-      "fail 100 global 0.1\n"
+      "fail@100:global=0.1\n"
       "\n"
-      "repair 200 global 0   # trailing comment\n"
-      "fail 200 chip 4\n");
+      "repair@200:global=0   # trailing comment\n"
+      "fail@200:chip4\n");
   const auto tl = topo::parse_fault_schedule(ok, "ok.sched");
   ASSERT_EQ(tl.events.size(), 3u);
   EXPECT_EQ(tl.events[0].at, 100u);
   EXPECT_TRUE(tl.events[2].is_chip);
 
   std::istringstream bad(
-      "sldf-faults 1\n"
-      "fail 100 global 0.1\n"
-      "fail 200 global nope\n");
+      "sldf-faults 2\n"
+      "fail@100:global=0.1\n"
+      "fail@200:global=nope\n");
   try {
     topo::parse_fault_schedule(bad, "bad.sched");
     FAIL() << "expected FaultError";
@@ -110,10 +114,10 @@ TEST(TimelineParse, ScheduleFormatAndOriginLine) {
 TEST(TimelineParse, ScheduleUnknownKindListsEveryKind) {
   // The schedule accepts every FaultKind, vertical included, so its
   // unknown-kind error must list the same kinds parse_fault_kind does.
-  std::istringstream ok("sldf-faults 1\nfail 100 vertical 0.1\n");
+  std::istringstream ok("sldf-faults 2\nfail@100:vertical=0.1\n");
   EXPECT_EQ(topo::parse_fault_schedule(ok, "ok.sched").events[0].kind,
             topo::FaultKind::Vertical);
-  std::istringstream bad("sldf-faults 1\nfail 100 bogus 0.1\n");
+  std::istringstream bad("sldf-faults 2\nfail@100:bogus=0.1\n");
   try {
     topo::parse_fault_schedule(bad, "bad.sched");
     FAIL() << "expected FaultError";
@@ -125,12 +129,152 @@ TEST(TimelineParse, ScheduleUnknownKindListsEveryKind) {
 }
 
 TEST(TimelineParse, ScheduleHeaderAndFileErrors) {
-  std::istringstream no_header("fail 100 global 0.1\n");
+  std::istringstream no_header("fail@100:global=0.1\n");
   EXPECT_THROW(topo::parse_fault_schedule(no_header, "x"), FaultError);
   std::istringstream empty("");
   EXPECT_THROW(topo::parse_fault_schedule(empty, "x"), FaultError);
   EXPECT_THROW(topo::load_fault_schedule("/nonexistent/faults.sched"),
                FaultError);
+}
+
+TEST(TimelineParse, ScheduleV1HeaderShowsTheNewForm) {
+  std::istringstream v1("sldf-faults 1\nfail 100 global 0.1\n");
+  try {
+    topo::parse_fault_schedule(v1, "old.sched");
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("old.sched:1:"), std::string::npos) << what;
+    EXPECT_NE(what.find("sldf-faults 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("fail@100:global=0.1"), std::string::npos) << what;
+  }
+}
+
+TEST(TimelineParse, OneGrammarForInlineEventsAndFiles) {
+  // A schedule body is the fault.events grammar: `;` and newlines both
+  // separate events, `#` comments run to the end of the line, and errors
+  // carry origin:line in both sources.
+  const std::string body =
+      "fail@100:global=0.1; fail@100:chip2  # two on one line\n"
+      "repair@200:global=0\n";
+  std::istringstream file("sldf-faults 2\n" + body);
+  const auto from_file = topo::parse_fault_schedule(file, "f.sched");
+  const auto inline_tl = topo::parse_fault_events(body);
+  ASSERT_EQ(from_file.events.size(), 3u);
+  ASSERT_EQ(inline_tl.events.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(topo::to_string(from_file.events[i]),
+              topo::to_string(inline_tl.events[i]));
+  EXPECT_EQ(topo::to_string(inline_tl.events[1]), "fail@100:chip2");
+  EXPECT_EQ(topo::to_string(inline_tl.events[2]), "repair@200:global=0");
+  try {
+    topo::parse_fault_events("fail@1:local=0.1\nfail@0:local=0.2");
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    EXPECT_NE(std::string(e.what()).find("fault.events:2:"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    topo::parse_fault_events("fail@3:bogus=0.1");
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault.events:1: unknown fault kind 'bogus' (expected "
+                 "any|intra|local|global|vertical)");
+  }
+}
+
+namespace {
+
+/// Every `fault.events` value the shipped configs use, as values and in
+/// their `# smoke:` override flags.
+std::vector<std::string> config_timelines() {
+  namespace fs = std::filesystem;
+  std::vector<std::string> out;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(fs::path(SLDF_SOURCE_DIR) / "configs")) {
+    if (entry.path().extension() != ".conf") continue;
+    std::ifstream in(entry.path());
+    for (std::string line; std::getline(in, line);) {
+      const auto flag = line.find("--fault.events=");
+      if (flag != std::string::npos) {
+        const auto v = flag + std::string("--fault.events=").size();
+        out.push_back(line.substr(v, line.find(' ', v) - v));
+      } else if (line.rfind("fault.events", 0) == 0) {
+        const auto eq = line.find('=');
+        if (eq != std::string::npos) out.push_back(line.substr(eq + 1));
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(TimelineParse, MutantsParseOrThrowFaultError) {
+  // Fixed-seed mutation fuzz of the one fault grammar: every mutant of a
+  // valid timeline, inline or behind a v2 header, must parse or throw
+  // FaultError — never another exception, never a crash (CI runs this
+  // under ASan+UBSan).
+  std::vector<std::string> seeds = config_timelines();
+  ASSERT_GE(seeds.size(), 3u) << "no fault.events values found in configs/";
+  for (const char* tl :
+       {"fail@2000:global=0.05; repair@5000:global=0 ;fail@5000:chip3",
+        "fail@100:local=0.2;repair@300:local=0", "fail@10:local=0.2",
+        "fail@150:local=0.2;repair@300:local=0.1;fail@450:local=0.25;"
+        "repair@600:local=0",
+        "fail@200:local=0.5;repair@650:local=0", "fail@80:chip1",
+        "fail@100:local=0.3;repair@250:local=0.1;fail@400:local=0.35",
+        "fail@100:global=1;repair@200:global=0",
+        "fail@100:vertical=0.1 # bonds\nrepair@200:vertical=0\n"})
+    seeds.emplace_back(tl);
+
+  const std::uint64_t seed = sldf::testing::fuzz_seed(0x5eedfa17);
+  SCOPED_TRACE("SLDF_FUZZ_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  const std::string alphabet = "fail@repair:chip=;#\n 0123456789.-eE+x";
+  const auto byte = [&] {
+    return rng.below(2) == 0
+               ? alphabet[rng.below(alphabet.size())]
+               : static_cast<char>(rng.below(256));
+  };
+  std::size_t parsed = 0, rejected = 0;
+  const auto feed = [&](const std::string& text, auto&& parse) {
+    try {
+      parse(text);
+      ++parsed;
+    } catch (const FaultError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant '" << text << "' threw a non-FaultError: "
+                    << e.what();
+    }
+  };
+  for (int i = 0; i < 5000; ++i) {
+    std::string m = seeds[rng.below(seeds.size())];
+    for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+      const std::size_t at = m.empty() ? 0 : rng.below(m.size());
+      const std::uint64_t op = rng.below(4);
+      if (op == 0 && !m.empty())
+        m[at] = byte();  // flip
+      else if (op == 1)
+        m.insert(at, 1, byte());
+      else if (op == 2 && !m.empty())
+        m.erase(at, 1);
+      else if (op == 3)
+        m.resize(at);  // truncate
+
+    }
+    feed(m, [](const std::string& t) { (void)topo::parse_fault_events(t); });
+    feed(m, [](const std::string& t) {
+      std::istringstream in("sldf-faults 2\n" + t);
+      (void)topo::parse_fault_schedule(in, "fuzz.sched");
+    });
+  }
+  // Both outcomes occur, so the mutants exercise the grammar's edges.
+  EXPECT_GT(parsed, 500u);
+  EXPECT_GT(rejected, 500u);
 }
 
 // ------------------------------------------------------------- resolution ---
@@ -146,6 +290,30 @@ TEST(TimelineResolve, VerbsMustMatchLevels) {
     sim::Network net;
     EXPECT_THROW(core::build_network(net, s), FaultError) << events;
   }
+}
+
+TEST(TimelineResolve, StaticChipsAreTheCycleZeroLevel) {
+  // fault.chips is the model's cycle-0 state: the timeline may repair and
+  // re-fail a statically dead chip, but not fail it again while dead.
+  auto s = tiny_spec();
+  s.fault.chips = {2};
+  s.fault.events = "repair@50:chip2;fail@100:chip2";
+  sim::Network net;
+  core::build_network(net, s);
+  std::vector<NodeId> chip = net.chip_nodes(2);
+  std::sort(chip.begin(), chip.end());
+  for (const NodeId n : chip) EXPECT_FALSE(net.node_live(n));
+  const sim::FaultSchedule* sched = net.fault_schedule();
+  ASSERT_NE(sched, nullptr);
+  ASSERT_EQ(sched->steps.size(), 2u);
+  EXPECT_EQ(sched->steps[0].repair_nodes, chip);
+  EXPECT_EQ(sched->steps[1].fail_nodes, chip);
+  EXPECT_EQ(sched->steps[0].repair_chans, sched->steps[1].fail_chans);
+  EXPECT_EQ(net.fault_epoch(), 0u);
+
+  s.fault.events = "fail@50:chip2";
+  sim::Network again;
+  EXPECT_THROW(core::build_network(again, s), FaultError);
 }
 
 TEST(TimelineResolve, StepMatchesStaticInjectionPrefix) {
