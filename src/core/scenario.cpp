@@ -713,33 +713,31 @@ SweepConfig sweep_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
-namespace {
-
-/// A timeline event at or past the end of a point's window never fires, so
-/// the series reports the fabric without it: say so once.
-void warn_events_past_horizon(const ScenarioSpec& spec) {
+void warn_unfired_events(const ScenarioSpec& spec,
+                         const SweepSeries& series) {
   if (!spec.fault.has_timeline()) return;
-  const Cycle horizon = spec.sim.warmup + spec.sim.measure + spec.sim.drain;
-  for (const topo::FaultEvent& e : topo::load_timeline(spec.fault).events) {
-    if (e.at < horizon) continue;
-    log_warn("series '%s': fault event %s never fires: the run ends at cycle "
-             "%llu (warmup+measure+drain)",
-             spec.label.c_str(), topo::to_string(e).c_str(),
-             static_cast<unsigned long long>(horizon));
-    return;
+  const auto events = topo::load_timeline(spec.fault).events;
+  for (const SweepPoint& pt : series.points) {
+    for (const topo::FaultEvent& e : events) {
+      if (e.at < pt.res.cycles_run) continue;
+      log_warn("series '%s': fault event %s never fires: the run ends at "
+               "cycle %llu at rate %g",
+               spec.label.c_str(), topo::to_string(e).c_str(),
+               static_cast<unsigned long long>(pt.res.cycles_run), pt.rate);
+      return;
+    }
   }
 }
-
-}  // namespace
 
 SweepSeries run_scenario(const ScenarioSpec& spec) {
   if (!spec.workload.empty())
     throw std::invalid_argument(
         "run_scenario: spec selects workload '" + spec.workload +
         "' — use run_workload_scenario()");
-  warn_events_past_horizon(spec);
-  return run_sweep(spec.label, net_factory(spec), traffic_factory(spec),
-                   sweep_config(spec));
+  SweepSeries series = run_sweep(spec.label, net_factory(spec),
+                                 traffic_factory(spec), sweep_config(spec));
+  warn_unfired_events(spec, series);
+  return series;
 }
 
 workload::WorkloadRunConfig workload_run_config(const ScenarioSpec& spec,

@@ -179,9 +179,14 @@ TrafficFactory traffic_factory(const ScenarioSpec& spec);
 SweepConfig sweep_config(const ScenarioSpec& spec);
 
 /// Runs the spec's sweep through the registries (label, net, traffic,
-/// rates, sim config all from the spec). Requires a rate-sweep spec
-/// (workload empty).
+/// rates, sim config all from the spec), then warn_unfired_events().
+/// Requires a rate-sweep spec (workload empty).
 SweepSeries run_scenario(const ScenarioSpec& spec);
+
+/// A fault event at or past the cycle a point's run ended never fired, so
+/// that point reports the fabric without it: warns once per series, naming
+/// the first such event and the point's last cycle.
+void warn_unfired_events(const ScenarioSpec& spec, const SweepSeries& series);
 
 /// One labelled closed-loop workload run (see workload::WorkloadResult).
 struct WorkloadRun {

@@ -14,17 +14,18 @@ namespace sldf::route {
 
 namespace {
 
-struct Walker {
+/// Walks packets with route::walk, interning each (channel, VC) resource a
+/// walk holds and the edge from the one held before it, and tallies each
+/// walk's end into the report.
+struct Recorder {
   const sim::Network& net;
   const CdgOptions& opt;
+  CdgReport& rep;
   std::unordered_map<std::uint64_t, std::int32_t> res_id;
   std::vector<std::pair<ChanId, VcIx>> res_info;
   std::unordered_set<std::uint64_t> edge_keys;
   std::vector<std::vector<std::int32_t>> adj;
-  std::size_t paths = 0;
-  std::size_t max_hops_seen = 0;
-  std::size_t undeliverable = 0;
-  bool failed = false;
+  bool failed = false;  ///< Some walk neither delivered nor hit a dead link.
 
   std::int32_t resource(ChanId c, VcIx v) {
     const auto key = static_cast<std::uint64_t>(c) *
@@ -45,8 +46,10 @@ struct Walker {
     if (edge_keys.insert(key).second) adj[static_cast<std::size_t>(a)].push_back(b);
   }
 
-  /// Walks one packet; returns false on a routing failure (non-delivery).
-  bool walk(NodeId src, NodeId dst, std::int32_t mid_override, Rng& rng) {
+  /// Walks one packet and tallies how it ended. A walk that stops at a dead
+  /// channel keeps its resource chain (the stalled packet holds it forever)
+  /// and counts as undeliverable rather than failing the audit.
+  void walk(NodeId src, NodeId dst, std::int32_t mid_override, Rng& rng) {
     sim::Packet pkt;
     pkt.src = src;
     pkt.dst = dst;
@@ -54,38 +57,26 @@ struct Walker {
     net.routing()->init_packet(net, pkt, rng);
     if (mid_override >= -1) pkt.mid_wgroup = mid_override;
 
-    NodeId cur = src;
-    PortIx in_port = net.router(src).inj_port;
     std::int32_t prev = -1;
-    std::size_t hops = 0;
-    for (;;) {
-      const auto& r = net.router(cur);
-      const auto d = net.routing()->route(net, cur, in_port, pkt);
-      if (d.out_port < 0 ||
-          d.out_port >= static_cast<PortIx>(r.out.size()))
-        return false;
-      const ChanId c = r.out[static_cast<std::size_t>(d.out_port)].out_chan;
-      if (c == kInvalidChan) {
-        // Ejection: must be the destination.
-        max_hops_seen = std::max(max_hops_seen, hops);
-        return cur == dst;
-      }
-      const auto id = resource(c, d.out_vc);
-      if (prev >= 0) edge(prev, id);
-      prev = id;
-      if (!net.chan_live(c)) {
-        // Fault mask: the packet stalls requesting the dead channel. Its
-        // resource chain so far is recorded (held forever); the pair is
-        // counted unreachable rather than failing the audit.
-        ++undeliverable;
-        max_hops_seen = std::max(max_hops_seen, hops);
-        return true;
-      }
-      const auto& ch = net.chan(c);
-      cur = ch.dst;
-      in_port = ch.dst_port;
-      if (++hops > opt.max_hops) return false;
-    }
+    std::size_t decisions = 0;
+    const WalkEnd end = route::walk(
+        net, pkt, opt.max_hops,
+        [&](NodeId, const sim::RouteDecision& d, ChanId c) {
+          ++decisions;
+          if (c == kInvalidChan) return;
+          const auto id = resource(c, d.out_vc);
+          if (prev >= 0) edge(prev, id);
+          prev = id;
+        });
+    ++rep.paths_walked;
+    if (end != WalkEnd::Delivered) ++rep.unreachable;
+    if (end == WalkEnd::DeadChannel) ++rep.undeliverable;
+    if (end != WalkEnd::Delivered && end != WalkEnd::DeadChannel)
+      failed = true;
+    // An ejection or a dead link ends the walk on a visited decision, one
+    // more than the channels it crossed.
+    if (end != WalkEnd::BadPort && end != WalkEnd::HopLimit)
+      rep.max_path_hops = std::max(rep.max_path_hops, decisions - 1);
   }
 };
 
@@ -130,7 +121,7 @@ bool find_cycle(const std::vector<std::vector<std::int32_t>>& adj,
 
 CdgReport audit_cdg(const sim::Network& net, const CdgOptions& opt) {
   CdgReport rep;
-  Walker w{net, opt, {}, {}, {}, {}};
+  Recorder w{net, opt, rep, {}, {}, {}, {}};
   Rng rng(42);
 
   // Every pair is routed inside one fabric: the network itself, or on a
@@ -170,7 +161,6 @@ CdgReport audit_cdg(const sim::Network& net, const CdgOptions& opt) {
   // armed-but-empty mask routes exactly like a pristine network and is
   // audited as one.
   const bool fault_aware = net.has_faults();
-  bool all_ok = true;
   for (NodeId src : net.terminals()) {
     const Fabric& f =
         fabrics[static_cast<std::size_t>(net.child_of_node(src))];
@@ -179,32 +169,27 @@ CdgReport audit_cdg(const sim::Network& net, const CdgOptions& opt) {
       if (src == dst) continue;
       // Plane sets carry no cross-plane packets.
       if (net.plane_of_node(src) != net.plane_of_node(dst)) continue;
-      if (fault_aware && (!net.node_live(src) || !net.node_live(dst)))
+      if (fault_aware && (!net.node_live(src) || !net.node_live(dst))) {
+        ++rep.skipped_dead;
         continue;
+      }
       const auto gs = group_of(f, src);
       const auto gd = group_of(f, dst);
       if (f.valiant && opt.enumerate_intermediates && !fault_aware &&
           gs != gd && num_groups > 2) {
-        for (std::int32_t mid = 0; mid < num_groups; ++mid) {
-          if (mid == gs || mid == gd) continue;
-          all_ok &= w.walk(src, dst, mid, rng);
-          ++w.paths;
-        }
+        for (std::int32_t mid = 0; mid < num_groups; ++mid)
+          if (mid != gs && mid != gd) w.walk(src, dst, mid, rng);
       } else {
-        all_ok &= w.walk(src, dst, fault_aware ? -2 : -1, rng);
-        ++w.paths;
+        w.walk(src, dst, fault_aware ? -2 : -1, rng);
       }
     }
   }
 
-  rep.paths_walked = w.paths;
   rep.resources = w.res_info.size();
-  rep.max_path_hops = w.max_hops_seen;
   rep.edges = w.edge_keys.size();
-  rep.undeliverable = w.undeliverable;
   std::vector<std::int32_t> cyc;
   const bool has_cycle = find_cycle(w.adj, cyc);
-  rep.acyclic = all_ok && !has_cycle;
+  rep.acyclic = !w.failed && !has_cycle;
   for (auto id : cyc)
     rep.cycle.push_back(w.res_info[static_cast<std::size_t>(id)]);
   return rep;
@@ -215,8 +200,11 @@ std::string CdgReport::to_string(const sim::Network& net) const {
       strf("CDG audit: %s | paths=%zu resources=%zu edges=%zu max-hops=%zu",
            acyclic ? "ACYCLIC (deadlock-free)" : "CYCLE FOUND", paths_walked,
            resources, edges, max_path_hops);
+  if (unreachable > 0) s += strf(" unreachable=%zu", unreachable);
   if (undeliverable > 0)
     s += strf(" undeliverable=%zu (fault mask)", undeliverable);
+  if (skipped_dead > 0)
+    s += strf(" skipped=%zu (dead endpoint)", skipped_dead);
   if (!cycle.empty()) {
     s += "\n  witness cycle:";
     for (const auto& [c, v] : cycle) {

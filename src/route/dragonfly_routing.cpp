@@ -33,16 +33,6 @@ bool global_usable(const sim::Network& net, const SwDfTopo& T,
   return net.chan_live(global_chan_of(T, ga, gb));
 }
 
-/// A detour group for src -> dst whose two global legs are both live
-/// (shared policy: route/fault_detour.hpp).
-std::int32_t pick_mid_group(const sim::Network& net, const SwDfTopo& T,
-                            std::int32_t sg, std::int32_t dg, Rng& rng) {
-  return pick_detour_group(T.p.effective_groups(), sg, dg, rng,
-                           [&](std::int32_t a, std::int32_t b) {
-                             return global_usable(net, T, a, b);
-                           });
-}
-
 /// Intermediate switch detouring a dead local link `from` -> `to` within
 /// `group` (both detour legs live); -1 when none exists.
 int pick_local_via(const sim::Network& net, const SwDfTopo& T,
@@ -50,13 +40,6 @@ int pick_local_via(const sim::Network& net, const SwDfTopo& T,
   return pick_detour_via(T.p.switches_per_group, from, to, [&](int a, int b) {
     return net.chan_live(local_chan_of(T, group, a, b));
   });
-}
-
-/// Buffered-flit occupancy of the global channel leaving `group` toward
-/// `peer` (UGAL-L congestion signal, read from upstream credits).
-int gateway_occupancy(const sim::Network& net, const SwDfTopo& T,
-                      std::int32_t group, std::int32_t peer) {
-  return net.channel_occupancy(global_chan_of(T, group, peer));
 }
 
 }  // namespace
@@ -69,64 +52,23 @@ void DragonflyRouting::bind_topo(const sim::TopoInfo& info, int num_vcs) {
 void DragonflyRouting::init_packet(const sim::Network& net, sim::Packet& pkt,
                                    Rng& rng) {
   pkt.vc_class = 0;
-  pkt.mid_wgroup = -1;
   if (topo_ == nullptr) topo_ = &net.topo<SwDfTopo>();
   const auto& T = *topo_;
   const auto& sloc = T.loc[static_cast<std::size_t>(pkt.src)];
   const auto& dloc = T.loc[static_cast<std::size_t>(pkt.dst)];
-  const int G = T.p.effective_groups();
-
-  if (net.has_faults() && sloc.group != dloc.group) {
-    // Fault-aware planning: a dead global cable on the minimal path is
-    // detoured through an intermediate group with two live global legs
-    // (Valiant-style bounce); local-link faults detour per hop in route().
-    const bool direct_ok = global_usable(net, T, sloc.group, dloc.group);
-    if (G <= 2) return;  // no intermediate exists; stall if direct is dead
-    switch (mode_) {
-      case RouteMode::Minimal:
-        if (!direct_ok)
-          pkt.mid_wgroup = pick_mid_group(net, T, sloc.group, dloc.group, rng);
-        return;
-      case RouteMode::Valiant: {
-        const std::int32_t mid =
-            pick_mid_group(net, T, sloc.group, dloc.group, rng);
-        pkt.mid_wgroup = (mid < 0 && direct_ok) ? -1 : mid;
-        return;
-      }
-      case RouteMode::Adaptive: {
-        const std::int32_t mid =
-            pick_mid_group(net, T, sloc.group, dloc.group, rng);
-        if (!direct_ok || mid < 0) {
-          pkt.mid_wgroup = mid;  // forced detour (or stall when mid < 0)
-          return;
-        }
-        const int q_min = gateway_occupancy(net, T, sloc.group, dloc.group);
-        const int q_val = gateway_occupancy(net, T, sloc.group, mid);
-        constexpr int kThreshold = 4;
-        if (q_min > 2 * q_val + kThreshold) pkt.mid_wgroup = mid;
-        return;
-      }
-    }
-    return;
-  }
-
-  if (mode_ == RouteMode::Minimal || sloc.group == dloc.group || G <= 2)
-    return;
-  // Random intermediate group distinct from source and destination.
-  std::int32_t mid;
-  do {
-    mid = static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(G)));
-  } while (mid == sloc.group || mid == dloc.group);
-  if (mode_ == RouteMode::Valiant) {
-    pkt.mid_wgroup = mid;
-    return;
-  }
-  // Adaptive (UGAL-L): minimal unless its gateway global channel is at
-  // least twice as congested as the candidate's.
-  const int q_min = gateway_occupancy(net, T, sloc.group, dloc.group);
-  const int q_val = gateway_occupancy(net, T, sloc.group, mid);
-  constexpr int kThreshold = 4;
-  if (q_min > 2 * q_val + kThreshold) pkt.mid_wgroup = mid;
+  // Fault-aware planning bounces a dead global cable on the minimal path
+  // through an intermediate group with two live global legs; local-link
+  // faults detour per hop in route(). UGAL-L reads the gateway global
+  // channel's occupancy from upstream credits.
+  pkt.mid_wgroup = plan_mid_group(
+      mode_, net.has_faults(), T.p.effective_groups(), sloc.group,
+      dloc.group, rng,
+      [&](std::int32_t a, std::int32_t b) {
+        return global_usable(net, T, a, b);
+      },
+      [&](std::int32_t a, std::int32_t b) {
+        return net.channel_occupancy(global_chan_of(T, a, b));
+      });
 }
 
 sim::RouteDecision DragonflyRouting::route(const sim::Network& net,

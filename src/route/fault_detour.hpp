@@ -1,12 +1,14 @@
-// Shared fault-detour selection used by both fabrics' routing algorithms
-// (route/swless_routing.cpp, route/dragonfly_routing.cpp). The policies are
-// deliberately identical — a fix to the selection applies to both — and
-// only the "is the leg between a and b usable?" predicate differs.
+// Shared group-level planning and fault-detour selection used by both
+// fabrics' routing algorithms (route/swless_routing.cpp,
+// route/dragonfly_routing.cpp). The policies are deliberately identical — a
+// fix to the selection applies to both — and only the "is the leg between a
+// and b usable?" predicate and the gateway occupancy probe differ.
 #pragma once
 
 #include <cstdint>
 
 #include "common/rng.hpp"
+#include "route/routing_modes.hpp"
 
 namespace sldf::route {
 
@@ -29,6 +31,46 @@ std::int32_t pick_detour_group(int groups, std::int32_t src,
         pick-- == 0)
       return mid;
   return -1;
+}
+
+/// The intermediate group init_packet plans for a packet from group `src`
+/// to group `dst` among `groups`; -1 routes minimally (and stalls on a dead
+/// direct cable when no intermediate exists, i.e. groups <= 2).
+/// `usable(a, b)`: the global cable between groups a and b is usable;
+/// `occupancy(a, b)`: buffered flits on the gateway leaving a toward b.
+///  - Fault-masked fabric (`faulty`): Minimal bounces only around a dead
+///    direct cable, Valiant always, both through a pick_detour_group
+///    choice (-1 when no detour is usable); Adaptive takes that choice when
+///    the direct cable is dead, else decides as UGAL-L below.
+///  - Pristine fabric: Valiant draws a uniform group other than src and dst
+///    by rejection; Adaptive (UGAL-L) takes that draw only when the minimal
+///    gateway is at least twice as congested as the candidate's (the
+///    non-minimal path pays two global hops), with a threshold that
+///    prefers minimal.
+template <typename Usable, typename Occupancy>
+std::int32_t plan_mid_group(RouteMode mode, bool faulty, int groups,
+                            std::int32_t src, std::int32_t dst, Rng& rng,
+                            Usable&& usable, Occupancy&& occupancy) {
+  if (src == dst || groups <= 2) return -1;
+  constexpr int kThreshold = 4;  // flits of slack granted to minimal
+  const auto ugal = [&](std::int32_t mid) {
+    return occupancy(src, dst) > 2 * occupancy(src, mid) + kThreshold ? mid
+                                                                      : -1;
+  };
+  if (faulty) {
+    const bool direct_ok = usable(src, dst);
+    if (mode == RouteMode::Minimal && direct_ok) return -1;
+    const std::int32_t mid = pick_detour_group(groups, src, dst, rng, usable);
+    return mode == RouteMode::Adaptive && direct_ok && mid >= 0 ? ugal(mid)
+                                                                : mid;
+  }
+  if (mode == RouteMode::Minimal) return -1;
+  std::int32_t mid;
+  do {
+    mid = static_cast<std::int32_t>(
+        rng.below(static_cast<std::uint64_t>(groups)));
+  } while (mid == src || mid == dst);
+  return mode == RouteMode::Valiant ? mid : ugal(mid);
 }
 
 /// Deterministic (lowest-index) variant of pick_detour_group, for ONLINE

@@ -55,16 +55,6 @@ bool global_usable(const sim::Network& net, const SwlessTopo& T, int wa,
          attach_live(net, eb);
 }
 
-/// A Valiant-style detour W-group for src -> dst whose two global legs are
-/// both usable (shared policy: route/fault_detour.hpp).
-std::int32_t pick_mid_wgroup(const sim::Network& net, const SwlessTopo& T,
-                             std::int32_t swg, std::int32_t dwg, Rng& rng) {
-  return pick_detour_group(T.p.effective_wgroups(), swg, dwg, rng,
-                           [&](std::int32_t a, std::int32_t b) {
-                             return global_usable(net, T, a, b);
-                           });
-}
-
 /// Intermediate C-group detouring a dead local cable `from` -> `to` within
 /// `wg` (both detour legs live); -1 when none exists.
 int pick_local_via(const sim::Network& net, const SwlessTopo& T, int wg,
@@ -82,70 +72,24 @@ void SwlessRouting::init_packet(const sim::Network& net, sim::Packet& pkt,
   pkt.phase = RoutePhase::SrcCGroup;
   pkt.target = kInvalidNode;
   pkt.exit_chan = kInvalidChan;
-  pkt.mid_wgroup = -1;
   pkt.stalled = 0;
   if (topo_ == nullptr) topo_ = &net.topo<SwlessTopo>();
   const auto& T = *topo_;
   const auto& sloc = T.loc[static_cast<std::size_t>(pkt.src)];
   const auto& dloc = T.loc[static_cast<std::size_t>(pkt.dst)];
-  const int G = T.p.effective_wgroups();
-
-  if (net.has_faults() && sloc.wg != dloc.wg) {
-    // Fault-aware leg planning: a dead global cable on the minimal path is
-    // routed around through an intermediate W-group whose two global legs
-    // are live (the path-diversity argument of the paper — the detour costs
-    // one extra global hop, not connectivity). Local-link and mesh faults
-    // are detoured per leg in plan_leg()/route().
-    const bool direct_ok = global_usable(net, T, sloc.wg, dloc.wg);
-    if (G <= 2) return;  // no intermediate exists; stall if direct is dead
-    switch (mode_) {
-      case RouteMode::Minimal:
-        if (!direct_ok)
-          pkt.mid_wgroup = pick_mid_wgroup(net, T, sloc.wg, dloc.wg, rng);
-        return;
-      case RouteMode::Valiant: {
-        const std::int32_t mid =
-            pick_mid_wgroup(net, T, sloc.wg, dloc.wg, rng);
-        // No usable bounce: fall back to the minimal path when it is live.
-        pkt.mid_wgroup = (mid < 0 && direct_ok) ? -1 : mid;
-        return;
-      }
-      case RouteMode::Adaptive: {
-        const std::int32_t mid =
-            pick_mid_wgroup(net, T, sloc.wg, dloc.wg, rng);
-        if (!direct_ok || mid < 0) {
-          pkt.mid_wgroup = mid;  // forced detour (or stall when mid < 0)
-          return;
-        }
-        const int q_min =
-            net.channel_occupancy(gateway_line(T, sloc.wg, dloc.wg));
-        const int q_val = net.channel_occupancy(gateway_line(T, sloc.wg, mid));
-        constexpr int kThreshold = 4;
-        if (q_min > 2 * q_val + kThreshold) pkt.mid_wgroup = mid;
-        return;
-      }
-    }
-    return;
-  }
-
-  if (mode_ == RouteMode::Minimal || sloc.wg == dloc.wg || G <= 2) return;
-
-  std::int32_t mid;
-  do {
-    mid = static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(G)));
-  } while (mid == sloc.wg || mid == dloc.wg);
-
-  if (mode_ == RouteMode::Valiant) {
-    pkt.mid_wgroup = mid;
-    return;
-  }
-  // Adaptive (UGAL-L): misroute via `mid` only when the minimal gateway is
-  // at least twice as congested as the candidate's (the non-minimal path
-  // pays two global hops), with a small threshold to prefer minimal.
-  const int q_min = net.channel_occupancy(gateway_line(T, sloc.wg, dloc.wg));
-  const int q_val = net.channel_occupancy(gateway_line(T, sloc.wg, mid));
-  constexpr int kThreshold = 4;  // flits of slack granted to minimal
-  if (q_min > 2 * q_val + kThreshold) pkt.mid_wgroup = mid;
+  // Fault-aware leg planning bounces a dead global cable on the minimal
+  // path through an intermediate W-group whose two global legs are live
+  // (the path-diversity argument of the paper — the detour costs one extra
+  // global hop, not connectivity). Local-link and mesh faults are detoured
+  // per leg in plan_leg()/route().
+  pkt.mid_wgroup = plan_mid_group(
+      mode_, net.has_faults(), T.p.effective_wgroups(), sloc.wg, dloc.wg, rng,
+      [&](std::int32_t a, std::int32_t b) {
+        return global_usable(net, T, a, b);
+      },
+      [&](std::int32_t a, std::int32_t b) {
+        return net.channel_occupancy(gateway_line(T, a, b));
+      });
 }
 
 std::uint8_t SwlessRouting::class_for(RoutePhase np, std::uint8_t cur) const {

@@ -411,8 +411,8 @@ void Simulator::checkpoint(CheckpointIo& io) {
   SimContext& c = *ctx_;
   c.pool.checkpoint(io);
   // Restore trusts no id in the stream: a packet id must name a live pool
-  // slot, a wheel event a router and an input VC or a credit lane, and a
-  // buffered flit a live packet.
+  // slot, a wheel event a router and one of that router's input VCs or
+  // credit lanes, and a buffered flit a live packet.
   std::vector<std::uint8_t> live(io.loading() ? c.pool.capacity() : 0, 1);
   for (std::size_t i = 0; io.loading() && i < c.pool.free_list().size(); ++i)
     live[c.pool.free_list()[i]] = 0;
@@ -452,13 +452,20 @@ void Simulator::checkpoint(CheckpointIo& io) {
     for (std::size_t i = 0; io.loading() && i < slot.size(); ++i) {
       const WheelEvent& ev = slot[i];
       const bool flit = ev.flit.carries_packet();
+      if (static_cast<std::size_t>(ev.node) >= net_.num_routers())
+        throw std::runtime_error(
+            "checkpoint: wheel event at an unknown router");
+      // A flit lands in an input VC of its router, a credit on a VC lane of
+      // one of its router's output ports (unsigned: an index below the
+      // router's base wraps past its count).
       const std::uint32_t port = ev.vc_flat >> Network::kPortLaneBits;
       const std::uint32_t lane =
           (ev.vc_flat & Network::kLaneMask) - Network::kOvcLane0;
-      if (static_cast<std::size_t>(ev.node) >= net_.num_routers() ||
-          (flit ? ev.vc_flat >= net_.fifos().num_fifos()
-                : (port >= net_.num_out_ports() || lane >= nvc)))
-        throw std::runtime_error("checkpoint: wheel event outside the network");
+      const std::uint32_t in0 = net_.in_port_index(ev.node, 0) * nvc;
+      const std::uint32_t out0 = net_.out_port_index(ev.node, 0);
+      if (flit ? ev.vc_flat - in0 >= net_.num_in_ports_of(ev.node) * nvc
+               : (port - out0 >= net_.num_out_ports_of(ev.node) || lane >= nvc))
+        throw std::runtime_error("checkpoint: wheel event outside its router");
       if (flit) check_packet(ev.flit.pkt(), "wheel flit");
     }
   }

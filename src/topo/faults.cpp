@@ -410,70 +410,6 @@ std::string FaultReport::to_string() const {
       dead_nodes);
 }
 
-FaultAudit audit_fault_routing(const sim::Network& net,
-                               std::size_t max_hops) {
-  FaultAudit audit;
-  Rng rng(12345);  // Fixed: the audit itself is deterministic.
-  for (const NodeId src : net.terminals()) {
-    for (const NodeId dst : net.terminals()) {
-      if (src == dst) continue;
-      // Planes are disjoint rails: no route crosses planes, so only
-      // same-plane pairs are meaningful walks (single-plane: always true).
-      if (net.plane_of_node(src) != net.plane_of_node(dst)) continue;
-      if (!net.node_live(src) || !net.node_live(dst)) {
-        ++audit.skipped_dead;
-        continue;
-      }
-      ++audit.pairs;
-      sim::Packet pkt;
-      pkt.src = src;
-      pkt.dst = dst;
-      pkt.len = 1;
-      net.routing()->init_packet(net, pkt, rng);
-      NodeId cur = src;
-      PortIx in_port = net.router(src).inj_port;
-      std::size_t hops = 0;
-      for (;;) {
-        const auto d = net.routing()->route(net, cur, in_port, pkt);
-        const auto& r = net.router(cur);
-        if (d.out_port < 0 ||
-            d.out_port >= static_cast<PortIx>(r.out.size())) {
-          ++audit.unreachable;
-          break;
-        }
-        const ChanId c =
-            r.out[static_cast<std::size_t>(d.out_port)].out_chan;
-        if (c == kInvalidChan) {  // ejection
-          if (cur != dst) ++audit.unreachable;
-          audit.max_hops_seen = std::max(audit.max_hops_seen, hops);
-          break;
-        }
-        if (!net.chan_live(c)) {
-          ++audit.dead_link_uses;
-          ++audit.unreachable;
-          break;
-        }
-        const auto& ch = net.chan(c);
-        cur = ch.dst;
-        in_port = ch.dst_port;
-        if (++hops > max_hops) {  // livelocked walk
-          ++audit.unreachable;
-          break;
-        }
-      }
-    }
-  }
-  return audit;
-}
-
-std::string FaultAudit::to_string() const {
-  return strf(
-      "fault audit: %zu pairs walked, %zu unreachable "
-      "(%zu dead-link uses), %zu pairs skipped (dead endpoint), "
-      "max hops %zu",
-      pairs, unreachable, dead_link_uses, skipped_dead, max_hops_seen);
-}
-
 // ---------------------------------------------------------------------------
 // Fault event timeline: instant audits.
 // ---------------------------------------------------------------------------
@@ -485,27 +421,30 @@ TimelineAudit audit_at(sim::Network& net, Cycle t, std::size_t max_hops) {
         "audit_at: network has no attached fault schedule and captured "
         "baseline (built without a fault timeline?)");
 
+  route::CdgOptions opt;
+  opt.max_hops = max_hops;
   TimelineAudit ta;
   ta.at = t;
   net.restore_fault_baseline();
   std::size_t i = 0;
   for (; i < sched->steps.size() && sched->steps[i].at <= t; ++i)
     net.apply_fault_lists(sched->steps[i], 0);
-  ta.snapshot = audit_fault_routing(net, max_hops);
+  ta.snapshot = route::audit_cdg(net, opt);
   for (; i < sched->steps.size(); ++i)
     net.apply_fault_lists(sched->steps[i], 0);
-  ta.settled = audit_fault_routing(net, max_hops);
+  ta.settled = route::audit_cdg(net, opt);
   net.restore_fault_baseline();
   return ta;
 }
 
 std::string TimelineAudit::to_string() const {
   return strf(
-      "timeline audit @%llu: %zu unreachable now (%zu transient, heal by "
-      "the end of the timeline; %zu permanent), settled audit: %s",
+      "timeline audit @%llu: %zu of %zu walks unreachable (%zu transient, "
+      "heal by the end of the timeline; %zu permanent), %zu pairs skipped "
+      "(dead endpoint)",
       static_cast<unsigned long long>(at), snapshot.unreachable,
-      transient_unreachable(), settled.unreachable,
-      settled.to_string().c_str());
+      snapshot.paths_walked, transient_unreachable(), settled.unreachable,
+      snapshot.skipped_dead);
 }
 
 }  // namespace sldf::topo

@@ -7,9 +7,10 @@
 // entry point, inject_faults(): the static rate/kind/chips are the cycle-0
 // level of the same model that resolves an online fail/repair timeline.
 // Fault-aware routing (route/swless_routing, route/dragonfly_routing)
-// consults the resulting mask and detours around dead resources; the audit
-// below re-validates all-pairs reachability after injection, reporting (not
-// crashing on) unreachable pairs.
+// consults the resulting mask and detours around dead resources;
+// route::audit_cdg re-validates all-pairs reachability after injection,
+// reporting (not crashing on) unreachable pairs, and audit_at below runs it
+// at an instant of a timeline.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "route/cdg.hpp"
 #include "sim/network.hpp"
 
 namespace sldf::topo {
@@ -101,27 +103,6 @@ struct FaultReport {
 /// flip the chip).
 FaultReport inject_faults(sim::Network& net, const FaultSpec& spec);
 
-/// Post-injection reachability audit of the installed routing function.
-struct FaultAudit {
-  std::size_t pairs = 0;         ///< Live terminal pairs walked.
-  std::size_t skipped_dead = 0;  ///< Pairs with a dead endpoint (not walked).
-  std::size_t unreachable = 0;   ///< Walks that stalled, looped, or misdelivered.
-  std::size_t dead_link_uses = 0;  ///< Walks that tried to cross a dead link.
-  std::size_t max_hops_seen = 0;
-  [[nodiscard]] bool all_reachable() const {
-    return unreachable == 0 && dead_link_uses == 0;
-  }
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Walks every live terminal pair through the routing algorithm (in
-/// non-minimal modes the intermediate-group choice is the deterministic
-/// seeded sample init_packet makes) and verifies delivery over live links
-/// only. Unreachable pairs are counted in the report, never fatal: degraded
-/// operation with a partitioned fabric is a result, not a crash.
-FaultAudit audit_fault_routing(const sim::Network& net,
-                               std::size_t max_hops = 4096);
-
 // ---------------------------------------------------------------------------
 // Online fault timeline: fail/repair events applied at cycle boundaries.
 // ---------------------------------------------------------------------------
@@ -177,8 +158,8 @@ FaultTimeline load_timeline(const FaultSpec& spec);
 /// separated from permanent ones.
 struct TimelineAudit {
   Cycle at = 0;
-  FaultAudit snapshot;  ///< Audit with events at <= `at` applied.
-  FaultAudit settled;   ///< Audit with the whole timeline applied.
+  route::CdgReport snapshot;  ///< Audit with events at <= `at` applied.
+  route::CdgReport settled;   ///< Audit with the whole timeline applied.
   /// Pairs unreachable at `at` that are reachable once the timeline ends.
   [[nodiscard]] std::size_t transient_unreachable() const {
     return snapshot.unreachable > settled.unreachable
@@ -194,12 +175,13 @@ struct TimelineAudit {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Audits the installed routing function against the fault mask as it
-/// stands at cycle `t` of the network's attached fault schedule, and again
-/// at the end of the timeline. The mask is rewound to the captured cycle-0
-/// baseline afterwards, so the network is unchanged. Requires a network
-/// with an attached schedule and captured baseline (inject_faults sets both
-/// up for a spec with a timeline). Throws FaultError otherwise.
+/// Audits the installed routing function (route::audit_cdg) against the
+/// fault mask as it stands at cycle `t` of the network's attached fault
+/// schedule, and again at the end of the timeline. The mask is rewound to
+/// the captured cycle-0 baseline afterwards, so the network is unchanged.
+/// Requires a network with an attached schedule and captured baseline
+/// (inject_faults sets both up for a spec with a timeline). Throws
+/// FaultError otherwise.
 TimelineAudit audit_at(sim::Network& net, Cycle t, std::size_t max_hops = 4096);
 
 }  // namespace sldf::topo

@@ -174,3 +174,48 @@ TEST(Cdg, SingleVcMeshWouldCycleOnRingDependencies) {
   EXPECT_FALSE(rep.acyclic);
   EXPECT_FALSE(rep.cycle.empty());
 }
+
+TEST(Cdg, WalksThatNeverDeliverAreUnreachableAndFailTheAudit) {
+  // Two routers joined both ways, each a terminal. One fake routing bounces
+  // every packet between them forever (the walk's hop limit), the other
+  // ejects it at its source (a misdelivery): neither delivers any pair.
+  enum class Fault { Bounce, EjectAtSource };
+  class Broken final : public sim::RoutingAlgorithm {
+   public:
+    explicit Broken(Fault f) : fault_(f) {}
+    void init_packet(const sim::Network&, sim::Packet& pkt, Rng&) override {
+      pkt.vc_class = 0;
+    }
+    sim::RouteDecision route(const sim::Network& net2, NodeId router, PortIx,
+                             sim::Packet&) override {
+      if (fault_ == Fault::Bounce) return {0, 0};  // the one outgoing channel
+      return {net2.router(router).eject_port, 0};
+    }
+    const char* name() const override { return "broken"; }
+
+   private:
+    Fault fault_;
+  };
+  for (const Fault f : {Fault::Bounce, Fault::EjectAtSource}) {
+    SCOPED_TRACE(f == Fault::Bounce ? "bounce" : "eject at source");
+    sim::Network net;
+    const NodeId a = net.add_router(NodeKind::Core);
+    const NodeId b = net.add_router(NodeKind::Core);
+    net.add_channel(a, b, LinkType::OnChip, 1);
+    net.add_channel(b, a, LinkType::OnChip, 1);
+    net.make_terminal(a, 0);
+    net.make_terminal(b, 1);
+    net.set_routing(std::make_unique<Broken>(f));
+    net.finalize(1, 8);
+    route::CdgOptions opt;
+    opt.max_hops = 64;
+    const auto rep = route::audit_cdg(net, opt);
+    EXPECT_EQ(rep.paths_walked, 2u);
+    EXPECT_EQ(rep.unreachable, 2u) << rep.to_string(net);
+    EXPECT_EQ(rep.undeliverable, 0u);
+    EXPECT_FALSE(rep.all_reachable());
+    EXPECT_FALSE(rep.acyclic);
+    // Only the bounce holds channels, and its two depend on each other.
+    EXPECT_EQ(rep.cycle.empty(), f == Fault::EjectAtSource);
+  }
+}

@@ -336,6 +336,17 @@ TEST(CheckpointRestore, RejectsIdsOutsideTheirBounds) {
          push(c, kLane0 + static_cast<std::uint32_t>(net.num_vcs()), 0,
               sim::Flit{});
        }},
+      // In range for the network, but owned by router 1, not router 0.
+      {"wheel flit into another router's VC", "wheel event",
+       [&](sim::SimContext& c, const sim::Network& net) {
+         push(c, net.in_vc_index(1, 0, 0), 0, sim::Flit(owned(c), true, true));
+       }},
+      {"credit to another router's port", "wheel event",
+       [&](sim::SimContext& c, const sim::Network& net) {
+         push(c, (net.out_port_index(1, 0) << sim::Network::kPortLaneBits) |
+                     kLane0,
+              0, sim::Flit{});
+       }},
       {"buffered flit of a free packet", "buffered flit",
        [&](sim::SimContext& c, sim::Network& net) {
          sim::FlitFifoArena& fifos = net.fifos();

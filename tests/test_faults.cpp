@@ -209,9 +209,9 @@ TEST(FaultInject, ChipFaultKillsNodesAndLinks) {
         EXPECT_FALSE(net.chan_live(static_cast<ChanId>(i)));
     }
   }
-  const auto audit = topo::audit_fault_routing(net);
+  const auto audit = route::audit_cdg(net);
   EXPECT_GT(audit.skipped_dead, 0u);
-  EXPECT_EQ(audit.unreachable, 0u) << audit.to_string();
+  EXPECT_EQ(audit.unreachable, 0u) << audit.to_string(net);
 }
 
 // ------------------------------------------------- fault-aware routing ------
@@ -233,9 +233,8 @@ TEST_P(FaultSchemeParam, DetoursAroundOneDeadLocalCable) {
       EXPECT_LT(w.max_vc, net.num_vcs());
     }
   }
-  const auto audit = topo::audit_fault_routing(net);
-  EXPECT_TRUE(audit.all_reachable()) << audit.to_string();
   const auto cdg = route::audit_cdg(net);
+  EXPECT_TRUE(cdg.all_reachable()) << cdg.to_string(net);
   EXPECT_TRUE(cdg.acyclic) << cdg.to_string(net);
   EXPECT_EQ(cdg.undeliverable, 0u);
 }
@@ -259,9 +258,8 @@ TEST_P(FaultSchemeParam, DetoursAroundOneDeadGlobalCable) {
             << "dead direct gateway must cost exactly one bounce";
     }
   }
-  const auto audit = topo::audit_fault_routing(net);
-  EXPECT_TRUE(audit.all_reachable()) << audit.to_string();
   const auto cdg = route::audit_cdg(net);
+  EXPECT_TRUE(cdg.all_reachable()) << cdg.to_string(net);
   EXPECT_TRUE(cdg.acyclic) << cdg.to_string(net);
 }
 
@@ -304,9 +302,8 @@ TEST(FaultRouting, SwdfDetoursAroundDeadGlobalAndLocalCables) {
         EXPECT_LT(w.max_vc, net.num_vcs());
       }
     }
-    const auto audit = topo::audit_fault_routing(net);
-    EXPECT_TRUE(audit.all_reachable()) << audit.to_string();
     const auto cdg = route::audit_cdg(net);
+    EXPECT_TRUE(cdg.all_reachable()) << cdg.to_string(net);
     EXPECT_TRUE(cdg.acyclic) << cdg.to_string(net);
   }
 }
@@ -324,11 +321,10 @@ TEST(FaultRouting, RandomInjectionStaysAcyclicAndAuditsDeterministically) {
       // Degraded operation is a result, never a crash: the audit may find
       // unreachable pairs (a partitioned W-group), but it must be
       // deterministic and the dependency graph must stay acyclic.
-      const auto a1 = topo::audit_fault_routing(net);
-      const auto a2 = topo::audit_fault_routing(net);
-      EXPECT_EQ(a1.unreachable, a2.unreachable);
-      EXPECT_EQ(a1.pairs, a2.pairs);
       const auto cdg = route::audit_cdg(net);
+      const auto again = route::audit_cdg(net);
+      EXPECT_EQ(cdg.unreachable, again.unreachable);
+      EXPECT_EQ(cdg.paths_walked, again.paths_walked);
       EXPECT_TRUE(cdg.acyclic)
           << "kind=" << topo::to_string(kind) << " seed=" << seed << ": "
           << cdg.to_string(net);

@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "core/params.hpp"
+#include "route/cdg.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "topo/dragonfly.hpp"
@@ -186,10 +187,11 @@ struct RouteWalk {
   bool used_dead_link = false;    ///< Crossed a fault-masked channel.
 };
 
-/// Follows the routing function from `s` to `d`. `mid` >= -1 overrides the
-/// packet's intermediate group after init_packet (pass -2 to keep the
-/// choice init_packet made). Stops after `max_hops` channel hops (the walk
-/// is then reported undelivered) or on the first dead-link crossing.
+/// Follows the routing function from `s` to `d` with route::walk. `mid`
+/// >= -1 overrides the packet's intermediate group after init_packet (pass
+/// -2 to keep the choice init_packet made). Stops after `max_hops` channel
+/// hops (the walk is then reported undelivered) or on the first dead-link
+/// crossing.
 inline RouteWalk walk_route(const sim::Network& net, NodeId s, NodeId d,
                             std::int32_t mid, std::uint64_t rng_seed = 9,
                             int max_hops = 256) {
@@ -200,38 +202,29 @@ inline RouteWalk walk_route(const sim::Network& net, NodeId s, NodeId d,
   Rng rng(rng_seed);
   net.routing()->init_packet(net, pkt, rng);
   if (mid >= -1) pkt.mid_wgroup = mid;
-  NodeId cur = s;
-  PortIx in_port = net.router(s).inj_port;
   int last_vc = -1;
   int last_lr_vc = -1;
-  for (;;) {
-    const auto dec = net.routing()->route(net, cur, in_port, pkt);
-    if (dec.out_vc < last_vc) w.vc_monotone = false;
-    last_vc = dec.out_vc;
-    const auto& r = net.router(cur);
-    const ChanId c = r.out[static_cast<std::size_t>(dec.out_port)].out_chan;
-    if (c == kInvalidChan) {
-      w.delivered = (cur == d);
-      return w;
-    }
-    if (!net.chan_live(c)) {
-      w.used_dead_link = true;
-      return w;
-    }
-    const auto& ch = net.chan(c);
-    w.max_vc = std::max(w.max_vc, static_cast<int>(dec.out_vc));
-    if (ch.type == LinkType::Vertical) ++w.vertical_hops;
-    if (ch.type == LinkType::LongReachLocal ||
-        ch.type == LinkType::LongReachGlobal) {
-      ++w.lr_hops;
-      if (ch.type == LinkType::LongReachGlobal) ++w.global_hops;
-      if (dec.out_vc <= last_lr_vc) w.vc_monotone_on_lr = false;
-      last_lr_vc = dec.out_vc;
-    }
-    cur = ch.dst;
-    in_port = ch.dst_port;
-    if (++w.channel_hops > max_hops) return w;  // loop guard
-  }
+  const auto end = route::walk(
+      net, pkt, static_cast<std::size_t>(max_hops),
+      [&](NodeId, const sim::RouteDecision& dec, ChanId c) {
+        if (dec.out_vc < last_vc) w.vc_monotone = false;
+        last_vc = dec.out_vc;
+        if (c == kInvalidChan || !net.chan_live(c)) return;
+        const auto& ch = net.chan(c);
+        w.max_vc = std::max(w.max_vc, static_cast<int>(dec.out_vc));
+        if (ch.type == LinkType::Vertical) ++w.vertical_hops;
+        if (ch.type == LinkType::LongReachLocal ||
+            ch.type == LinkType::LongReachGlobal) {
+          ++w.lr_hops;
+          if (ch.type == LinkType::LongReachGlobal) ++w.global_hops;
+          if (dec.out_vc <= last_lr_vc) w.vc_monotone_on_lr = false;
+          last_lr_vc = dec.out_vc;
+        }
+        ++w.channel_hops;
+      });
+  w.delivered = end == route::WalkEnd::Delivered;
+  w.used_dead_link = end == route::WalkEnd::DeadChannel;
+  return w;
 }
 
 }  // namespace sldf::testing

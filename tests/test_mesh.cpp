@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.hpp"
+#include "route/cdg.hpp"
 #include "sim/simulator.hpp"
 #include "topo/cgroup.hpp"
 #include "traffic/pattern.hpp"
@@ -112,17 +113,10 @@ TEST(MeshNetwork, XyDeliversAllPairs) {
       pkt.src = s;
       pkt.dst = d;
       net.routing()->init_packet(net, pkt, rng);
-      NodeId cur = s;
-      int hops = 0;
-      while (cur != d) {
-        const auto dec = net.routing()->route(net, cur, 0, pkt);
-        const ChanId c =
-            net.router(cur).out[static_cast<std::size_t>(dec.out_port)]
-                .out_chan;
-        ASSERT_NE(c, kInvalidChan);
-        cur = net.chan(c).dst;
-        ASSERT_LE(++hops, 6) << "XY exceeded mesh diameter";
-      }
+      // A path past the 6-hop mesh diameter ends at the hop limit.
+      ASSERT_EQ(route::walk(net, pkt, 6, [](auto&&...) {}),
+                route::WalkEnd::Delivered)
+          << s << "->" << d;
     }
   }
 }

@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "core/scenario.hpp"
+#include "route/cdg.hpp"
 #include "sim/simulator.hpp"
 #include "test_fixtures.hpp"
 #include "topo/faults.hpp"
@@ -208,8 +209,8 @@ TEST(WaferFaults, PartialBondLossDetoursThroughAlternateColumns) {
   s.fault.seed = 7;
   sim::Network net;
   core::build_network(net, s);
-  const auto audit = topo::audit_fault_routing(net);
-  EXPECT_TRUE(audit.all_reachable()) << audit.to_string();
+  const auto audit = route::audit_cdg(net);
+  EXPECT_TRUE(audit.all_reachable()) << audit.to_string(net);
   const auto r = run_one(s);
   EXPECT_TRUE(r.drained);
   EXPECT_TRUE(audit_conservation(r));
@@ -251,13 +252,13 @@ TEST(WaferFaults, SeveredStackIsReportedNotCrashed) {
   s.fault.seed = 3;
   sim::Network net;
   core::build_network(net, s);
-  const auto audit = topo::audit_fault_routing(net);
+  const auto audit = route::audit_cdg(net);
   EXPECT_FALSE(audit.all_reachable());
   EXPECT_GT(audit.unreachable, 0u);
   // Intra-wafer pairs are untouched: most pairs still deliver (a severed
-  // cross-wafer walk can count as both unreachable and a dead-link use,
-  // so only `unreachable` is compared against the pair count).
-  EXPECT_LT(audit.unreachable, audit.pairs);
+  // cross-wafer walk counts as both unreachable and undeliverable, so only
+  // `unreachable` is compared against the walk count).
+  EXPECT_LT(audit.unreachable, audit.paths_walked);
   EXPECT_EQ(audit.skipped_dead, 0u);  // no endpoint died, only bonds
 
   auto r = run_one(s);

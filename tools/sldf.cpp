@@ -278,6 +278,7 @@ int run_serve(const Cli& cli) {
             traffic::make_pattern(spec.traffic, net, spec.traffic_opts);
         const core::SweepSeries series = core::run_points(
             spec.label, net, *pattern, core::sweep_config(spec));
+        core::warn_unfired_events(spec, series);
         for (const auto& pt : series.points) {
           std::string out = " ";
           for (const auto& [name, cell] : core::sweep_cells(spec.label, pt))
