@@ -378,8 +378,9 @@ std::span<const ScenarioKey> scenario_key_table() {
       fixed("shards",
             "Intra-simulation engine shards — N threads per simulation, "
             "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env, "
-            "else the usable cores, used only on cycles with large router "
-            "snapshots; 1 per worker when `threads` > 1)",
+            "else the usable cores, used only on cycles after one that moved "
+            "at least `sim::kShardGateFlits` flits; 1 per worker when "
+            "`threads` > 1)",
             [](auto& s) -> auto& { return s.sim.shards; }, AutoCount<int>{}),
       fixed("warmup", "Warmup cycles (Table IV: 5000)",
             [](auto& s) -> auto& { return s.sim.warmup; }, Int<Cycle>{0}),
@@ -713,19 +714,37 @@ SweepConfig sweep_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
+namespace {
+
+/// Warns about the first of `events` at or past `end`, the first cycle a
+/// run of `spec` did not step: that event never fired. `ends_at` and
+/// `note` finish the message. Returns whether it warned.
+bool warn_unfired(const ScenarioSpec& spec,
+                  const std::vector<topo::FaultEvent>& events, Cycle end,
+                  Cycle ends_at, const std::string& note) {
+  for (const topo::FaultEvent& e : events) {
+    if (e.at < end) continue;
+    log_warn("series '%s': fault event %s never fires: the run ends at "
+             "cycle %llu%s",
+             spec.label.c_str(), topo::to_string(e).c_str(),
+             static_cast<unsigned long long>(ends_at), note.c_str());
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void warn_unfired_events(const ScenarioSpec& spec,
                          const SweepSeries& series) {
   if (!spec.fault.has_timeline()) return;
   const auto events = topo::load_timeline(spec.fault).events;
+  char rate[48];
   for (const SweepPoint& pt : series.points) {
-    for (const topo::FaultEvent& e : events) {
-      if (e.at < pt.res.cycles_run) continue;
-      log_warn("series '%s': fault event %s never fires: the run ends at "
-               "cycle %llu at rate %g",
-               spec.label.c_str(), topo::to_string(e).c_str(),
-               static_cast<unsigned long long>(pt.res.cycles_run), pt.rate);
+    std::snprintf(rate, sizeof rate, " at rate %g", pt.rate);
+    if (warn_unfired(spec, events, pt.res.cycles_run, pt.res.cycles_run,
+                     rate))
       return;
-    }
   }
 }
 
@@ -798,7 +817,16 @@ WorkloadRun run_workload_scenario(const ScenarioSpec& spec,
                                   sim::Network& net) {
   workload::WorkloadRunConfig rc;
   const workload::WorkloadGraph graph = make_workload_graph(spec, net, &rc);
-  return {spec.label, spec.workload, workload::run_workload(net, graph, rc)};
+  WorkloadRun run{spec.label, spec.workload,
+                  workload::run_workload(net, graph, rc)};
+  if (spec.fault.has_timeline()) {
+    // A completed run's `cycles` is the cycle its last tail landed in, the
+    // last one stepped; an unfinished run's is the cycle it stopped before.
+    const workload::WorkloadResult& r = run.result;
+    warn_unfired(spec, topo::load_timeline(spec.fault).events,
+                 r.completed ? r.cycles + 1 : r.cycles, r.cycles, "");
+  }
+  return run;
 }
 
 WorkloadRun run_workload_scenario(const ScenarioSpec& spec) {

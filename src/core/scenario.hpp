@@ -220,7 +220,9 @@ workload::WorkloadGraph make_workload_graph(
 /// Runs the spec's closed-loop workload (workload must be non-empty) on
 /// `net`, or on a network built from the spec: the graph comes from
 /// make_workload_graph(), the runner keys `workload.flit_bytes` /
-/// `workload.freq_ghz` / `workload.max_cycles` configure the run.
+/// `workload.freq_ghz` / `workload.max_cycles` configure the run. A fault
+/// event at or past the run's last cycle never fired: it warns as
+/// warn_unfired_events() does.
 WorkloadRun run_workload_scenario(const ScenarioSpec& spec, sim::Network& net);
 WorkloadRun run_workload_scenario(const ScenarioSpec& spec);
 

@@ -52,12 +52,9 @@ void Simulator::admit_packet(TerminalState& t, NodeId dst, int plane,
     inj_mark(static_cast<std::size_t>(&t - ctx_->terms.data()));
 }
 
-void Simulator::gen_and_inject_terminal(std::size_t ti) {
+void Simulator::generate_terminal(std::size_t ti) {
   const Cycle gen_end = cfg_.warmup + cfg_.measure;
-  PacketPool& pool = ctx_->pool;
-  FlitFifoArena& fifos = net_.fifos();
   TerminalState& t = ctx_->terms[ti];
-  // --- generation (geometric-skip Bernoulli source) ---
   while (t.next_gen <= now_) {
     const Cycle when = t.next_gen;
     arm_generation(ti, when);
@@ -91,61 +88,86 @@ void Simulator::gen_and_inject_terminal(std::size_t ti) {
     admit_packet(*tq, pdst, plane, cfg_.pkt_len, when,
                  when >= cfg_.warmup && when < gen_end, kNoTag);
   }
-  // --- injection: one flit per cycle into the injection port ---
-  if (t.queue.empty()) return;
-  const PacketId pid = t.queue.front();
-  Packet& p = pool[pid];
-  if (t.pushed == 0) t.inj_vc = static_cast<VcIx>(p.vc_class);
-  const std::uint32_t ix = t.inj_base + static_cast<std::uint32_t>(t.inj_vc);
-  if (!fifos.full(ix)) {
-    push_flit<false>(ix, t.node,
-                     Flit(pid, t.pushed == 0, t.pushed + 1 == p.len));
-    if (++t.pushed == p.len) {
-      t.queue.pop_front();
-      t.pushed = 0;
-      if (t.queue.empty()) inj_unmark(ti);
-    }
-  }
 }
 
-void Simulator::generate_and_inject() {
+void Simulator::generate() {
   // Pop every generation arrival due this cycle into the gen_due scratch
   // bitmask (stale heap entries — fault deaths, re-arms — are discarded
   // here; see GenEvent). Without idle_skip the heap stays empty and `scan`
-  // marks every terminal instead.
+  // marks every terminal instead. Only plane-0 terminals generate, and
+  // their twins take no clock, so generating never makes another terminal
+  // due this cycle.
   auto& heap = ctx_->gen_heap;
+  bool due = !cfg_.idle_skip;
   while (!heap.empty() && heap.front().when <= now_) {
     std::pop_heap(heap.begin(), heap.end(), gen_event_after);
     const GenEvent e = heap.back();
     heap.pop_back();
-    if (ctx_->terms[e.term].next_gen == e.when)
-      set_bit(ctx_->gen_due, e.term);
+    if (ctx_->terms[e.term].next_gen != e.when) continue;
+    set_bit(ctx_->gen_due, e.term);
+    due = true;
   }
-  // Walk the union of due-generation and injection-pending terminals in
-  // ascending index order — exactly the subset of terminals the full scan
-  // does anything at. The word is re-read after every processed terminal:
-  // generation can queue a packet onto a plane twin at a HIGHER index
-  // (which the full scan would reach later this same cycle, so it must be
-  // visited), while a twin at a LOWER index stays masked out by `done`
-  // (the full scan already passed it).
-  const std::size_t nw = ctx_->inj_pending.size();
+  if (!due) return;
   const auto nt = static_cast<std::uint32_t>(ctx_->terms.size());
-  for (std::size_t w = 0; w < nw; ++w) {
-    const std::uint64_t scan =
-        cfg_.idle_skip ? 0 : range_mask(static_cast<std::uint32_t>(w), 0, nt);
-    if ((ctx_->inj_pending[w] | ctx_->gen_due[w] | scan) == 0) continue;
-    std::uint64_t done = 0;
-    for (;;) {
-      const std::uint64_t bits =
-          (ctx_->inj_pending[w] | ctx_->gen_due[w] | scan) & ~done;
-      if (!bits) break;
+  for (std::uint32_t w = 0; w < ctx_->gen_due.size(); ++w) {
+    std::uint64_t bits =
+        ctx_->gen_due[w] | (cfg_.idle_skip ? 0 : range_mask(w, 0, nt));
+    ctx_->gen_due[w] = 0;
+    while (bits) {
       const auto b = static_cast<std::uint32_t>(std::countr_zero(bits));
-      done |= b >= 63 ? ~0ULL : (1ULL << (b + 1)) - 1;
-      ctx_->gen_due[w] &= ~(1ULL << b);
-      gen_and_inject_terminal(w * 64 + b);
+      bits &= bits - 1;
+      generate_terminal(w * 64 + b);
     }
   }
 }
+
+// Injection after generation is the fused per-terminal scan (generate at
+// terminal i, then inject at i, in ascending i) reordered, and exact:
+// injecting at i touches only i's queue and i's injection FIFO, and
+// generating at j reads and writes only j's queue and those of j's plane
+// twins, which sit at higher terminal indices (check_terminal_layout) —
+// so no generation reads a queue the fused scan would already have
+// injected from. Nothing generation reads elsewhere (credits for adaptive
+// init_packet, liveness) does injection write.
+template <bool Sharded>
+void Simulator::inject_terminal(std::size_t ti, ShardScratch* ss) {
+  TerminalState& t = ctx_->terms[ti];
+  const PacketId pid = t.queue.front();
+  const Packet& p = ctx_->pool[pid];
+  if (t.pushed == 0) t.inj_vc = static_cast<VcIx>(p.vc_class);
+  const std::uint32_t ix = t.inj_base + static_cast<std::uint32_t>(t.inj_vc);
+  if (net_.fifos().full(ix)) return;
+  push_flit<Sharded>(ix, t.node,
+                     Flit(pid, t.pushed == 0, t.pushed + 1 == p.len));
+  if (++t.pushed != p.len) return;
+  t.queue.pop_front();
+  t.pushed = 0;
+  if (!t.queue.empty()) return;
+  if constexpr (Sharded) {
+    clear_bit<true>(ctx_->inj_pending, static_cast<std::uint32_t>(ti));
+    ++ss->inj_drained;
+  } else {
+    inj_unmark(ti);
+  }
+}
+
+template <bool Sharded>
+void Simulator::inject_impl(std::uint32_t lo, std::uint32_t hi,
+                            ShardScratch* ss) {
+  for (std::uint32_t w = lo >> 6; lo < hi && w <= (hi - 1) >> 6; ++w) {
+    std::uint64_t bits = masked_word<Sharded>(ctx_->inj_pending, w, lo, hi);
+    while (bits) {
+      const auto b = static_cast<std::uint32_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      inject_terminal<Sharded>((w << 6) + b, ss);
+    }
+  }
+}
+
+template void Simulator::inject_impl<false>(std::uint32_t, std::uint32_t,
+                                            ShardScratch*);
+template void Simulator::inject_impl<true>(std::uint32_t, std::uint32_t,
+                                           ShardScratch*);
 
 void Simulator::arm_generation(std::size_t ti, Cycle after) {
   TerminalState& t = ctx_->terms[ti];

@@ -247,6 +247,7 @@ void Simulator::init() {
     t.pushed = 0;
   }
   rr_plane_.assign(ctx_->terms.size(), 0);
+  check_terminal_layout();
   rebuild_gen_state();
   // The walk prefetches only when its working set outsizes the host LLC
   // (deep_prefetch_pays()); on smaller fabrics every line is resident.
@@ -269,9 +270,36 @@ void Simulator::init() {
   // The team and its scratch start lazily, on the first parallel cycle.
   shards_ = std::min<int>(resolve_shards(cfg_.shards),
                           static_cast<int>(net_.num_chips()));
-  gate_ = (cfg_.shards == 0 && env_shards() == 0) ? kShardGateRouters : 0;
+  gate_ = (cfg_.shards == 0 && env_shards() == 0) ? kShardGateFlits : 0;
   parallel_ = shards_ > 1 && gate_ == 0;
-  if (shards_ > 1) shard_bounds_ = net_.shard_bounds(shards_);
+  if (shards_ > 1) {
+    shard_bounds_ = net_.shard_bounds(shards_);
+    term_bounds_.resize(shard_bounds_.size());
+    for (std::size_t k = 0; k < shard_bounds_.size(); ++k)
+      term_bounds_[k] = static_cast<std::uint32_t>(
+          std::lower_bound(ctx_->terms.begin(), ctx_->terms.end(),
+                           shard_bounds_[k],
+                           [](const TerminalState& t, std::uint32_t b) {
+                             return static_cast<std::uint32_t>(t.node) < b;
+                           }) -
+          ctx_->terms.begin());
+  }
+}
+
+void Simulator::check_terminal_layout() const {
+  const auto& terms = ctx_->terms;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    if (i > 0 && terms[i].node <= terms[i - 1].node)
+      throw std::logic_error(
+          "Simulator: terminals do not ascend by node id");
+    if (net_.plane_of_node(terms[i].node) != 0) continue;
+    for (int pl = 1; pl < num_planes_; ++pl)
+      if (ctx_->term_of_node[static_cast<std::size_t>(
+              net_.plane_twin(terms[i].node, pl))] <=
+          static_cast<std::int32_t>(i))
+        throw std::logic_error(
+            "Simulator: a plane twin precedes its plane-0 terminal");
+  }
 }
 
 void Simulator::run_team(ShardPhase phase) {

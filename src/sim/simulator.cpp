@@ -415,6 +415,9 @@ void Simulator::walk_shard(int k) {
   sc.events.clear();
   sc.tails.clear();
   sc.flit_hops = sc.accepted_flits = sc.ejected_flits = 0;
+  sc.inj_drained = 0;
+  inject_impl<true>(term_bounds_[static_cast<std::size_t>(k)],
+                    term_bounds_[static_cast<std::size_t>(k) + 1], &sc);
   sc.walk = walk_impl<true>(shard_bounds_[static_cast<std::size_t>(k)],
                             shard_bounds_[static_cast<std::size_t>(k) + 1],
                             &sc);
@@ -430,6 +433,7 @@ void Simulator::commit_shards() {
     flit_hops_ += sc.flit_hops;
     accepted_flits_ += sc.accepted_flits;
     ejected_flits_ += sc.ejected_flits;
+    inj_terms_ -= sc.inj_drained;
     last_walk_.walked += sc.walk.walked;
     last_walk_.kept += sc.walk.kept;
   }
@@ -445,31 +449,38 @@ void Simulator::commit_shards() {
 
 // One cycle. The engine's one intra-cycle order is ascending router id,
 // and a parallel cycle differs from a serial one only in *where* the
-// delivery and router phases run, never in what they do:
+// delivery, injection and router phases run, never in what they do:
 //
 //   1. Delivery. Each shard drains the slot's events addressed to its own
 //      routers, flits then credits (their state is shard-local; shared
 //      boundary words of the pending and active bitmaps take atomic bit
 //      ops). Setting a bit is idempotent, so the active set does not
 //      depend on who delivered first.
-//   2. Generation stays serial, after delivery: the RNG stream, injection
-//      decisions and (adaptive) injection-time credit reads observe the
-//      identical engine state.
-//   3. Router walk. Every shard walks the active bits of its own
-//      contiguous router range in ascending id. Per-router work is
-//      shard-local (routing reads only immutable topology, the packet, and
-//      the router's own SoA slices); the only cross-router effects — wheel
-//      pushes and tail deliveries — are buffered per shard, and keep-alive
-//      bits go straight back into the bitmap.
+//   2. Generation stays serial, after delivery: the RNG stream, pool ids
+//      and (adaptive) init_packet credit reads observe the identical
+//      engine state.
+//   3. Injection and router walk. Every shard first injects one flit from
+//      each non-empty source queue of the terminals on its routers (shards
+//      are chip-aligned and terminals ascend by node, so that is one
+//      contiguous terminal range; emptied queues clear their inj_pending
+//      bit atomically and are tallied per shard), then walks the active
+//      bits of its own contiguous router range in ascending id. Per-router
+//      work is shard-local (routing reads only immutable topology, the
+//      packet, and the router's own SoA slices); the only cross-router
+//      effects — wheel pushes and tail deliveries — are buffered per
+//      shard, and keep-alive bits go straight back into the bitmap.
 //   4. Commit. The driving thread appends shard 0's buffered events and
 //      tails, then shard 1's, and so on: shards own ascending id ranges, so
 //      this concatenation is the serial walk's wheel-slot event order,
 //      listener-callback order and packet-pool free-list order.
 //
 // Hence fixed-seed results (and checkpoints) are bit-identical for every
-// shard count and for every gate decision.
+// shard count and for every gate decision. The gate is the flits this
+// cycle moved (channel hops plus ejections, both counted anyway): a cycle
+// that moved at least gate_ runs the next one on the team.
 void Simulator::step() {
   PhaseClock clock(cfg_.phase_timers);
+  const std::uint64_t moved_before = flit_hops_ + ejected_flits_;
   // Fault timeline transitions happen at the cycle boundary, before any
   // engine phase — and always serially, so every shard count observes the
   // identical post-event state.
@@ -485,7 +496,7 @@ void Simulator::step() {
     deliver_impl<false>(0, 0, nullptr);
   }
   clock.lap(phases_.deliver_s);
-  generate_and_inject();
+  generate();
   clock.lap(phases_.generate_s);
 
   if (parallel_) {
@@ -496,12 +507,16 @@ void Simulator::step() {
     clock.lap(phases_.commit_s);
   } else {
     ++phases_.serial_cycles;
+    if (inj_terms_ != 0)
+      inject_impl<false>(0, static_cast<std::uint32_t>(ctx_->terms.size()),
+                         nullptr);
     last_walk_ = walk_impl<false>(
         0, static_cast<std::uint32_t>(net_.num_routers()), nullptr);
     clock.lap(phases_.walk_s);
   }
   phases_.routers_walked += last_walk_.walked;
-  parallel_ = shards_ > 1 && last_walk_.walked >= gate_;
+  parallel_ =
+      shards_ > 1 && flit_hops_ + ejected_flits_ - moved_before >= gate_;
   ++now_;
 }
 

@@ -74,9 +74,10 @@ struct SimConfig {
   /// threads every cycle; 1 runs the serial engine; 0 = auto: the
   /// `SLDF_SHARDS` environment variable (every cycle parallel, like an
   /// explicit N), else the usable cores behind a per-cycle work gate — a
-  /// cycle runs on the shard team only when the cycle before it walked at
-  /// least kShardGateRouters routers, so small fabrics never start a
-  /// thread (see resolve_shards()). Fixed-seed SimResults are
+  /// cycle runs on the shard team only when the cycle before it moved at
+  /// least kShardGateFlits flits (channel hops plus ejections), so small
+  /// or lightly loaded fabrics never start a thread (see
+  /// resolve_shards()). Fixed-seed SimResults are
   /// bit-identical across every shard count; see docs/ARCHITECTURE.md,
   /// "Threading & determinism model".
   int shards = 0;
@@ -93,8 +94,9 @@ struct SimConfig {
 struct EnginePhases {
   double fault_s = 0.0;     ///< Fault-timeline steps.
   double deliver_s = 0.0;   ///< Timing-wheel delivery (parallel or serial).
-  double generate_s = 0.0;  ///< Generation + injection (always serial).
-  double walk_s = 0.0;      ///< Router pipeline over the active set.
+  double generate_s = 0.0;  ///< Packet generation (always serial).
+  /// One-flit injection, then the router pipeline over the active set.
+  double walk_s = 0.0;
   /// Driving-thread-only work of a parallel cycle: the commit that appends
   /// the shards' buffered wheel events and tails in shard order.
   double commit_s = 0.0;
@@ -222,6 +224,8 @@ struct alignas(64) ShardScratch {
   std::uint64_t flit_hops = 0;       ///< Order-insensitive counters, summed
   std::uint64_t accepted_flits = 0;  ///< into the globals at commit.
   std::uint64_t ejected_flits = 0;   ///< Same (conservation ledger).
+  /// Terminals whose source queue this shard's injection emptied.
+  std::size_t inj_drained = 0;
   WalkCount walk;                    ///< This shard's part of the walk.
 };
 
@@ -284,12 +288,15 @@ struct SimContext {
 inline constexpr std::uint32_t kNoWaiter = 0xffffffffu;
 
 /// The per-cycle work gate of `shards = auto`: a cycle runs on the shard
-/// team only when the cycle before it walked at least this many routers
-/// (consecutive active sets are close in size). Below it a parallel
-/// cycle's fixed costs (two team hand-offs, the commit, atomic bit
-/// traffic) outweigh the split work. Measured on a 2-core host;
-/// docs/PERFORMANCE.md has the crossover table.
-inline constexpr std::size_t kShardGateRouters = 3072;
+/// team only when the cycle before it moved at least this many flits
+/// (channel hops plus ejections; consecutive cycles move close to the same
+/// number). Below it a parallel cycle's fixed costs (two team hand-offs,
+/// the commit, atomic bit traffic) outweigh the split work. Flits moved,
+/// not routers walked, is the measure of a cycle's work on both fabrics:
+/// a switch-based router moves several times the flits of a switch-less
+/// one. Measured on a 2-core host; docs/PERFORMANCE.md has the crossover
+/// table.
+inline constexpr std::uint64_t kShardGateFlits = 2560;
 
 /// The router walk's working set per input VC: three 64-byte hot lines
 /// (FIFO control word, output-port record, flit ring).
@@ -318,19 +325,20 @@ int resolve_shards(int requested, unsigned cores = usable_cores());
 ///
 ///   1. delivery — drain the current timing-wheel slot: flit arrivals into
 ///      input-VC FIFOs, then credit returns to output ports.
-///   2. generate_and_inject() — rate-driven packet generation (one global
-///      RNG, terminals in index order) and one-flit-per-cycle injection.
-///   3. router pipeline — RC/VA/SA/ST for every active router with pending
-///      work, in ascending router id (exact event-driven subset of a full
-///      scan).
+///   2. generate() — rate-driven packet generation (one global RNG,
+///      terminals in index order) into the source queues.
+///   3. walk — one-flit-per-cycle injection from every non-empty source
+///      queue, then RC/VA/SA/ST for every active router with pending work,
+///      in ascending router id (exact event-driven subset of a full scan).
 ///
 /// With more than one shard, phases 1 and 3 of a parallel cycle run on a
-/// shard team, each shard over its own contiguous router range, and the
-/// driving thread appends the shards' buffered walk output in shard order,
-/// which is ascending router id again (see step() in simulator.cpp and
-/// docs/ARCHITECTURE.md, "Threading & determinism model"); phase 2 stays
-/// serial. Fixed-seed results are bit-identical for every shard count, so
-/// `shards` is purely a wall-clock knob.
+/// shard team, each shard over its own contiguous router range and the
+/// terminals on it, and the driving thread appends the shards' buffered
+/// walk output in shard order, which is ascending router id again (see
+/// step() in simulator.cpp and docs/ARCHITECTURE.md, "Threading &
+/// determinism model"); phase 2 stays serial. Fixed-seed results are
+/// bit-identical for every shard count, so `shards` is purely a
+/// wall-clock knob.
 class Simulator {
  public:
   /// Owns a private SimContext (one-shot runs, tests).
@@ -430,15 +438,26 @@ class Simulator {
   using ShardPhase = void (Simulator::*)(int);
 
   void init();
-  /// Generation + injection over the terminals whose generation clock
-  /// fires this cycle (gen_heap) or whose source queue is non-empty
-  /// (inj_pending), in ascending terminal order — the exact subset of
-  /// terminals a full scan would do anything at. Without cfg.idle_skip
-  /// every terminal counts as due: the reference full scan tests A/B the
+  /// Generation over the terminals whose generation clock fires this
+  /// cycle (gen_heap), in ascending terminal order — the exact subset of
+  /// terminals a full scan would generate at. Without cfg.idle_skip every
+  /// terminal counts as due: the reference full scan tests A/B the
   /// event-driven subset against.
-  void generate_and_inject();
-  /// Generation + one-flit injection for terminal `ti`.
-  void gen_and_inject_terminal(std::size_t ti);
+  void generate();
+  /// The geometric-skip Bernoulli source of terminal `ti`: every arrival
+  /// due by now_ becomes a queued packet (or a suppression).
+  void generate_terminal(std::size_t ti);
+  /// One-flit injection over terminals [lo, hi) with a non-empty source
+  /// queue (inj_pending), in ascending terminal order. The serial engine
+  /// injects over every terminal; a shard over the terminals on its own
+  /// routers, with atomic ops on the inj_pending words it may share with a
+  /// neighbour shard and the emptied queues tallied in `ss`.
+  template <bool Sharded>
+  void inject_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
+  /// Pushes the next flit of terminal `ti`'s head packet into its
+  /// injection port, if the VC has room.
+  template <bool Sharded>
+  void inject_terminal(std::size_t ti, ShardScratch* ss);
   /// Plane for a packet logical `src` (terminal `ti`) -> `dst`:
   /// select_plane() with the twin source queues' depths as the load probe;
   /// 0 on a single-plane network.
@@ -454,6 +473,13 @@ class Simulator {
     return ctx_->terms[static_cast<std::size_t>(
         ctx_->term_of_node[static_cast<std::size_t>(n)])];
   }
+  /// Checks the two layout facts sharded injection rests on: terminals
+  /// ascend by node (so each shard's terminals are one contiguous index
+  /// range) and every plane twin sits at a higher terminal index than its
+  /// plane-0 terminal (so generating at a terminal never reads a queue a
+  /// lower-index injection would already have served under the old fused
+  /// scan). Throws std::logic_error otherwise.
+  void check_terminal_layout() const;
   /// Drains the current wheel slot: flit arrivals first, then credits.
   /// The `Sharded` instantiation delivers only the events addressed to
   /// routers [lo, hi) (shard-local state, atomic bit ops on the words it
@@ -491,14 +517,16 @@ class Simulator {
   template <bool Sharded>
   void prefetch_sa_candidates(std::uint32_t rid);
   // Shard-team phases of a parallel cycle: each runs concurrently for
-  // every shard `k` and touches only shard `k`'s routers and scratch.
+  // every shard `k` and touches only shard `k`'s routers, terminals and
+  // scratch. walk_shard() injects before it walks.
   void deliver_shard(int k);
   void walk_shard(int k);
   /// Runs `phase` on every shard (starting the team on first use) and
   /// returns when all are done.
   void run_team(ShardPhase phase);
-  /// Driving-thread commit after the walk: the shards' counters, then each
-  /// shard's buffered wheel events and tail commits, shard after shard.
+  /// Driving-thread commit after the walk: the shards' counters (the
+  /// emptied source queues among them), then each shard's buffered wheel
+  /// events and tail commits, shard after shard.
   /// Shards own ascending router ranges, so this is the serial order.
   void commit_shards();
   /// Commit + stats for one delivered tail packet (the serial pipeline's
@@ -577,18 +605,21 @@ class Simulator {
   /// fabrics it costs time (docs/PERFORMANCE.md, "Prefetcher audit").
   bool deep_prefetch_ = false;
   int shards_ = 1;  ///< Resolved count (see shards()).
-  /// Routers a walk must reach for the next cycle to run in parallel:
-  /// kShardGateRouters under auto shards, 0 (every cycle) for an explicit
+  /// Flits a cycle must move for the next cycle to run in parallel:
+  /// kShardGateFlits under auto shards, 0 (every cycle) for an explicit
   /// count or SLDF_SHARDS.
-  std::size_t gate_ = 0;
+  std::uint64_t gate_ = 0;
   /// The last cycle's walk. Between cycles the active bits are exactly
   /// the ones it kept (restore recounts them), so `kept` is the active
   /// set's size there.
   WalkCount last_walk_;
-  /// The last cycle's walk crossed the gate, so this cycle delivers and
-  /// walks on the team: consecutive active sets are close in size.
+  /// The last cycle moved at least gate_ flits, so this cycle delivers,
+  /// injects and walks on the team.
   bool parallel_ = false;
   std::vector<std::uint32_t> shard_bounds_;  ///< Network::shard_bounds.
+  /// Per shard, its first terminal index: the terminals on its routers are
+  /// [term_bounds_[k], term_bounds_[k + 1]).
+  std::vector<std::uint32_t> term_bounds_;
   std::unique_ptr<ShardTeam> team_;  ///< Started by the first run_team().
   EnginePhases phases_;
 

@@ -119,6 +119,42 @@ TEST(PlanePolicies, DeterministicAcrossRepeatsAndShards) {
   }
 }
 
+TEST(PlanePolicies, PlanesK2BitIdenticalAtOneAndTwoShards) {
+  // The planes-k2 ledger row's spec under every policy: generation
+  // remaps packets onto plane-1 twins, and sharded injection then serves
+  // each twin's queue on the shard that owns its router.
+  const auto base = core::load_scenario_file(std::string(SLDF_SOURCE_DIR) +
+                                             "/configs/bench/planes-k2.conf");
+  ASSERT_EQ(base.size(), 1u);
+  for (const route::PlanePolicy pol :
+       {route::PlanePolicy::Hash, route::PlanePolicy::RoundRobin,
+        route::PlanePolicy::Adaptive, route::PlanePolicy::Collective}) {
+    auto s = base[0];
+    s.plane_policy = pol;
+    s.sim.shards = 1;
+    const auto serial = run_one(s);
+    s.sim.shards = 2;
+    const auto sharded = run_one(s);
+    expect_bit_identical(serial, sharded);
+    EXPECT_GT(serial.plane_delivered.at(1), 0u) << route::to_string(pol);
+  }
+}
+
+TEST(PlaneLayout, TwinsFollowTheirPlaneZeroTerminal) {
+  // The engine generates at a plane-0 terminal into its twins' queues in
+  // the same ascending-terminal pass, and injects only afterwards; that is
+  // exact only while every twin sits at a higher terminal index.
+  sim::Network net;
+  core::build_network(net, plane_spec(3));
+  std::map<NodeId, std::size_t> index;
+  for (std::size_t i = 0; i < net.terminals().size(); ++i)
+    index[net.terminals()[i]] = i;
+  for (const NodeId t : net.logical_terminals())
+    for (int pl = 1; pl < net.num_planes(); ++pl)
+      EXPECT_GT(index.at(net.plane_twin(t, pl)), index.at(t))
+          << "terminal " << t << " plane " << pl;
+}
+
 TEST(PlanePolicies, ShardsEnvMatchesExplicit) {
   // SLDF_SHARDS=2 with shards=auto must equal the explicit shards=2 run
   // (and therefore the serial run).

@@ -225,7 +225,16 @@ TEST(ResolveShards, WorkerConfigSharesTheCores) {
 TEST(ShardGate, SmallFabricAutoNeverStartsTheTeam) {
   ScopedShardsEnv env(nullptr);
   auto net = tiny_net();
-  ASSERT_LT(net.num_routers(), sim::kShardGateRouters);
+  // The most flits one cycle can move: a channel's token bucket holds at
+  // most width_num + width_den tokens and a grant spends width_den, and
+  // every terminal ejects at most one flit. The tiny fabric stays below
+  // the gate even if every channel sent its most at once.
+  std::uint64_t most_moved = net.terminals().size();
+  for (std::size_t c = 0; c < net.num_channels(); ++c) {
+    const sim::Channel& ch = net.chan(static_cast<ChanId>(c));
+    most_moved += (ch.width_num + ch.width_den) / ch.width_den;
+  }
+  ASSERT_LT(most_moved, sim::kShardGateFlits);
   auto traffic = traffic::make_pattern("uniform", net, {});
   net.reset_dynamic_state();
   sim::Simulator s(net, short_cfg(0), *traffic);
@@ -237,36 +246,44 @@ TEST(ShardGate, SmallFabricAutoNeverStartsTheTeam) {
 
 namespace {
 
-/// One run of the gate-crossing spec, stepped by hand so the parallel /
-/// serial decision of every cycle is visible.
+/// One run of a gate spec, stepped by hand so the parallel / serial
+/// decision of every cycle is visible.
 struct GateRun {
   sim::SimResult res;
   std::string mid_checkpoint;
   std::vector<bool> parallel;  ///< Per stepped cycle.
 };
 
-/// radix16-swless g=21 (4704 routers) at 0.5: the snapshot climbs past
-/// the gate during warmup (~cycle 30) and falls back below it once
-/// generation stops at cycle 100 (~cycle 110). Each run builds its own
-/// network: checkpoints carry the raw FIFO arena, stale slots included.
-GateRun gate_run(int shards) {
+/// A short uniform-traffic point stepped to `step_to` (saving a checkpoint
+/// at `checkpoint_at`), then run to its end.
+struct GateSpec {
+  const char* topology;
+  const char* g;  ///< topo.g, or nullptr for the preset's.
+  double rate;
+  Cycle warmup, measure, drain;
+  Cycle checkpoint_at, step_to;
+};
+
+/// Each run builds its own network: checkpoints carry the raw FIFO arena,
+/// stale slots included.
+GateRun gate_run(const GateSpec& g, int shards) {
   core::ScenarioSpec spec;
-  spec.topology = "radix16-swless";
-  spec.set("topo.g", "21");
+  spec.topology = g.topology;
+  if (g.g != nullptr) spec.set("topo.g", g.g);
   sim::Network net;
   core::build_network(net, spec);
   auto traffic = traffic::make_pattern("uniform", net, {});
   sim::SimConfig sc;
-  sc.inj_rate_per_chip = 0.5;
-  sc.warmup = 40;
-  sc.measure = 40;
-  sc.drain = 20;
+  sc.inj_rate_per_chip = g.rate;
+  sc.warmup = g.warmup;
+  sc.measure = g.measure;
+  sc.drain = g.drain;
   sc.seed = 3;
   sc.shards = shards;
   sim::Simulator s(net, sc, *traffic);
   GateRun out;
-  while (s.now() < 130) {
-    if (s.now() == 70) {
+  while (s.now() < g.step_to) {
+    if (s.now() == g.checkpoint_at) {
       std::ostringstream ck;
       s.save_checkpoint(ck);
       out.mid_checkpoint = ck.str();
@@ -279,13 +296,13 @@ GateRun gate_run(int shards) {
   return out;
 }
 
-}  // namespace
-
-TEST(ShardGate, CrossingBothWaysBitIdentical) {
-  ScopedShardsEnv env(nullptr);
-  const GateRun serial = gate_run(1);
-  const GateRun sh2 = gate_run(2);
-  const GateRun automatic = gate_run(0);
+/// `auto` and explicit 2-shard runs of `g` against the serial engine:
+/// identical results and mid-run checkpoint bytes, and an explicit count
+/// runs every cycle after the first in parallel. Returns the auto run.
+GateRun expect_gate_runs_identical(const GateSpec& g) {
+  const GateRun serial = gate_run(g, 1);
+  const GateRun sh2 = gate_run(g, 2);
+  const GateRun automatic = gate_run(g, 0);
   for (const GateRun* r : {&sh2, &automatic}) {
     expect_bit_identical(serial.res, r->res);
     EXPECT_TRUE(serial.mid_checkpoint == r->mid_checkpoint)
@@ -294,15 +311,42 @@ TEST(ShardGate, CrossingBothWaysBitIdentical) {
   EXPECT_TRUE(std::all_of(sh2.parallel.begin() + 1, sh2.parallel.end(),
                           [](bool p) { return p; }))
       << "an explicit shard count runs every cycle in parallel";
+  return automatic;
+}
+
+}  // namespace
+
+TEST(ShardGate, CrossingBothWaysBitIdentical) {
+  ScopedShardsEnv env(nullptr);
+  // radix16-swless g=21 (4704 routers) at 0.5: the flits moved per cycle
+  // climb past the gate during warmup and fall back below it while the
+  // network drains after generation stops at cycle 80.
+  const GateRun automatic = expect_gate_runs_identical(
+      {"radix16-swless", "21", 0.5, 40, 40, 20, 70, 160});
   if (usable_cores() < 2) GTEST_SKIP() << "auto resolves to 1 shard here";
   // auto: serial ramp-up, parallel middle, serial ramp-down.
   const auto& p = automatic.parallel;
   const auto first = std::find(p.begin(), p.end(), true);
-  ASSERT_NE(first, p.end()) << "the snapshot never reached the gate";
+  ASSERT_NE(first, p.end()) << "the flits moved never reached the gate";
   EXPECT_NE(first, p.begin());
   EXPECT_FALSE(p.back());
   EXPECT_GT(automatic.res.phases.parallel_cycles, 0u);
   EXPECT_GT(automatic.res.phases.serial_cycles, 0u);
+}
+
+TEST(ShardGate, SwitchBasedSaturationRunsOnTheTeam) {
+  ScopedShardsEnv env(nullptr);
+  // radix16-swdf (1312 chips) at 0.9 walks fewer routers a cycle than the
+  // switch-less fabric of the same chip count but moves several flits per
+  // router: the flit gate puts its saturated cycles on the team.
+  const GateRun automatic = expect_gate_runs_identical(
+      {"radix16-swdf", nullptr, 0.9, 100, 60, 40, 120, 160});
+  if (usable_cores() < 2) GTEST_SKIP() << "auto resolves to 1 shard here";
+  const auto& p = automatic.parallel;
+  EXPECT_FALSE(p.front());
+  EXPECT_TRUE(p.back()) << "the saturated fabric left the team";
+  EXPECT_GT(automatic.res.phases.parallel_cycles,
+            automatic.res.phases.serial_cycles);
 }
 
 TEST(ShardGate, PhaseTimersChangeNoCounter) {

@@ -104,9 +104,9 @@ void print_usage() {
       "\n"
       "  --shards=N shards each simulation across N threads (deterministic\n"
       "  engine; results are bit-identical for every N). auto/0 (default)\n"
-      "  uses SLDF_SHARDS if set, else the usable cores on cycles with at\n"
-      "  least 3072 active routers (1 per worker when points or series run\n"
-      "  concurrently). Use shards for one big point, threads for many.\n"
+      "  uses SLDF_SHARDS if set, else the usable cores on cycles after one\n"
+      "  that moved at least 2560 flits (1 per worker when points or series\n"
+      "  run concurrently). Use shards for one big point, threads for many.\n"
       "\n"
       "  workload=NAME switches a series from open-loop rate sweeps to one\n"
       "  closed-loop message-level run reporting completion cycles and\n"
@@ -195,34 +195,38 @@ void add_phases(sim::EnginePhases& sum, const sim::EnginePhases& p) {
 }
 
 void print_phases_header() {
-  std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %9s %8s %9s\n",
+  std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %9s %9s %8s %9s\n",
               "series", "fault%", "deliv%", "gen%", "walk%", "commit%",
-              "serial%", "par_cyc", "ser_cyc", "avg_snap", "prefetch",
-              "skipped");
+              "serial%", "par_cyc", "ser_cyc", "avg_snap", "avg_moved",
+              "prefetch", "skipped");
 }
 
 /// One series' shares of the engine's host time. "serial" is what only the
 /// driving thread runs in a parallel cycle (faults, generation, the
-/// commit); par_cyc / ser_cyc and prefetch show which side of the shard
-/// work gate and of the deep-prefetch gate (sim::deep_prefetch_pays) the
-/// series ran on.
-void print_phases_row(const std::string& label, const sim::EnginePhases& p) {
+/// commit); par_cyc / ser_cyc, avg_moved (the results' flit hops plus
+/// ejected flits, `moved`, per stepped cycle: the shard work gate's
+/// measure) and prefetch show which side of the shard work gate and of the
+/// deep-prefetch gate (sim::deep_prefetch_pays) the series ran on.
+void print_phases_row(const std::string& label, const sim::EnginePhases& p,
+                      std::uint64_t moved) {
   const double total =
       p.fault_s + p.deliver_s + p.generate_s + p.walk_s + p.commit_s;
   if (total <= 0.0) return;
   const auto pct = [total](double s) { return 100.0 * s / total; };
   const std::uint64_t stepped = p.parallel_cycles + p.serial_cycles;
+  const auto per_cycle = [stepped](std::uint64_t n) {
+    return stepped ? static_cast<double>(n) / static_cast<double>(stepped)
+                   : 0.0;
+  };
   std::printf(
-      "%-16s %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f %9llu %9llu %9.0f %8s "
-      "%9llu\n",
+      "%-16s %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f %9llu %9llu %9.0f %9.0f "
+      "%8s %9llu\n",
       label.c_str(), pct(p.fault_s), pct(p.deliver_s), pct(p.generate_s),
       pct(p.walk_s), pct(p.commit_s),
       pct(p.fault_s + p.generate_s + p.commit_s),
       static_cast<unsigned long long>(p.parallel_cycles),
       static_cast<unsigned long long>(p.serial_cycles),
-      stepped ? static_cast<double>(p.routers_walked) /
-                    static_cast<double>(stepped)
-              : 0.0,
+      per_cycle(p.routers_walked), per_cycle(moved),
       p.deep_prefetch ? "deep" : "off",
       static_cast<unsigned long long>(p.cycles_skipped));
 }
@@ -481,8 +485,12 @@ int main(int argc, char** argv) {
       for (const auto& o : outcomes) {
         if (!o.error.empty() || o.is_tenants || o.is_workload) continue;
         sim::EnginePhases sum;
-        for (const auto& pt : o.result.points) add_phases(sum, pt.res.phases);
-        print_phases_row(o.label, sum);
+        std::uint64_t moved = 0;
+        for (const auto& pt : o.result.points) {
+          add_phases(sum, pt.res.phases);
+          moved += pt.res.flit_hops + pt.res.ejected_flits;
+        }
+        print_phases_row(o.label, sum, moved);
       }
     }
     if (cli.has("out")) {
