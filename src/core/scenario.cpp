@@ -379,7 +379,8 @@ std::span<const ScenarioKey> scenario_key_table() {
             "Intra-simulation engine shards — N threads per simulation, "
             "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env, "
             "else the usable cores, used only on cycles after one that moved "
-            "at least `sim::kShardGateFlits` flits; 1 per worker when "
+            "at least `sim::kShardGateFlits` flits or walked at least "
+            "`sim::kShardGateRouters` routers; 1 per worker when "
             "`threads` > 1)",
             [](auto& s) -> auto& { return s.sim.shards; }, AutoCount<int>{}),
       fixed("warmup", "Warmup cycles (Table IV: 5000)",

@@ -270,8 +270,8 @@ void Simulator::init() {
   // The team and its scratch start lazily, on the first parallel cycle.
   shards_ = std::min<int>(resolve_shards(cfg_.shards),
                           static_cast<int>(net_.num_chips()));
-  gate_ = (cfg_.shards == 0 && env_shards() == 0) ? kShardGateFlits : 0;
-  parallel_ = shards_ > 1 && gate_ == 0;
+  gated_ = cfg_.shards == 0 && env_shards() == 0;
+  parallel_ = shards_ > 1 && !gated_;
   if (shards_ > 1) {
     shard_bounds_ = net_.shard_bounds(shards_);
     term_bounds_.resize(shard_bounds_.size());

@@ -475,9 +475,11 @@ void Simulator::commit_shards() {
 //      listener-callback order and packet-pool free-list order.
 //
 // Hence fixed-seed results (and checkpoints) are bit-identical for every
-// shard count and for every gate decision. The gate is the flits this
-// cycle moved (channel hops plus ejections, both counted anyway): a cycle
-// that moved at least gate_ runs the next one on the team.
+// shard count and for every gate decision. The gate reads the work this
+// cycle did, both parts counted anyway: the flits it moved (channel hops
+// plus ejections) and the routers it walked. A cycle that moved at least
+// kShardGateFlits or walked at least kShardGateRouters runs the next one
+// on the team.
 void Simulator::step() {
   PhaseClock clock(cfg_.phase_timers);
   const std::uint64_t moved_before = flit_hops_ + ejected_flits_;
@@ -515,8 +517,10 @@ void Simulator::step() {
     clock.lap(phases_.walk_s);
   }
   phases_.routers_walked += last_walk_.walked;
-  parallel_ =
-      shards_ > 1 && flit_hops_ + ejected_flits_ - moved_before >= gate_;
+  parallel_ = shards_ > 1 &&
+              (!gated_ ||
+               flit_hops_ + ejected_flits_ - moved_before >= kShardGateFlits ||
+               last_walk_.walked >= kShardGateRouters);
   ++now_;
 }
 

@@ -75,11 +75,11 @@ struct SimConfig {
   /// `SLDF_SHARDS` environment variable (every cycle parallel, like an
   /// explicit N), else the usable cores behind a per-cycle work gate — a
   /// cycle runs on the shard team only when the cycle before it moved at
-  /// least kShardGateFlits flits (channel hops plus ejections), so small
-  /// or lightly loaded fabrics never start a thread (see
-  /// resolve_shards()). Fixed-seed SimResults are
-  /// bit-identical across every shard count; see docs/ARCHITECTURE.md,
-  /// "Threading & determinism model".
+  /// least kShardGateFlits flits (channel hops plus ejections) or walked
+  /// at least kShardGateRouters routers, so small or lightly loaded
+  /// fabrics never start a thread (see resolve_shards()). Fixed-seed
+  /// SimResults are bit-identical across every shard count; see
+  /// docs/ARCHITECTURE.md, "Threading & determinism model".
   int shards = 0;
   /// Accumulate host time per engine phase into SimResult::phases (a few
   /// clock reads per cycle). Changes no simulation counter.
@@ -288,15 +288,18 @@ struct SimContext {
 inline constexpr std::uint32_t kNoWaiter = 0xffffffffu;
 
 /// The per-cycle work gate of `shards = auto`: a cycle runs on the shard
-/// team only when the cycle before it moved at least this many flits
-/// (channel hops plus ejections; consecutive cycles move close to the same
-/// number). Below it a parallel cycle's fixed costs (two team hand-offs,
-/// the commit, atomic bit traffic) outweigh the split work. Flits moved,
-/// not routers walked, is the measure of a cycle's work on both fabrics:
-/// a switch-based router moves several times the flits of a switch-less
-/// one. Measured on a 2-core host; docs/PERFORMANCE.md has the crossover
-/// table.
+/// team only when the cycle before it moved at least kShardGateFlits flits
+/// (channel hops plus ejections) or walked at least kShardGateRouters
+/// routers (consecutive cycles do close to the same work). Below both a
+/// parallel cycle's fixed costs (two team hand-offs, the commit, atomic
+/// bit traffic) outweigh the split work. A cycle's work has two parts,
+/// and each fabric is heavy in one: a switch-based router moves several
+/// flits a cycle, while a loaded switch-less fabric walks many routers
+/// that each move few (radix16-swless g=11 at 0.9 with faults walks about
+/// 1,740 routers and moves about 830 flits). Measured on a 2-core host;
+/// docs/PERFORMANCE.md has the crossover tables.
 inline constexpr std::uint64_t kShardGateFlits = 2560;
+inline constexpr std::size_t kShardGateRouters = 1280;
 
 /// The router walk's working set per input VC: three 64-byte hot lines
 /// (FIFO control word, output-port record, flit ring).
@@ -397,6 +400,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t accepted_flits() const {
     return accepted_flits_;
   }
+  [[nodiscard]] std::uint64_t ejected_flits() const { return ejected_flits_; }
   [[nodiscard]] std::uint64_t dropped_packets() const {
     return dropped_packets_;
   }
@@ -605,16 +609,16 @@ class Simulator {
   /// fabrics it costs time (docs/PERFORMANCE.md, "Prefetcher audit").
   bool deep_prefetch_ = false;
   int shards_ = 1;  ///< Resolved count (see shards()).
-  /// Flits a cycle must move for the next cycle to run in parallel:
-  /// kShardGateFlits under auto shards, 0 (every cycle) for an explicit
-  /// count or SLDF_SHARDS.
-  std::uint64_t gate_ = 0;
+  /// Auto shards: a cycle runs in parallel only when the one before it
+  /// passed the work gate (kShardGateFlits, kShardGateRouters). False for
+  /// an explicit count or SLDF_SHARDS: every cycle runs in parallel.
+  bool gated_ = false;
   /// The last cycle's walk. Between cycles the active bits are exactly
   /// the ones it kept (restore recounts them), so `kept` is the active
   /// set's size there.
   WalkCount last_walk_;
-  /// The last cycle moved at least gate_ flits, so this cycle delivers,
-  /// injects and walks on the team.
+  /// The last cycle passed the work gate (or none is set), so this cycle
+  /// delivers, injects and walks on the team.
   bool parallel_ = false;
   std::vector<std::uint32_t> shard_bounds_;  ///< Network::shard_bounds.
   /// Per shard, its first terminal index: the terminals on its routers are

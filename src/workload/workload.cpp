@@ -291,10 +291,12 @@ class Runner final : public sim::PacketListener {
     r.packets = packets_;
     r.packets_delivered = packets_delivered_;
     r.flit_hops = sim.flit_hops();
+    r.ejected_flits = sim.ejected_flits();
     r.failed_messages = failed_msgs_;
     r.orphaned_messages = orphaned_msgs_;
     r.dropped_packets = sim.dropped_packets();
     r.rescued_packets = sim.rescued_packets();
+    r.engine = sim.phases();
     r.phases.resize(static_cast<std::size_t>(graph_.num_phases));
     if (cfg_.record_msgs) r.msgs.resize(graph_.messages.size());
     std::vector<bool> part(net_.num_chips(), false);

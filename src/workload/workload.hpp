@@ -103,6 +103,7 @@ struct WorkloadResult {
                                        ///< when completed).
   std::uint64_t flits = 0;      ///< Payload flits summed over messages.
   std::uint64_t flit_hops = 0;  ///< Engine channel traversals for the run.
+  std::uint64_t ejected_flits = 0;  ///< Engine flits consumed at destinations.
   // --- fault-timeline outcomes (all zero on a fault-free run) ---
   /// Messages that lost >= 1 packet to a fault drop (can never complete).
   std::uint64_t failed_messages = 0;
@@ -119,6 +120,9 @@ struct WorkloadResult {
   double gbps_per_chip = 0.0;
   std::vector<PhaseResult> phases;
   std::vector<MsgRecord> msgs;  ///< Empty unless record_msgs was set.
+  /// Engine telemetry of the run (SimResult::phases' counterpart; host
+  /// times only with SimConfig::phase_timers).
+  sim::EnginePhases engine;
 };
 
 /// Validates `graph` (src != dst, flits >= 1, dep ids in range) — throws

@@ -222,19 +222,28 @@ TEST(ResolveShards, WorkerConfigSharesTheCores) {
 
 // ---- per-cycle work gate -------------------------------------------------
 
-TEST(ShardGate, SmallFabricAutoNeverStartsTheTeam) {
-  ScopedShardsEnv env(nullptr);
-  auto net = tiny_net();
-  // The most flits one cycle can move: a channel's token bucket holds at
-  // most width_num + width_den tokens and a grant spends width_den, and
-  // every terminal ejects at most one flit. The tiny fabric stays below
-  // the gate even if every channel sent its most at once.
+namespace {
+
+/// Asserts that no cycle on `net` can reach the work gate: a cycle walks at
+/// most every router, and moves at most what every channel can send at
+/// once (a token bucket holds at most width_num + width_den tokens and a
+/// grant spends width_den) plus one ejected flit per terminal.
+void assert_structurally_below_gate(const sim::Network& net) {
+  ASSERT_LT(net.num_routers(), sim::kShardGateRouters);
   std::uint64_t most_moved = net.terminals().size();
   for (std::size_t c = 0; c < net.num_channels(); ++c) {
     const sim::Channel& ch = net.chan(static_cast<ChanId>(c));
     most_moved += (ch.width_num + ch.width_den) / ch.width_den;
   }
   ASSERT_LT(most_moved, sim::kShardGateFlits);
+}
+
+}  // namespace
+
+TEST(ShardGate, SmallFabricAutoNeverStartsTheTeam) {
+  ScopedShardsEnv env(nullptr);
+  auto net = tiny_net();
+  ASSERT_NO_FATAL_FAILURE(assert_structurally_below_gate(net));
   auto traffic = traffic::make_pattern("uniform", net, {});
   net.reset_dynamic_state();
   sim::Simulator s(net, short_cfg(0), *traffic);
@@ -242,6 +251,29 @@ TEST(ShardGate, SmallFabricAutoNeverStartsTheTeam) {
   EXPECT_EQ(r.phases.parallel_cycles, 0u);
   EXPECT_GT(r.phases.serial_cycles, 0u);
   EXPECT_FALSE(s.team_started());
+}
+
+// The three W-group fabrics of the benchmark's closed-loop AllReduce
+// (configs/fig14.conf at topo.g = 1): two shards made them slower, and no
+// cycle on them can reach the gate.
+TEST(ShardGate, WGroupFabricsStayBelowTheGate) {
+  struct Fabric {
+    const char* topology;
+    const char* mesh_width;  ///< topo.mesh_width, or nullptr.
+  };
+  for (const Fabric& f : {Fabric{"radix16-swdf", nullptr},
+                          Fabric{"radix16-swless", nullptr},
+                          Fabric{"radix16-swless", "2"}}) {
+    SCOPED_TRACE(std::string(f.topology) +
+                 (f.mesh_width ? " mesh_width=2" : ""));
+    core::ScenarioSpec spec;
+    spec.topology = f.topology;
+    spec.set("topo.g", "1");
+    if (f.mesh_width != nullptr) spec.set("topo.mesh_width", f.mesh_width);
+    sim::Network net;
+    core::build_network(net, spec);
+    ASSERT_NO_FATAL_FAILURE(assert_structurally_below_gate(net));
+  }
 }
 
 namespace {
@@ -262,6 +294,7 @@ struct GateSpec {
   double rate;
   Cycle warmup, measure, drain;
   Cycle checkpoint_at, step_to;
+  const char* fault_events = nullptr;  ///< fault.events, or none.
 };
 
 /// Each run builds its own network: checkpoints carry the raw FIFO arena,
@@ -270,6 +303,10 @@ GateRun gate_run(const GateSpec& g, int shards) {
   core::ScenarioSpec spec;
   spec.topology = g.topology;
   if (g.g != nullptr) spec.set("topo.g", g.g);
+  if (g.fault_events != nullptr) {
+    spec.set("fault.seed", "7");
+    spec.set("fault.events", g.fault_events);
+  }
   sim::Network net;
   core::build_network(net, spec);
   auto traffic = traffic::make_pattern("uniform", net, {});
@@ -318,11 +355,12 @@ GateRun expect_gate_runs_identical(const GateSpec& g) {
 
 TEST(ShardGate, CrossingBothWaysBitIdentical) {
   ScopedShardsEnv env(nullptr);
-  // radix16-swless g=21 (4704 routers) at 0.5: the flits moved per cycle
-  // climb past the gate during warmup and fall back below it while the
-  // network drains after generation stops at cycle 80.
+  // radix16-swless g=21 (4704 routers) at 0.5: the work per cycle climbs
+  // past the gate during warmup and falls back below both of its
+  // thresholds while the network drains after generation stops at cycle
+  // 100 (the routers walked fall below kShardGateRouters near cycle 220).
   const GateRun automatic = expect_gate_runs_identical(
-      {"radix16-swless", "21", 0.5, 40, 40, 20, 70, 160});
+      {"radix16-swless", "21", 0.5, 40, 40, 20, 70, 240});
   if (usable_cores() < 2) GTEST_SKIP() << "auto resolves to 1 shard here";
   // auto: serial ramp-up, parallel middle, serial ramp-down.
   const auto& p = automatic.parallel;
@@ -341,6 +379,26 @@ TEST(ShardGate, SwitchBasedSaturationRunsOnTheTeam) {
   // router: the flit gate puts its saturated cycles on the team.
   const GateRun automatic = expect_gate_runs_identical(
       {"radix16-swdf", nullptr, 0.9, 100, 60, 40, 120, 160});
+  if (usable_cores() < 2) GTEST_SKIP() << "auto resolves to 1 shard here";
+  const auto& p = automatic.parallel;
+  EXPECT_FALSE(p.front());
+  EXPECT_TRUE(p.back()) << "the saturated fabric left the team";
+  EXPECT_GT(automatic.res.phases.parallel_cycles,
+            automatic.res.phases.serial_cycles);
+}
+
+TEST(ShardGate, FaultTimelineSaturationRunsOnTheTeam) {
+  ScopedShardsEnv env(nullptr);
+  // radix16-swless g=11 (2464 routers) at 0.9, the benchmark's online-fault
+  // fabric: it moves fewer flits a cycle than the flit gate asks, but walks
+  // more routers than the router gate asks, so its saturated cycles run on
+  // the team, across a fail and a repair step.
+  const GateRun automatic = expect_gate_runs_identical(
+      {"radix16-swless", "11", 0.9, 100, 60, 40, 120, 160,
+       "fail@110:global=0.1;repair@140:global=0.05"});
+  EXPECT_GT(automatic.res.rescued_packets + automatic.res.dropped_packets,
+            0u)
+      << "the fail step reached no packet";
   if (usable_cores() < 2) GTEST_SKIP() << "auto resolves to 1 shard here";
   const auto& p = automatic.parallel;
   EXPECT_FALSE(p.front());

@@ -74,8 +74,8 @@ void print_usage() {
       "  --emit-trace FILE    write the (single) series' workload graph as\n"
       "                       an sldf-trace file instead of running it\n"
       "  --phases             time the engine phases of every rate-sweep\n"
-      "                       series and print the split (a few clock reads\n"
-      "                       per cycle; counters unchanged)\n"
+      "                       and workload series and print the split (a\n"
+      "                       few clock reads per cycle; counters unchanged)\n"
       "  --help               this text\n"
       "\n"
       "scenario keys (also valid in config files; see --doc-keys):\n");
@@ -105,8 +105,9 @@ void print_usage() {
       "  --shards=N shards each simulation across N threads (deterministic\n"
       "  engine; results are bit-identical for every N). auto/0 (default)\n"
       "  uses SLDF_SHARDS if set, else the usable cores on cycles after one\n"
-      "  that moved at least 2560 flits (1 per worker when points or series\n"
-      "  run concurrently). Use shards for one big point, threads for many.\n"
+      "  that moved at least 2560 flits or walked at least 1280 routers (1\n"
+      "  per worker when points or series run concurrently). Use shards for\n"
+      "  one big point, threads for many.\n"
       "\n"
       "  workload=NAME switches a series from open-loop rate sweeps to one\n"
       "  closed-loop message-level run reporting completion cycles and\n"
@@ -195,18 +196,19 @@ void add_phases(sim::EnginePhases& sum, const sim::EnginePhases& p) {
 }
 
 void print_phases_header() {
-  std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %9s %9s %8s %9s\n",
+  std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %10s %9s %8s %9s\n",
               "series", "fault%", "deliv%", "gen%", "walk%", "commit%",
-              "serial%", "par_cyc", "ser_cyc", "avg_snap", "avg_moved",
+              "serial%", "par_cyc", "ser_cyc", "avg_walked", "avg_moved",
               "prefetch", "skipped");
 }
 
 /// One series' shares of the engine's host time. "serial" is what only the
 /// driving thread runs in a parallel cycle (faults, generation, the
-/// commit); par_cyc / ser_cyc, avg_moved (the results' flit hops plus
-/// ejected flits, `moved`, per stepped cycle: the shard work gate's
-/// measure) and prefetch show which side of the shard work gate and of the
-/// deep-prefetch gate (sim::deep_prefetch_pays) the series ran on.
+/// commit); par_cyc / ser_cyc, avg_walked (routers walked) and avg_moved
+/// (the results' flit hops plus ejected flits, `moved`) per stepped
+/// cycle, the two measures the shard work gate reads, and prefetch show
+/// which side of the shard work gate and of the deep-prefetch gate
+/// (sim::deep_prefetch_pays) the series ran on.
 void print_phases_row(const std::string& label, const sim::EnginePhases& p,
                       std::uint64_t moved) {
   const double total =
@@ -219,7 +221,7 @@ void print_phases_row(const std::string& label, const sim::EnginePhases& p,
                    : 0.0;
   };
   std::printf(
-      "%-16s %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f %9llu %9llu %9.0f %9.0f "
+      "%-16s %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f %9llu %9llu %10.0f %9.0f "
       "%8s %9llu\n",
       label.c_str(), pct(p.fault_s), pct(p.deliver_s), pct(p.generate_s),
       pct(p.walk_s), pct(p.commit_s),
@@ -480,10 +482,15 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (phases && workload_series + tenant_series < series.size()) {
+    if (phases && tenant_series < series.size()) {
       print_phases_header();
       for (const auto& o : outcomes) {
-        if (!o.error.empty() || o.is_tenants || o.is_workload) continue;
+        if (!o.error.empty() || o.is_tenants) continue;
+        if (o.is_workload) {
+          const workload::WorkloadResult& r = o.workload.result;
+          print_phases_row(o.label, r.engine, r.flit_hops + r.ejected_flits);
+          continue;
+        }
         sim::EnginePhases sum;
         std::uint64_t moved = 0;
         for (const auto& pt : o.result.points) {
