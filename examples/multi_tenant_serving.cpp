@@ -69,14 +69,15 @@ int main(int argc, char** argv) try {
               topology.c_str(), chips);
 
   CsvWriter csv(out + "/multi_tenant_serving.csv",
-                trace::tenants_csv_header());
+                core::cell_names(trace::tenant_cells("", {})));
   double inference_interf[2] = {0.0, 0.0};
   int run = 0;
   for (const char* placement : {"contiguous", "scattered"}) {
     const auto r =
         trace::run_tenant_scenario(mix(topology, chips, seed, placement));
-    trace::print_tenants(r);
-    trace::append_tenants_csv(csv, r);
+    const core::SeriesResult series = trace::to_series(r);
+    std::fputs(series.table.c_str(), stdout);
+    for (const auto& row : series.rows) csv.row(core::cell_values(row));
     inference_interf[run++] = r.tenants[2].interference;
   }
 

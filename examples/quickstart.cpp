@@ -34,8 +34,7 @@ int main(int argc, char** argv) try {
               to_string(spec.scheme),
               core::describe(core::census(net)).c_str());
 
-  const auto series = core::run_scenario(spec);
-  core::print_series(series);
+  std::fputs(core::run_series(spec).table.c_str(), stdout);
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "quickstart: error: %s\n", e.what());

@@ -1,9 +1,10 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/csv.hpp"
 #include "common/parallel.hpp"
+#include "common/strfmt.hpp"
 #include "model/energy.hpp"
 
 namespace sldf::core {
@@ -100,19 +101,6 @@ SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
   return series;
 }
 
-void print_series(const SweepSeries& s) {
-  std::printf("# %s\n", s.label.c_str());
-  std::printf("%-10s %-12s %-12s %-10s %-8s\n", "offered", "avg_latency",
-              "accepted", "p99", "drained");
-  for (const auto& pt : s.points) {
-    std::printf("%-10.4f %-12.2f %-12.4f %-10.1f %-8s\n", pt.rate,
-                pt.res.avg_latency, pt.res.accepted, pt.res.p99_latency,
-                pt.res.drained ? "yes" : "no");
-  }
-  std::printf("\n");
-  std::fflush(stdout);
-}
-
 namespace {
 
 std::string joined(const std::vector<std::uint64_t>& v) {
@@ -131,15 +119,29 @@ std::string hops_column(LinkType t) {
   return name;
 }
 
+/// Adds `p`'s timers and counters to `sum`.
+void add_phases(sim::EnginePhases& sum, const sim::EnginePhases& p) {
+  sum.fault_s += p.fault_s;
+  sum.deliver_s += p.deliver_s;
+  sum.generate_s += p.generate_s;
+  sum.walk_s += p.walk_s;
+  sum.commit_s += p.commit_s;
+  sum.parallel_cycles += p.parallel_cycles;
+  sum.serial_cycles += p.serial_cycles;
+  sum.routers_walked += p.routers_walked;
+  sum.skips += p.skips;
+  sum.cycles_skipped += p.cycles_skipped;
+  sum.deep_prefetch = sum.deep_prefetch || p.deep_prefetch;
+}
+
 }  // namespace
 
-std::vector<std::pair<std::string, std::string>> sweep_cells(
-    const std::string& series, const SweepPoint& pt) {
+Cells sweep_cells(const std::string& series, const SweepPoint& pt) {
   const sim::SimResult& r = pt.res;
   const auto num = [](double v) { return CsvWriter::format_num(v); };
   const auto count = [](std::uint64_t v) { return std::to_string(v); };
   const auto flag = [](bool b) { return std::string(b ? "1" : "0"); };
-  std::vector<std::pair<std::string, std::string>> cells = {
+  Cells cells = {
       {"series", series},
       {"offered", num(pt.rate)},
       {"avg_latency", num(r.avg_latency)},
@@ -184,23 +186,44 @@ std::vector<std::pair<std::string, std::string>> sweep_cells(
   return cells;
 }
 
-const std::vector<std::string>& sweep_csv_header() {
-  static const std::vector<std::string> header = [] {
-    std::vector<std::string> names;
-    for (auto& [name, cell] : sweep_cells("", SweepPoint{}))
-      names.push_back(std::move(name));
-    return names;
-  }();
-  return header;
+std::vector<std::string> cell_names(const Cells& row) {
+  std::vector<std::string> names;
+  for (const auto& [name, cell] : row) names.push_back(name);
+  return names;
 }
 
-void append_series_csv(CsvWriter& csv, const SweepSeries& s) {
-  for (const auto& pt : s.points) {
-    std::vector<std::string> row;
-    for (auto& [name, cell] : sweep_cells(s.label, pt))
-      row.push_back(std::move(cell));
-    csv.row(row);
+std::vector<std::string> cell_values(const Cells& row) {
+  std::vector<std::string> values;
+  for (const auto& [name, cell] : row) values.push_back(cell);
+  return values;
+}
+
+SeriesTotals& SeriesTotals::operator+=(const SeriesTotals& o) {
+  points += o.points;
+  cycles += o.cycles;
+  flit_hops += o.flit_hops;
+  delivered += o.delivered;
+  return *this;
+}
+
+SeriesResult to_series(const SweepSeries& s) {
+  SeriesResult out;
+  out.label = s.label;
+  out.phases.emplace();
+  out.table = strf("# %s\n%-10s %-12s %-12s %-10s %-8s\n", s.label.c_str(),
+                   "offered", "avg_latency", "accepted", "p99", "drained");
+  for (const SweepPoint& pt : s.points) {
+    const sim::SimResult& r = pt.res;
+    out.rows.push_back(sweep_cells(s.label, pt));
+    out.totals += {1, r.cycles_run, r.flit_hops, r.delivered_total};
+    add_phases(*out.phases, r.phases);
+    out.moved += r.flit_hops + r.ejected_flits;
+    out.table += strf("%-10.4f %-12.2f %-12.4f %-10.1f %-8s\n", pt.rate,
+                      r.avg_latency, r.accepted, r.p99_latency,
+                      r.drained ? "yes" : "no");
   }
+  out.table += "\n";
+  return out;
 }
 
 }  // namespace sldf::core

@@ -7,11 +7,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "sim/simulator.hpp"
 
 namespace sldf::core {
@@ -64,7 +64,7 @@ SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
 
 /// Runs cfg's points in order on one already-built network, reusing one
 /// engine context, and stops after the first point past the early-stop
-/// rule: run_sweep's serial path, and `sldf --serve`'s on a cached network.
+/// rule: run_sweep's serial path, and run_series's on a cached network.
 SweepSeries run_points(const std::string& label, sim::Network& net,
                        sim::TrafficSource& traffic, const SweepConfig& cfg);
 
@@ -75,8 +75,37 @@ std::vector<double> linspace_rates(double max, int n);
 /// concrete count >= 1.
 unsigned resolve_threads(unsigned threads);
 
-/// Prints a series as an aligned table (offered, latency, accepted).
-void print_series(const SweepSeries& s);
+/// Named cells of one result row, in CSV column order.
+using Cells = std::vector<std::pair<std::string, std::string>>;
+/// The names of `row`'s cells, the CSV header of its kind.
+std::vector<std::string> cell_names(const Cells& row);
+/// The values of `row`'s cells, one CSV row.
+std::vector<std::string> cell_values(const Cells& row);
+
+/// The work a run did: the counters of `sldf`'s `totals` line.
+struct SeriesTotals {
+  std::uint64_t points = 0;     ///< Sweep points; 1 per workload/tenant run.
+  std::uint64_t cycles = 0;     ///< Simulated cycles.
+  std::uint64_t flit_hops = 0;  ///< Channel traversals.
+  std::uint64_t delivered = 0;  ///< Packets delivered.
+  SeriesTotals& operator+=(const SeriesTotals& o);
+};
+
+/// One series of any run kind (rate sweep, closed-loop workload,
+/// multi-tenant run) as its reports see it: `sldf` prints `table`, sums
+/// `totals`, prints `phases` and writes `rows` to its CSV; `sldf --serve`
+/// prints each row as key=value pairs.
+struct SeriesResult {
+  std::string label;
+  std::vector<Cells> rows;  ///< CSV rows; every row has the same names.
+  SeriesTotals totals;
+  /// The engine phase split summed over the series' simulations, and the
+  /// flits they moved (flit hops plus ejected flits); unset for kinds that
+  /// report none (multi-tenant runs).
+  std::optional<sim::EnginePhases> phases;
+  std::uint64_t moved = 0;
+  std::string table;  ///< The human-readable report, newline-terminated.
+};
 
 /// One sweep point as named cells, in sweep-CSV column order: the
 /// declaration of that CSV. First the seven historical columns (series,
@@ -85,11 +114,11 @@ void print_series(const SweepSeries& s);
 /// SimResult, with one avg_hops_<link type> column per link type and each
 /// plane_*/wafer_* vector joined with ';' into one cell; then
 /// model::price_result's inter_cgroup_pj and intra_cgroup_pj.
-std::vector<std::pair<std::string, std::string>> sweep_cells(
-    const std::string& series, const SweepPoint& pt);
-/// The names of sweep_cells(), the sweep CSV's header.
-const std::vector<std::string>& sweep_csv_header();
-/// Appends one sweep_cells() row per point.
-void append_series_csv(CsvWriter& csv, const SweepSeries& s);
+Cells sweep_cells(const std::string& series, const SweepPoint& pt);
+
+/// A sweep as a series result: one sweep_cells() row per point, each
+/// point's whole run in the totals, and an aligned table (offered,
+/// latency, accepted, p99, drained).
+SeriesResult to_series(const SweepSeries& s);
 
 }  // namespace sldf::core

@@ -215,8 +215,7 @@ const std::vector<ParamField<topo::SwDragonflyParams>>& swdf_fields() {
        "terminals per switch (paper t)"},
       {"globals_per_switch", &P::globals_per_switch,
        "global ports per switch (paper h)"},
-      {"groups", &P::groups, "groups; 0 selects the maximum S*h+1"},
-      {"g", &P::groups, "alias of groups, matching the switch-less spelling"},
+      {"g", &P::groups, "groups; 0 selects the maximum S*h+1"},
       {"term_latency", &P::term_latency,
        "processor-to-switch link delay, cycles"},
       {"local_latency", &P::local_latency, "intra-group link delay, cycles"},

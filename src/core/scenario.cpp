@@ -12,9 +12,12 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/csv.hpp"
 #include "common/log.hpp"
+#include "common/strfmt.hpp"
 #include "sim/network.hpp"
 #include "topo/composite.hpp"
+#include "trace/tenants.hpp"
 #include "traffic/pattern.hpp"
 #include "workload/registry.hpp"
 
@@ -694,10 +697,6 @@ void build_network(sim::Network& net, const ScenarioSpec& spec) {
   }
 }
 
-NetFactory net_factory(const ScenarioSpec& spec) {
-  return [spec](sim::Network& net) { build_network(net, spec); };
-}
-
 TrafficFactory traffic_factory(const ScenarioSpec& spec) {
   const std::string kind = spec.traffic;
   const KvMap opts = spec.traffic_opts;
@@ -715,49 +714,14 @@ SweepConfig sweep_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
-namespace {
-
-/// Warns about the first of `events` at or past `end`, the first cycle a
-/// run of `spec` did not step: that event never fired. `ends_at` and
-/// `note` finish the message. Returns whether it warned.
-bool warn_unfired(const ScenarioSpec& spec,
-                  const std::vector<topo::FaultEvent>& events, Cycle end,
-                  Cycle ends_at, const std::string& note) {
-  for (const topo::FaultEvent& e : events) {
-    if (e.at < end) continue;
-    log_warn("series '%s': fault event %s never fires: the run ends at "
-             "cycle %llu%s",
-             spec.label.c_str(), topo::to_string(e).c_str(),
-             static_cast<unsigned long long>(ends_at), note.c_str());
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-void warn_unfired_events(const ScenarioSpec& spec,
-                         const SweepSeries& series) {
-  if (!spec.fault.has_timeline()) return;
-  const auto events = topo::load_timeline(spec.fault).events;
-  char rate[48];
-  for (const SweepPoint& pt : series.points) {
-    std::snprintf(rate, sizeof rate, " at rate %g", pt.rate);
-    if (warn_unfired(spec, events, pt.res.cycles_run, pt.res.cycles_run,
-                     rate))
-      return;
-  }
-}
-
 SweepSeries run_scenario(const ScenarioSpec& spec) {
   if (!spec.workload.empty())
     throw std::invalid_argument(
         "run_scenario: spec selects workload '" + spec.workload +
         "' — use run_workload_scenario()");
-  SweepSeries series = run_sweep(spec.label, net_factory(spec),
-                                 traffic_factory(spec), sweep_config(spec));
-  warn_unfired_events(spec, series);
-  return series;
+  return run_sweep(
+      spec.label, [&spec](sim::Network& net) { build_network(net, spec); },
+      traffic_factory(spec), sweep_config(spec));
 }
 
 workload::WorkloadRunConfig workload_run_config(const ScenarioSpec& spec,
@@ -814,78 +778,163 @@ workload::WorkloadGraph make_workload_graph(const ScenarioSpec& spec,
                                  workload_env(spec, cfg.flit_bytes));
 }
 
-WorkloadRun run_workload_scenario(const ScenarioSpec& spec,
-                                  sim::Network& net) {
+workload::WorkloadResult run_workload_scenario(const ScenarioSpec& spec,
+                                               sim::Network& net) {
   workload::WorkloadRunConfig rc;
   const workload::WorkloadGraph graph = make_workload_graph(spec, net, &rc);
-  WorkloadRun run{spec.label, spec.workload,
-                  workload::run_workload(net, graph, rc)};
-  if (spec.fault.has_timeline()) {
-    // A completed run's `cycles` is the cycle its last tail landed in, the
-    // last one stepped; an unfinished run's is the cycle it stopped before.
-    const workload::WorkloadResult& r = run.result;
-    warn_unfired(spec, topo::load_timeline(spec.fault).events,
-                 r.completed ? r.cycles + 1 : r.cycles, r.cycles, "");
-  }
-  return run;
+  return workload::run_workload(net, graph, rc);
 }
 
-WorkloadRun run_workload_scenario(const ScenarioSpec& spec) {
+workload::WorkloadResult run_workload_scenario(const ScenarioSpec& spec) {
   sim::Network net;
   build_network(net, spec);
   return run_workload_scenario(spec, net);
 }
 
-void print_workload(const WorkloadRun& run) {
-  const auto& r = run.result;
-  std::printf("# %s (workload=%s)\n", run.label.c_str(),
-              run.workload.c_str());
-  std::printf("%-7s %-9s %-9s %-10s %-10s %-10s %-9s %-9s\n", "chips",
-              "messages", "packets", "flits", "cycles", "GB/s/chip",
-              "avg_msg", "completed");
-  std::printf("%-7d %-9llu %-9llu %-10llu %-10llu %-10.4f %-9.1f %-9s\n",
-              r.chips, static_cast<unsigned long long>(r.messages),
-              static_cast<unsigned long long>(r.packets),
-              static_cast<unsigned long long>(r.flits),
-              static_cast<unsigned long long>(r.cycles), r.gbps_per_chip,
-              r.avg_msg_cycles, r.completed ? "yes" : "no");
+Cells workload_cells(const ScenarioSpec& spec,
+                     const workload::WorkloadResult& r) {
+  const auto num = [](double v) { return CsvWriter::format_num(v); };
+  const auto count = [](std::uint64_t v) { return std::to_string(v); };
+  return {{"series", spec.label},
+          {"workload", spec.workload},
+          {"chips", std::to_string(r.chips)},
+          {"messages", count(r.messages)},
+          {"packets", count(r.packets)},
+          {"flits", count(r.flits)},
+          {"cycles", count(r.cycles)},
+          {"gbps_per_chip", num(r.gbps_per_chip)},
+          {"avg_msg_cycles", num(r.avg_msg_cycles)},
+          {"completed", r.completed ? "1" : "0"}};
+}
+
+SeriesResult to_series(const ScenarioSpec& spec,
+                       const workload::WorkloadResult& r) {
+  SeriesResult out;
+  out.label = spec.label;
+  out.rows = {workload_cells(spec, r)};
+  out.totals = {1, r.cycles, r.flit_hops, r.packets_delivered};
+  out.phases = r.engine;
+  out.moved = r.flit_hops + r.ejected_flits;
+  std::string& t = out.table;
+  t = strf("# %s (workload=%s)\n", spec.label.c_str(),
+           spec.workload.c_str());
+  t += strf("%-7s %-9s %-9s %-10s %-10s %-10s %-9s %-9s\n", "chips",
+            "messages", "packets", "flits", "cycles", "GB/s/chip", "avg_msg",
+            "completed");
+  t += strf("%-7d %-9llu %-9llu %-10llu %-10llu %-10.4f %-9.1f %-9s\n",
+            r.chips, static_cast<unsigned long long>(r.messages),
+            static_cast<unsigned long long>(r.packets),
+            static_cast<unsigned long long>(r.flits),
+            static_cast<unsigned long long>(r.cycles), r.gbps_per_chip,
+            r.avg_msg_cycles, r.completed ? "yes" : "no");
   // Phase table, elided in the middle when a collective has many steps.
   const std::size_t n = r.phases.size();
   if (n > 1) {
-    std::printf("  %-7s %-10s %-9s %-10s\n", "phase", "complete", "msgs",
-                "flits");
+    t += strf("  %-7s %-10s %-9s %-10s\n", "phase", "complete", "msgs",
+              "flits");
     constexpr std::size_t kHead = 6, kTail = 3;
     for (std::size_t i = 0; i < n; ++i) {
       if (n > kHead + kTail + 1 && i == kHead)
-        std::printf("  ... %zu more phases ...\n", n - kHead - kTail);
+        t += strf("  ... %zu more phases ...\n", n - kHead - kTail);
       if (n > kHead + kTail + 1 && i >= kHead && i < n - kTail) continue;
       const auto& ph = r.phases[i];
-      std::printf("  %-7zu %-10llu %-9llu %-10llu\n", i,
-                  static_cast<unsigned long long>(ph.completed),
-                  static_cast<unsigned long long>(ph.messages),
-                  static_cast<unsigned long long>(ph.flits));
+      t += strf("  %-7zu %-10llu %-9llu %-10llu\n", i,
+                static_cast<unsigned long long>(ph.completed),
+                static_cast<unsigned long long>(ph.messages),
+                static_cast<unsigned long long>(ph.flits));
     }
   }
-  std::printf("\n");
-  std::fflush(stdout);
+  t += "\n";
+  return out;
 }
 
-const std::vector<std::string>& workload_csv_header() {
-  static const std::vector<std::string> header = {
-      "series", "workload",      "chips",          "messages", "packets",
-      "flits",  "cycles",        "gbps_per_chip",  "avg_msg_cycles",
-      "completed"};
-  return header;
+std::vector<std::string> series_header(const ScenarioSpec& spec) {
+  const auto require = [](bool known, const std::string& what) {
+    if (!known)
+      throw std::invalid_argument("unknown " + what + "' (see sldf --list)");
+  };
+  require(TopologyRegistry::instance().contains(spec.topology),
+          "topology '" + spec.topology);
+  const auto& workloads = workload::WorkloadRegistry::instance();
+  if (spec.tenants > 0) {
+    for (const auto& t : spec.tenant)
+      require(t.workload.empty() || workloads.contains(t.workload),
+              "workload '" + t.workload);
+    return cell_names(trace::tenant_cells("", {}));
+  }
+  if (!spec.workload.empty()) {
+    require(workloads.contains(spec.workload),
+            "workload '" + spec.workload);
+    return cell_names(workload_cells(spec, {}));
+  }
+  require(traffic::TrafficRegistry::instance().contains(spec.traffic),
+          "traffic pattern '" + spec.traffic);
+  return cell_names(sweep_cells("", {}));
 }
 
-void append_workload_csv(CsvWriter& csv, const WorkloadRun& run) {
-  const auto& r = run.result;
-  csv.row(std::vector<std::string>{
-      run.label, run.workload, std::to_string(r.chips),
-      std::to_string(r.messages), std::to_string(r.packets),
-      std::to_string(r.flits), std::to_string(r.cycles),
-      CsvWriter::format_num(r.gbps_per_chip),
-      CsvWriter::format_num(r.avg_msg_cycles), r.completed ? "1" : "0"});
+namespace {
+
+/// Warns about the first of `events` at or past `end`, the first cycle a
+/// run of `spec` did not step: that event never fired. `ends_at` and
+/// `note` finish the message. Returns whether it warned.
+bool warn_unfired(const ScenarioSpec& spec,
+                  const std::vector<topo::FaultEvent>& events, Cycle end,
+                  Cycle ends_at, const std::string& note) {
+  for (const topo::FaultEvent& e : events) {
+    if (e.at < end) continue;
+    log_warn("series '%s': fault event %s never fires: the run ends at "
+             "cycle %llu%s",
+             spec.label.c_str(), topo::to_string(e).c_str(),
+             static_cast<unsigned long long>(ends_at), note.c_str());
+    return true;
+  }
+  return false;
+}
+
+/// The sweep's series result, after warning about the first point whose
+/// run ended before a fault event.
+SeriesResult series_of(const ScenarioSpec& spec, const SweepSeries& series) {
+  if (spec.fault.has_timeline()) {
+    const auto events = topo::load_timeline(spec.fault).events;
+    for (const SweepPoint& pt : series.points)
+      if (warn_unfired(spec, events, pt.res.cycles_run, pt.res.cycles_run,
+                       strf(" at rate %g", pt.rate)))
+        break;
+  }
+  return to_series(series);
+}
+
+/// The workload's series result, after warning about a fault event at or
+/// past its last cycle.
+SeriesResult series_of(const ScenarioSpec& spec,
+                       const workload::WorkloadResult& r) {
+  // A completed run's `cycles` is the cycle its last tail landed in, the
+  // last one stepped; an unfinished run's is the cycle it stopped before.
+  if (spec.fault.has_timeline())
+    warn_unfired(spec, topo::load_timeline(spec.fault).events,
+                 r.completed ? r.cycles + 1 : r.cycles, r.cycles, "");
+  return to_series(spec, r);
+}
+
+}  // namespace
+
+SeriesResult run_series(const ScenarioSpec& spec) {
+  if (spec.tenants > 0)
+    return trace::to_series(trace::run_tenant_scenario(spec));
+  if (spec.workload.empty()) return series_of(spec, run_scenario(spec));
+  return series_of(spec, run_workload_scenario(spec));
+}
+
+SeriesResult run_series(const ScenarioSpec& spec, sim::Network& net) {
+  if (spec.tenants > 0)
+    throw std::invalid_argument(
+        "multi-tenant series build their own network, so serve mode does "
+        "not run them; use a config file");
+  if (!spec.workload.empty())
+    return series_of(spec, run_workload_scenario(spec, net));
+  const auto traffic = traffic_factory(spec)(net);
+  return series_of(spec,
+                   run_points(spec.label, net, *traffic, sweep_config(spec)));
 }
 
 }  // namespace sldf::core

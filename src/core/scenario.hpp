@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/csv.hpp"
 #include "core/experiment.hpp"
 #include "core/registry.hpp"
 #include "route/plane_select.hpp"
@@ -170,8 +169,7 @@ std::vector<ScenarioSpec> load_scenario_file(
 /// When spec.fault is active, the build is fault-tolerant and the faults
 /// are injected (deterministically, spec.fault.seed) before returning.
 void build_network(sim::Network& net, const ScenarioSpec& spec);
-/// The spec's two factories, for composing with run_sweep directly.
-NetFactory net_factory(const ScenarioSpec& spec);
+/// The spec's traffic pattern on a built network.
 TrafficFactory traffic_factory(const ScenarioSpec& spec);
 
 /// The spec's sweep: its rates, engine config, early-stop factor and
@@ -179,21 +177,9 @@ TrafficFactory traffic_factory(const ScenarioSpec& spec);
 SweepConfig sweep_config(const ScenarioSpec& spec);
 
 /// Runs the spec's sweep through the registries (label, net, traffic,
-/// rates, sim config all from the spec), then warn_unfired_events().
-/// Requires a rate-sweep spec (workload empty).
+/// rates, sim config all from the spec). Requires a rate-sweep spec
+/// (workload empty).
 SweepSeries run_scenario(const ScenarioSpec& spec);
-
-/// A fault event at or past the cycle a point's run ended never fired, so
-/// that point reports the fabric without it: warns once per series, naming
-/// the first such event and the point's last cycle.
-void warn_unfired_events(const ScenarioSpec& spec, const SweepSeries& series);
-
-/// One labelled closed-loop workload run (see workload::WorkloadResult).
-struct WorkloadRun {
-  std::string label;
-  std::string workload;
-  workload::WorkloadResult result;
-};
 
 /// Builds the runner config from spec.sim + the runner keys in
 /// spec.workload_opts (`workload.flit_bytes` / `.freq_ghz` /
@@ -220,17 +206,35 @@ workload::WorkloadGraph make_workload_graph(
 /// Runs the spec's closed-loop workload (workload must be non-empty) on
 /// `net`, or on a network built from the spec: the graph comes from
 /// make_workload_graph(), the runner keys `workload.flit_bytes` /
-/// `workload.freq_ghz` / `workload.max_cycles` configure the run. A fault
-/// event at or past the run's last cycle never fired: it warns as
-/// warn_unfired_events() does.
-WorkloadRun run_workload_scenario(const ScenarioSpec& spec, sim::Network& net);
-WorkloadRun run_workload_scenario(const ScenarioSpec& spec);
+/// `workload.freq_ghz` / `workload.max_cycles` configure the run.
+workload::WorkloadResult run_workload_scenario(const ScenarioSpec& spec,
+                                               sim::Network& net);
+workload::WorkloadResult run_workload_scenario(const ScenarioSpec& spec);
 
-/// Prints a workload run (summary line + per-phase completion table) and
-/// appends its CSV row ("series,workload,chips,messages,packets,flits,
-/// cycles,gbps_per_chip,avg_msg_cycles,completed").
-void print_workload(const WorkloadRun& run);
-void append_workload_csv(CsvWriter& csv, const WorkloadRun& run);
-const std::vector<std::string>& workload_csv_header();
+/// A workload run as named cells: the declaration of the workload CSV.
+Cells workload_cells(const ScenarioSpec& spec,
+                     const workload::WorkloadResult& r);
+/// A workload run as a series result: one workload_cells() row, the run's
+/// counters and engine phases, and a summary line plus the per-phase
+/// completion table.
+SeriesResult to_series(const ScenarioSpec& spec,
+                       const workload::WorkloadResult& r);
+
+/// The CSV header of the spec's run kind: sweep_cells(),
+/// workload_cells() or trace::tenant_cells() names. Throws
+/// std::invalid_argument for an unknown topology, traffic pattern or
+/// workload name, so a misspelled name fails before any series runs.
+std::vector<std::string> series_header(const ScenarioSpec& spec);
+
+/// Runs the spec as the kind its keys select — a multi-tenant run
+/// (`tenants` > 0), a closed-loop workload or a rate sweep — and reports
+/// it as one SeriesResult. A fault event at or past the cycle a sweep
+/// point's or workload's run ended never fired: this warns once per
+/// series, naming the first such event and the run's last cycle.
+SeriesResult run_series(const ScenarioSpec& spec);
+/// The same on an already-built network of the spec (`sldf --serve`'s
+/// cached one), sweep points in order (run_points). Multi-tenant specs
+/// build their own network and throw std::invalid_argument here.
+SeriesResult run_series(const ScenarioSpec& spec, sim::Network& net);
 
 }  // namespace sldf::core

@@ -1,12 +1,13 @@
 #include "trace/tenants.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "common/cli.hpp"
+#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "common/strfmt.hpp"
 
 namespace sldf::trace {
 
@@ -184,6 +185,8 @@ MultiTenantResult run_tenants(sim::Network& net,
           workload::run_workload(net, built[i].graph, cfg);
       TenantResult& tr = out.tenants[i];
       tr.isolated_ttc = iso.cycles;
+      out.isolated_flit_hops += iso.flit_hops;
+      out.isolated_delivered += iso.packets_delivered;
       if (iso.completed && tr.completed && iso.cycles > 0)
         tr.interference = static_cast<double>(tr.ttc) /
                           static_cast<double>(iso.cycles);
@@ -215,58 +218,58 @@ MultiTenantResult run_tenant_scenario(const core::ScenarioSpec& spec) {
   return r;
 }
 
-void print_tenants(const MultiTenantResult& r) {
-  std::printf("# %s (tenants=%zu, makespan=%llu cycles, completed=%s)\n",
-              r.label.c_str(), r.tenants.size(),
-              static_cast<unsigned long long>(r.cycles),
-              r.completed ? "yes" : "no");
-  std::printf("%-9s %-26s %-11s %-6s %-8s %-10s %-9s %-9s %-10s %-10s %-7s\n",
-              "tenant", "workload", "placement", "chips", "msgs", "ttc",
-              "p50_msg", "p99_msg", "GB/s/chip", "iso_ttc", "interf");
-  for (const auto& t : r.tenants) {
-    char iso[32] = "-";
-    char ratio[32] = "-";
-    if (t.isolated_ttc > 0) {
-      std::snprintf(iso, sizeof(iso), "%llu",
-                    static_cast<unsigned long long>(t.isolated_ttc));
-      if (t.interference > 0.0)
-        std::snprintf(ratio, sizeof(ratio), "%.3f", t.interference);
+core::Cells tenant_cells(const std::string& series, const TenantResult& t) {
+  const auto num = [](double v) { return CsvWriter::format_num(v); };
+  const auto count = [](std::uint64_t v) { return std::to_string(v); };
+  return {{"series", series},
+          {"tenant", t.name},
+          {"workload", t.workload},
+          {"placement", t.placement},
+          {"chips", count(t.chips.size())},
+          {"messages", count(t.messages)},
+          {"flits", count(t.flits)},
+          {"ttc_cycles", count(t.ttc)},
+          {"avg_msg_cycles", num(t.avg_msg_cycles)},
+          {"p50_msg_cycles", num(t.p50_msg_cycles)},
+          {"p99_msg_cycles", num(t.p99_msg_cycles)},
+          {"gbps_per_chip", num(t.gbps_per_chip)},
+          {"isolated_ttc", count(t.isolated_ttc)},
+          {"interference", num(t.interference)},
+          {"completed", t.completed ? "1" : "0"}};
+}
+
+core::SeriesResult to_series(const MultiTenantResult& r) {
+  core::SeriesResult out;
+  out.label = r.label;
+  out.totals = {1, r.cycles, r.flit_hops + r.isolated_flit_hops,
+                r.packets_delivered + r.isolated_delivered};
+  std::string& t = out.table;
+  t = strf("# %s (tenants=%zu, makespan=%llu cycles, completed=%s)\n",
+           r.label.c_str(), r.tenants.size(),
+           static_cast<unsigned long long>(r.cycles),
+           r.completed ? "yes" : "no");
+  t += strf("%-9s %-26s %-11s %-6s %-8s %-10s %-9s %-9s %-10s %-10s %-7s\n",
+            "tenant", "workload", "placement", "chips", "msgs", "ttc",
+            "p50_msg", "p99_msg", "GB/s/chip", "iso_ttc", "interf");
+  for (const TenantResult& tr : r.tenants) {
+    out.rows.push_back(tenant_cells(r.label, tr));
+    out.totals.cycles += tr.isolated_ttc;
+    std::string iso = "-";
+    std::string ratio = "-";
+    if (tr.isolated_ttc > 0) {
+      iso = std::to_string(tr.isolated_ttc);
+      if (tr.interference > 0.0) ratio = strf("%.3f", tr.interference);
     }
-    std::printf(
+    t += strf(
         "%-9s %-26s %-11s %-6zu %-8llu %-10llu %-9.0f %-9.0f %-10.4f "
         "%-10s %-7s\n",
-        t.name.c_str(), t.workload.c_str(), t.placement.c_str(),
-        t.chips.size(), static_cast<unsigned long long>(t.messages),
-        static_cast<unsigned long long>(t.ttc), t.p50_msg_cycles,
-        t.p99_msg_cycles, t.gbps_per_chip, iso, ratio);
+        tr.name.c_str(), tr.workload.c_str(), tr.placement.c_str(),
+        tr.chips.size(), static_cast<unsigned long long>(tr.messages),
+        static_cast<unsigned long long>(tr.ttc), tr.p50_msg_cycles,
+        tr.p99_msg_cycles, tr.gbps_per_chip, iso.c_str(), ratio.c_str());
   }
-  std::printf("\n");
-  std::fflush(stdout);
-}
-
-const std::vector<std::string>& tenants_csv_header() {
-  static const std::vector<std::string> header = {
-      "series",         "tenant",         "workload",
-      "placement",      "chips",          "messages",
-      "flits",          "ttc_cycles",     "avg_msg_cycles",
-      "p50_msg_cycles", "p99_msg_cycles", "gbps_per_chip",
-      "isolated_ttc",   "interference",   "completed"};
-  return header;
-}
-
-void append_tenants_csv(CsvWriter& csv, const MultiTenantResult& r) {
-  for (const auto& t : r.tenants) {
-    csv.row(std::vector<std::string>{
-        r.label, t.name, t.workload, t.placement,
-        std::to_string(t.chips.size()), std::to_string(t.messages),
-        std::to_string(t.flits), std::to_string(t.ttc),
-        CsvWriter::format_num(t.avg_msg_cycles),
-        CsvWriter::format_num(t.p50_msg_cycles),
-        CsvWriter::format_num(t.p99_msg_cycles),
-        CsvWriter::format_num(t.gbps_per_chip),
-        std::to_string(t.isolated_ttc),
-        CsvWriter::format_num(t.interference), t.completed ? "1" : "0"});
-  }
+  t += "\n";
+  return out;
 }
 
 }  // namespace sldf::trace

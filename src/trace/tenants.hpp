@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "core/scenario.hpp"
 #include "trace/placement.hpp"
 #include "workload/registry.hpp"
@@ -70,6 +69,10 @@ struct MultiTenantResult {
   Cycle cycles = 0;        ///< Shared-run makespan.
   std::uint64_t flit_hops = 0;
   std::uint64_t packets_delivered = 0;  ///< Shared-run total deliveries.
+  /// The isolation baselines' flit hops and deliveries, summed (0 when
+  /// baselines are disabled).
+  std::uint64_t isolated_flit_hops = 0;
+  std::uint64_t isolated_delivered = 0;
   std::vector<TenantResult> tenants;
 };
 
@@ -92,10 +95,12 @@ MultiTenantResult run_tenants(sim::Network& net,
 /// builds the network (faults included), parses the tenant keys, and runs.
 MultiTenantResult run_tenant_scenario(const core::ScenarioSpec& spec);
 
-/// Prints the per-tenant table; appends one CSV row per tenant
-/// (tenants_csv_header() order).
-void print_tenants(const MultiTenantResult& r);
-void append_tenants_csv(CsvWriter& csv, const MultiTenantResult& r);
-const std::vector<std::string>& tenants_csv_header();
+/// One tenant of series `series` as named cells, in tenant-CSV column
+/// order: the declaration of that CSV.
+core::Cells tenant_cells(const std::string& series, const TenantResult& t);
+/// A tenant run as a series result: one tenant_cells() row per tenant, the
+/// per-tenant table, and totals that count the shared run and every
+/// isolation baseline (cycles, flit hops and deliveries alike).
+core::SeriesResult to_series(const MultiTenantResult& r);
 
 }  // namespace sldf::trace

@@ -155,8 +155,7 @@ TEST(GoldenFigures, RateSweepsMatchGoldenValuesExactly) {
 
 TEST(GoldenFigures, WorkloadCompletionMatchesGoldenValuesExactly) {
   for (const auto& c : golden_workloads()) {
-    const auto run = core::run_workload_scenario(spec_of(c.config));
-    const auto& r = run.result;
+    const auto r = core::run_workload_scenario(spec_of(c.config));
     if (regen_mode()) {
       std::printf("      {\"%s\", ...,\n       %llu, %llu, %llu, %llu, "
                   "%.17g},\n",

@@ -469,8 +469,7 @@ TEST(TimelineRun, ClosedLoopChipDeathSurfacesFailures) {
   s.workload_opts["kib"] = "8";
   s.workload_opts["max_cycles"] = "200000";
   s.fault.events = "fail@80:chip1";
-  const auto run = core::run_workload_scenario(s);
-  const auto& r = run.result;
+  const auto r = core::run_workload_scenario(s);
   EXPECT_FALSE(r.completed);
   EXPECT_GT(r.failed_messages + r.orphaned_messages, 0u);
   // Only C-group 0's ring touches chip 1; the other rings complete, so
@@ -492,17 +491,17 @@ TEST(TimelineRun, ClosedLoopFailRepairFailBitIdenticalAcrossShards) {
   auto sh = s;
   sh.sim.shards = 2;
   const auto c = core::run_workload_scenario(sh);
-  for (const auto* other : {&b.result, &c.result}) {
-    EXPECT_EQ(a.result.completed, other->completed);
-    EXPECT_EQ(a.result.cycles, other->cycles);
-    EXPECT_EQ(a.result.packets, other->packets);
-    EXPECT_EQ(a.result.packets_delivered, other->packets_delivered);
-    EXPECT_EQ(a.result.flit_hops, other->flit_hops);
-    EXPECT_EQ(a.result.failed_messages, other->failed_messages);
-    EXPECT_EQ(a.result.orphaned_messages, other->orphaned_messages);
-    EXPECT_EQ(a.result.dropped_packets, other->dropped_packets);
-    EXPECT_EQ(a.result.rescued_packets, other->rescued_packets);
-    EXPECT_EQ(a.result.avg_msg_cycles, other->avg_msg_cycles);
+  for (const auto* other : {&b, &c}) {
+    EXPECT_EQ(a.completed, other->completed);
+    EXPECT_EQ(a.cycles, other->cycles);
+    EXPECT_EQ(a.packets, other->packets);
+    EXPECT_EQ(a.packets_delivered, other->packets_delivered);
+    EXPECT_EQ(a.flit_hops, other->flit_hops);
+    EXPECT_EQ(a.failed_messages, other->failed_messages);
+    EXPECT_EQ(a.orphaned_messages, other->orphaned_messages);
+    EXPECT_EQ(a.dropped_packets, other->dropped_packets);
+    EXPECT_EQ(a.rescued_packets, other->rescued_packets);
+    EXPECT_EQ(a.avg_msg_cycles, other->avg_msg_cycles);
   }
 }
 

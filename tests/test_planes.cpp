@@ -85,13 +85,13 @@ TEST(PlaneIdentity, K1BitIdenticalClosedLoopWorkload) {
   const auto classic = core::run_workload_scenario(s);
   s.plane_count = 1;
   const auto k1 = core::run_workload_scenario(s);
-  EXPECT_TRUE(classic.result.completed);
-  EXPECT_TRUE(k1.result.completed);
-  EXPECT_EQ(classic.result.cycles, k1.result.cycles);
-  EXPECT_EQ(classic.result.packets, k1.result.packets);
-  EXPECT_EQ(classic.result.packets_delivered, k1.result.packets_delivered);
-  EXPECT_EQ(classic.result.flit_hops, k1.result.flit_hops);
-  EXPECT_EQ(classic.result.avg_msg_cycles, k1.result.avg_msg_cycles);
+  EXPECT_TRUE(classic.completed);
+  EXPECT_TRUE(k1.completed);
+  EXPECT_EQ(classic.cycles, k1.cycles);
+  EXPECT_EQ(classic.packets, k1.packets);
+  EXPECT_EQ(classic.packets_delivered, k1.packets_delivered);
+  EXPECT_EQ(classic.flit_hops, k1.flit_hops);
+  EXPECT_EQ(classic.avg_msg_cycles, k1.avg_msg_cycles);
 }
 
 // ---- policy determinism --------------------------------------------------
@@ -205,8 +205,9 @@ TEST(PlaneFaults, SweepCsvCarriesTheFaultLedger) {
   ASSERT_GT(r.dropped_packets, 0u);
   const std::string path = ::testing::TempDir() + "sweep_csv_planes.csv";
   {
-    CsvWriter csv(path, core::sweep_csv_header());
-    core::append_series_csv(csv, series);
+    CsvWriter csv(path, core::series_header(s));
+    for (const auto& row : core::to_series(series).rows)
+      csv.row(core::cell_values(row));
   }
   const auto split = [](const std::string& line) {
     std::vector<std::string> cells;

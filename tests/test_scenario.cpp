@@ -421,8 +421,8 @@ TEST(TopologyRegistry, EveryPresetBuildsAtSmallScale) {
       {"radix32-swless", {{"g", "1"}}},
       {"swless", {{"g", "2"}}},
       {"tiny-swless", {}},
-      {"radix16-swdf", {{"groups", "2"}}},
-      {"radix32-swdf", {{"groups", "1"}}},
+      {"radix16-swdf", {{"g", "2"}}},
+      {"radix32-swdf", {{"g", "1"}}},
       {"swdf", {{"g", "2"}}},
       {"cgroup-mesh", {}},
       {"crossbar", {{"terminals", "6"}}}};
@@ -473,7 +473,7 @@ TEST(TopologyRegistry, RejectsUnsupportedModeAndScheme) {
   // Mode is honored by the switch-based builder, so Valiant is fine there.
   core::TopoConfig swdf_valiant;
   swdf_valiant.mode = route::RouteMode::Valiant;
-  swdf_valiant.params["groups"] = "2";
+  swdf_valiant.params["g"] = "2";
   core::TopologyRegistry::instance().build("radix16-swdf", net, swdf_valiant);
   EXPECT_GT(net.num_routers(), 0u);
 }
@@ -569,6 +569,124 @@ TEST(RunScenario, UnknownTopologyInSpecThrows) {
   core::ScenarioSpec s;
   s.topology = "hypercube";
   EXPECT_THROW(core::run_scenario(s), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- run_series ---
+
+namespace {
+
+ScenarioSpec two_tenant_spec() {
+  ScenarioSpec s;
+  s.topology = "tiny-swless";
+  for (const auto& [key, value] : std::vector<std::pair<std::string,
+                                                        std::string>>{
+           {"tenants", "2"},
+           {"tenant0.workload", "ring-allreduce"},
+           {"tenant0.chips", "4"},
+           {"tenant0.kib", "1"},
+           {"tenant1.workload", "all-to-all"},
+           {"tenant1.chips", "4"},
+           {"tenant1.kib", "1"},
+           {"tenant1.placement", "scattered"},
+           {"tenant1.scope", "system"}})
+    s.set(key, value);
+  return s;
+}
+
+}  // namespace
+
+// Each run kind's CSV columns, in order, and one workload and one tenant
+// row cell for cell: the `sldf --out` files of every kind stay as they are.
+TEST(RunSeries, PinsEveryKindsCsv) {
+  ScenarioSpec sweep;
+  EXPECT_EQ(core::series_header(sweep),
+            (std::vector<std::string>{
+                "series", "offered", "avg_latency", "accepted", "p99",
+                "delivered", "drained", "p50_latency", "min_latency",
+                "max_latency", "generated_measured", "delivered_total",
+                "suppressed", "avg_hops_on_chip", "avg_hops_short_reach",
+                "avg_hops_lr_local", "avg_hops_lr_global",
+                "avg_hops_terminal", "avg_hops_vertical", "avg_hops_total",
+                "cycles_run", "flit_hops", "dropped_packets",
+                "dropped_flits", "rescued_packets", "generated_packets",
+                "inflight_packets", "generated_flits", "ejected_flits",
+                "lost_flits", "inflight_flits", "plane_generated",
+                "plane_delivered", "plane_dropped", "plane_inflight",
+                "wafer_generated", "wafer_delivered", "wafer_dropped",
+                "wafer_inflight", "inter_cgroup_pj", "intra_cgroup_pj"}));
+
+  ScenarioSpec wl;
+  wl.topology = "tiny-swless";
+  wl.set("workload", "all-to-all");
+  wl.set("workload.kib", "1");
+  EXPECT_EQ(core::series_header(wl),
+            (std::vector<std::string>{"series", "workload", "chips",
+                                      "messages", "packets", "flits",
+                                      "cycles", "gbps_per_chip",
+                                      "avg_msg_cycles", "completed"}));
+  const core::SeriesResult w = core::run_series(wl);
+  ASSERT_EQ(w.rows.size(), 1u);
+  EXPECT_EQ(core::cell_names(w.rows[0]), core::series_header(wl));
+  EXPECT_EQ(core::cell_values(w.rows[0]),
+            (std::vector<std::string>{"scenario", "all-to-all", "60", "660",
+                                      "10560", "42240", "1907", "5.90666",
+                                      "151.523", "1"}));
+
+  const ScenarioSpec tn = two_tenant_spec();
+  EXPECT_EQ(core::series_header(tn),
+            (std::vector<std::string>{
+                "series", "tenant", "workload", "placement", "chips",
+                "messages", "flits", "ttc_cycles", "avg_msg_cycles",
+                "p50_msg_cycles", "p99_msg_cycles", "gbps_per_chip",
+                "isolated_ttc", "interference", "completed"}));
+  const core::SeriesResult t = core::run_series(tn);
+  ASSERT_EQ(t.rows.size(), 2u);
+  EXPECT_EQ(core::cell_names(t.rows[1]), core::series_header(tn));
+  EXPECT_EQ(core::cell_values(t.rows[1]),
+            (std::vector<std::string>{"scenario", "tenant1", "all-to-all",
+                                      "scattered", "4", "12", "768", "442",
+                                      "119.833", "100", "267", "6.95023",
+                                      "326", "1.35583", "1"}));
+}
+
+// A tenant run's totals count its isolation baselines' work alongside the
+// shared run's: cycles, flit hops and deliveries alike.
+TEST(RunSeries, TenantTotalsCountIsolationBaselines) {
+  ScenarioSpec tn = two_tenant_spec();
+  const core::SeriesTotals with = core::run_series(tn).totals;
+  tn.tenants_isolation = false;
+  const core::SeriesTotals shared = core::run_series(tn).totals;
+  EXPECT_EQ(shared.points, 1u);
+  EXPECT_EQ(shared.cycles, 442u);
+  EXPECT_EQ(shared.flit_hops, 8576u);
+  EXPECT_EQ(shared.delivered, 288u);
+  // Baselines: tenant0 alone ran 101 cycles, tenant1 326.
+  EXPECT_EQ(with.cycles, 442u + 101u + 326u);
+  EXPECT_EQ(with.flit_hops, 17152u);
+  EXPECT_EQ(with.delivered, 576u);
+}
+
+TEST(RunSeries, SharedNetworkRunsMatchFreshBuilds) {
+  ScenarioSpec wl;
+  wl.topology = "tiny-swless";
+  wl.set("workload", "all-to-all");
+  wl.set("workload.kib", "1");
+  ScenarioSpec sweep;
+  sweep.topology = "tiny-swless";
+  sweep.rates = {0.1, 0.3};
+  sweep.sim.warmup = 100;
+  sweep.sim.measure = 200;
+  sweep.sim.drain = 200;
+  sim::Network net;
+  core::build_network(net, sweep);
+  for (const ScenarioSpec& spec : {wl, sweep}) {
+    const core::SeriesResult fresh = core::run_series(spec);
+    const core::SeriesResult shared = core::run_series(spec, net);
+    EXPECT_EQ(fresh.rows, shared.rows);
+    EXPECT_EQ(fresh.table, shared.table);
+  }
+  EXPECT_THROW(core::run_series(two_tenant_spec(), net),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ Cli hardening ---

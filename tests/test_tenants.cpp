@@ -197,9 +197,9 @@ TEST(TenantFaults, EmptiedScopeGroupIsScenarioError) {
   }
   // One dead chip: the ring reforms over the 3 survivors and runs.
   spec.fault.chips = {0};
-  const auto run = core::run_workload_scenario(spec);
-  EXPECT_TRUE(run.result.completed);
-  EXPECT_EQ(run.result.chips, 59);
+  const auto r = core::run_workload_scenario(spec);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.chips, 59);
 }
 
 // ---- the 3-tenant acceptance mix ----------------------------------------

@@ -225,9 +225,9 @@ TEST(WorkloadRun, ThreadsKeyDoesNotAffectResults) {
   const auto a = core::run_workload_scenario(spec);
   spec.threads = 0;  // auto
   const auto b = core::run_workload_scenario(spec);
-  EXPECT_EQ(a.result.cycles, b.result.cycles);
-  EXPECT_EQ(a.result.flit_hops, b.result.flit_hops);
-  EXPECT_EQ(a.result.gbps_per_chip, b.result.gbps_per_chip);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.flit_hops, b.flit_hops);
+  EXPECT_EQ(a.gbps_per_chip, b.gbps_per_chip);
 }
 
 TEST(WorkloadRun, ReportsPhasesAndBandwidth) {
@@ -365,9 +365,9 @@ TEST(WorkloadScenario, RunnerKeysConsumedBeforeGenerator) {
   spec.workload_opts["freq_ghz"] = "2";
   spec.workload_opts["max_cycles"] = "1000000";
   const auto run = core::run_workload_scenario(spec);
-  EXPECT_TRUE(run.result.completed);
+  EXPECT_TRUE(run.completed);
   // 8 KiB at 32 B/flit: 256-flit vectors, and GB/s doubles with the clock.
-  EXPECT_EQ(run.result.flits,
+  EXPECT_EQ(run.flits,
             60u * 6u * 64u);  // 60 chips, 6 steps, 64-flit segments
 }
 

@@ -37,7 +37,6 @@
 #include "common/parallel.hpp"
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
-#include "trace/tenants.hpp"
 #include "trace/trace.hpp"
 #include "traffic/pattern.hpp"
 #include "workload/registry.hpp"
@@ -172,29 +171,6 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
 }
 
-/// The work a run did, summed over its series and points: the counters of
-/// the `totals` line.
-struct Totals {
-  std::uint64_t points = 0;
-  std::uint64_t cycles = 0;     ///< Simulated cycles.
-  std::uint64_t flit_hops = 0;  ///< Channel traversals.
-  std::uint64_t delivered = 0;  ///< Packets delivered.
-};
-
-void add_phases(sim::EnginePhases& sum, const sim::EnginePhases& p) {
-  sum.fault_s += p.fault_s;
-  sum.deliver_s += p.deliver_s;
-  sum.generate_s += p.generate_s;
-  sum.walk_s += p.walk_s;
-  sum.commit_s += p.commit_s;
-  sum.parallel_cycles += p.parallel_cycles;
-  sum.serial_cycles += p.serial_cycles;
-  sum.routers_walked += p.routers_walked;
-  sum.skips += p.skips;
-  sum.cycles_skipped += p.cycles_skipped;
-  sum.deep_prefetch = sum.deep_prefetch || p.deep_prefetch;
-}
-
 void print_phases_header() {
   std::printf("\n%-16s %7s %7s %7s %7s %7s %7s %9s %9s %10s %9s %8s %9s\n",
               "series", "fault%", "deliv%", "gen%", "walk%", "commit%",
@@ -260,10 +236,6 @@ int run_serve(const Cli& cli) {
                                       "' expects key=value");
         spec.set(tok.substr(0, eq), tok.substr(eq + 1));
       }
-      if (spec.tenants > 0)
-        throw std::invalid_argument(
-            "serve mode does not run multi-tenant series; use a config "
-            "file");
       const std::string key = core::network_cache_key(spec);
       auto it = cache.find(key);
       if (it == cache.end()) {
@@ -276,21 +248,10 @@ int run_serve(const Cli& cli) {
         std::printf("request %zu [%s]: network-cache hit\n", reqno,
                     spec.label.c_str());
       }
-      sim::Network& net = *it->second;
-      if (!spec.workload.empty()) {
-        core::print_workload(core::run_workload_scenario(spec, net));
-      } else {
-        const auto pattern =
-            traffic::make_pattern(spec.traffic, net, spec.traffic_opts);
-        const core::SweepSeries series = core::run_points(
-            spec.label, net, *pattern, core::sweep_config(spec));
-        core::warn_unfired_events(spec, series);
-        for (const auto& pt : series.points) {
-          std::string out = " ";
-          for (const auto& [name, cell] : core::sweep_cells(spec.label, pt))
-            out += " " + name + "=" + cell;
-          std::printf("%s\n", out.c_str());
-        }
+      for (const auto& row : core::run_series(spec, *it->second).rows) {
+        std::string out = " ";
+        for (const auto& [name, cell] : row) out += " " + name + "=" + cell;
+        std::printf("%s\n", out.c_str());
       }
       std::fflush(stdout);
     } catch (const std::exception& e) {
@@ -339,44 +300,19 @@ int main(int argc, char** argv) {
     const bool phases = cli.has("phases");
     for (auto& spec : series) spec.sim.phase_timers = phases;
 
-    // Validate registry names up front so a misspelled topology/traffic/
-    // workload fails before any series starts running. Option-key typos
-    // inside topo.*/traffic.*/workload.* surface when their series starts;
-    // series are isolated below, so one failure never discards the others'
-    // results.
-    std::size_t workload_series = 0;
-    std::size_t tenant_series = 0;
-    for (const auto& spec : series) {
-      if (!core::TopologyRegistry::instance().contains(spec.topology))
-        throw std::invalid_argument("unknown topology '" + spec.topology +
-                                    "' (see sldf --list)");
-      if (spec.tenants > 0) {
-        ++tenant_series;
-        for (const auto& t : spec.tenant)
-          if (!t.workload.empty() &&
-              !workload::WorkloadRegistry::instance().contains(t.workload))
-            throw std::invalid_argument("unknown workload '" + t.workload +
-                                        "' (see sldf --list)");
-      } else if (!spec.workload.empty()) {
-        ++workload_series;
-        if (!workload::WorkloadRegistry::instance().contains(spec.workload))
-          throw std::invalid_argument("unknown workload '" + spec.workload +
-                                      "' (see sldf --list)");
-      } else if (!traffic::TrafficRegistry::instance().contains(
-                     spec.traffic)) {
-        throw std::invalid_argument("unknown traffic pattern '" +
-                                    spec.traffic + "' (see sldf --list)");
-      }
-    }
-    // The execution modes report different columns; one experiment mixes
-    // them only without CSV output.
-    const bool mixed =
-        (workload_series != 0 && workload_series != series.size()) ||
-        (tenant_series != 0 && tenant_series != series.size());
-    if (mixed && cli.has("out"))
-      throw std::invalid_argument(
-          "--out cannot mix rate-sweep, workload, and tenant series in one "
-          "CSV; split the config");
+    // series_header() validates registry names up front, so a misspelled
+    // topology/traffic/workload fails before any series starts running.
+    // Option-key typos inside topo.*/traffic.*/workload.* surface when their
+    // series starts; series are isolated below, so one failure never
+    // discards the others' results. One CSV holds equal headers only.
+    const std::vector<std::string> header = core::series_header(series[0]);
+    for (const auto& spec : series)
+      if (core::series_header(spec) != header && cli.has("out"))
+        throw std::invalid_argument(
+            "--out writes one CSV, but series '" + spec.label +
+            "' has other columns than '" + series[0].label +
+            "' (rate-sweep, workload and tenant series differ); split the "
+            "config");
 
     if (cli.has("emit-trace")) {
       if (series.size() != 1 || series[0].workload.empty())
@@ -417,12 +353,7 @@ int main(int argc, char** argv) {
     // only surfaces at build time) is reported but never discards the
     // results of series that completed.
     struct Outcome {
-      core::SweepSeries result;           ///< Rate-sweep series.
-      core::WorkloadRun workload;         ///< Closed-loop series.
-      trace::MultiTenantResult tenants;   ///< Multi-tenant serving series.
-      bool is_workload = false;
-      bool is_tenants = false;
-      std::string label;
+      core::SeriesResult result;
       std::string error;
     };
     std::vector<Outcome> outcomes(series.size());
@@ -430,92 +361,41 @@ int main(int argc, char** argv) {
     parallel_for(series.size(), workers, [&](std::size_t i) {
       core::ScenarioSpec spec = series[i];
       spec.sim = core::worker_config(spec.sim, workers);
-      Outcome& o = outcomes[i];
-      o.label = spec.label;
-      o.is_tenants = spec.tenants > 0;
-      o.is_workload = !o.is_tenants && !spec.workload.empty();
       try {
-        if (o.is_tenants)
-          o.tenants = trace::run_tenant_scenario(spec);
-        else if (o.is_workload)
-          o.workload = core::run_workload_scenario(spec);
-        else
-          o.result = core::run_scenario(spec);
+        outcomes[i].result = core::run_series(spec);
       } catch (const std::exception& e) {
-        o.error = e.what();
+        outcomes[i].error = e.what();
       }
     });
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
 
-    // Work counters per run kind: a sweep sums its points' whole runs; a
-    // tenant run adds its isolation baselines, which are real simulations.
     int failures = 0;
-    Totals totals;
-    for (const auto& o : outcomes) {
+    core::SeriesTotals totals;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const Outcome& o = outcomes[i];
       if (!o.error.empty()) {
         ++failures;
         std::fprintf(stderr, "sldf: series '%s' failed: %s\n",
-                     o.label.c_str(), o.error.c_str());
-      } else if (o.is_tenants) {
-        trace::print_tenants(o.tenants);
-        ++totals.points;
-        totals.cycles += o.tenants.cycles;
-        for (const auto& t : o.tenants.tenants)
-          totals.cycles += t.isolated_ttc;
-        totals.flit_hops += o.tenants.flit_hops;
-        totals.delivered += o.tenants.packets_delivered;
-      } else if (o.is_workload) {
-        core::print_workload(o.workload);
-        ++totals.points;
-        totals.cycles += o.workload.result.cycles;
-        totals.flit_hops += o.workload.result.flit_hops;
-        totals.delivered += o.workload.result.packets_delivered;
-      } else {
-        core::print_series(o.result);
-        for (const auto& pt : o.result.points) {
-          ++totals.points;
-          totals.cycles += pt.res.cycles_run;
-          totals.flit_hops += pt.res.flit_hops;
-          totals.delivered += pt.res.delivered_total;
-        }
+                     series[i].label.c_str(), o.error.c_str());
       }
+      std::fputs(o.result.table.c_str(), stdout);
+      totals += o.result.totals;
     }
-    if (phases && tenant_series < series.size()) {
+    if (phases && std::any_of(outcomes.begin(), outcomes.end(),
+                              [](const Outcome& o) {
+                                return o.result.phases.has_value();
+                              })) {
       print_phases_header();
-      for (const auto& o : outcomes) {
-        if (!o.error.empty() || o.is_tenants) continue;
-        if (o.is_workload) {
-          const workload::WorkloadResult& r = o.workload.result;
-          print_phases_row(o.label, r.engine, r.flit_hops + r.ejected_flits);
-          continue;
-        }
-        sim::EnginePhases sum;
-        std::uint64_t moved = 0;
-        for (const auto& pt : o.result.points) {
-          add_phases(sum, pt.res.phases);
-          moved += pt.res.flit_hops + pt.res.ejected_flits;
-        }
-        print_phases_row(o.label, sum, moved);
-      }
+      for (const auto& o : outcomes)
+        if (o.result.phases)
+          print_phases_row(o.result.label, *o.result.phases, o.result.moved);
     }
     if (cli.has("out")) {
-      const bool tenants_csv = tenant_series == series.size();
-      const bool workload_csv = workload_series == series.size();
-      CsvWriter csv(cli.get("out"),
-                    tenants_csv ? trace::tenants_csv_header()
-                    : workload_csv ? core::workload_csv_header()
-                                   : core::sweep_csv_header());
-      for (const auto& o : outcomes) {
-        if (!o.error.empty()) continue;
-        if (o.is_tenants)
-          trace::append_tenants_csv(csv, o.tenants);
-        else if (o.is_workload)
-          core::append_workload_csv(csv, o.workload);
-        else
-          core::append_series_csv(csv, o.result);
-      }
+      CsvWriter csv(cli.get("out"), header);
+      for (const auto& o : outcomes)
+        for (const auto& row : o.result.rows) csv.row(core::cell_values(row));
       std::printf("wrote %s\n", cli.get("out").c_str());
     }
     std::printf(
