@@ -15,19 +15,21 @@ using namespace sldf::model;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const HopCostTable t;
+  const struct {
+    const char* hop;
+    const char* medium;
+    HopCost cost;
+  } rows[] = {{"Hg", "optical cable", t.global},
+              {"Hl", "copper cable", t.local},
+              {"H*l", "terminal link", t.terminal},
+              {"Hsr", "on-wafer RDL", t.short_reach},
+              {"Hon-chip", "metal layer", t.on_chip}};
   std::printf("Table II: hop cost comparison\n\n");
   std::printf("%-12s %-16s %12s %14s\n", "hop", "medium", "latency(ns)",
               "energy(pJ/bit)");
-  std::printf("%-12s %-16s %12.0f %14.1f\n", "Hg", "optical cable",
-              t.global.latency_ns, t.global.energy_pj_per_bit);
-  std::printf("%-12s %-16s %12.0f %14.1f\n", "Hl", "copper cable",
-              t.local.latency_ns, t.local.energy_pj_per_bit);
-  std::printf("%-12s %-16s %12.0f %14.1f\n", "H*l", "terminal link",
-              t.terminal.latency_ns, t.terminal.energy_pj_per_bit);
-  std::printf("%-12s %-16s %12.0f %14.1f\n", "Hsr", "on-wafer RDL",
-              t.short_reach.latency_ns, t.short_reach.energy_pj_per_bit);
-  std::printf("%-12s %-16s %12.0f %14.1f\n", "Hon-chip", "metal layer",
-              t.on_chip.latency_ns, t.on_chip.energy_pj_per_bit);
+  for (const auto& r : rows)
+    std::printf("%-12s %-16s %12.0f %14.1f\n", r.hop, r.medium,
+                r.cost.latency_ns, r.cost.energy_pj_per_bit);
   std::printf("(intra-C-group average used by Fig 15: %.1f pJ/bit)\n\n",
               t.intra_cgroup_avg_pj);
 
@@ -38,10 +40,9 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out);
   CsvWriter csv(out + "/table2.csv",
                 {"hop", "latency_ns", "energy_pj_per_bit"});
-  csv.row(std::vector<std::string>{"Hg", "150", "20"});
-  csv.row(std::vector<std::string>{"Hl", "150", "20"});
-  csv.row(std::vector<std::string>{"H*l", "150", "20"});
-  csv.row(std::vector<std::string>{"Hsr", "5", "2"});
-  csv.row(std::vector<std::string>{"Hon-chip", "1", "0.1"});
+  for (const auto& r : rows)
+    csv.row(std::vector<std::string>{
+        r.hop, CsvWriter::format_num(r.cost.latency_ns),
+        CsvWriter::format_num(r.cost.energy_pj_per_bit)});
   return 0;
 }

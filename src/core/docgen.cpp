@@ -51,7 +51,7 @@ std::string render_scenario_reference() {
       "Closed-loop message-level workloads (`workload = <name>`); options "
       "are set with `workload.<opt> = value`. Every workload also accepts "
       "the runner keys:\n\n";
-  render_options(out, workload::runner_option_docs());
+  render_options(out, core::option_docs(workload::runner_options()));
   out += "\n";
   render_registry(out, workload::WorkloadRegistry::instance());
 

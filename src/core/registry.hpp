@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/codec.hpp"
 #include "route/routing_modes.hpp"
 #include "topo/fabric.hpp"
 
@@ -18,17 +19,6 @@ class Network;
 }
 
 namespace sldf::core {
-
-/// String key/value map used for topology overrides and traffic options.
-using KvMap = std::map<std::string, std::string>;
-
-/// Documentation of one accepted option/override key of a registry entry.
-struct OptionDoc {
-  std::string key;   ///< Option name as written in configs, e.g. "g".
-  std::string type;  ///< "int", "bool", "double", or an enum value list.
-  std::string def;   ///< Rendered default value.
-  std::string help;  ///< One-line meaning.
-};
 
 /// Per-entry documentation: the one-line summary plus every accepted
 /// option with its default — the source the `sldf --list` output and the
@@ -93,39 +83,6 @@ class NamedRegistry {
   }
 
   std::map<std::string, Entry> entries_;
-};
-
-/// Typed consumption of a string option/override map. Every getter marks
-/// its key consumed; finish() rejects leftovers so a misspelled key fails
-/// loudly instead of silently running the defaults. Shared by the topology
-/// override appliers and the traffic-pattern option readers.
-class KvReader {
- public:
-  /// `context` prefixes error messages, e.g. "topology 'radix16-swless'".
-  KvReader(const KvMap& kv, std::string context);
-
-  /// Overwrite `field` if `key` is present (throws on a malformed value).
-  void apply_int(const char* key, int& field);
-  void apply_bool(const char* key, bool& field);
-
-  /// Value of `key`, or the default when absent.
-  [[nodiscard]] int get_int(const char* key, int def);
-  [[nodiscard]] bool get_bool(const char* key, bool def);
-  [[nodiscard]] double get_double(const char* key, double def);
-  [[nodiscard]] std::string get_str(const char* key, const char* def);
-
-  /// Raw access (marks the key consumed); nullptr when absent.
-  const std::string* take(const char* key);
-
-  /// Throws std::invalid_argument naming any key no getter consumed.
-  void finish() const;
-
-  [[nodiscard]] const std::string& context() const { return context_; }
-
- private:
-  const KvMap& kv_;
-  std::string context_;
-  std::vector<std::string> used_;
 };
 
 /// Everything a topology builder needs besides the Network itself.

@@ -1,15 +1,12 @@
 #include "core/scenario.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include "common/csv.hpp"
@@ -25,79 +22,6 @@ namespace sldf::core {
 
 namespace {
 
-std::string format_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-[[noreturn]] void reject(const std::string& key, const std::string& expects,
-                         const std::string& value) {
-  throw std::invalid_argument("scenario key '" + key + "' expects " +
-                              expects + ", got '" + value + "'");
-}
-
-// ---- value codecs: parse(key, text) validates and converts, throwing
-// ---- std::invalid_argument naming the key; render() prints the value so
-// ---- that parse(render(v)) == v ------------------------------------------
-
-/// An integer in [lo, hi]; hi defaults to the field type's maximum, so a
-/// value can never wrap or truncate on assignment. Unsigned fields (seeds,
-/// cycle counts) parse without a sign over their full range.
-template <typename T>
-struct Int {
-  T lo;
-  T hi = std::numeric_limits<T>::max();
-  T parse(const std::string& key, const std::string& v) const {
-    std::conditional_t<std::is_signed_v<T>, long, std::uint64_t> x = 0;
-    bool ok = false;
-    if constexpr (std::is_signed_v<T>)
-      ok = Cli::parse_long(v, x);
-    else
-      ok = Cli::parse_u64(v, x);
-    if (!ok)
-      reject(key, std::is_signed_v<T> ? "an integer" : "an unsigned integer",
-             v);
-    if (x < lo || x > hi)
-      reject(key,
-             "an integer in [" + render(lo) + ", " + render(hi) + "]", v);
-    return static_cast<T>(x);
-  }
-  std::string render(T v) const { return std::to_string(v); }
-};
-
-/// A count where `auto` (stored as 0) resolves to the usable cores.
-template <typename T>
-struct AutoCount {
-  T parse(const std::string& key, const std::string& v) const {
-    return v == "auto" ? T{0} : Int<T>{0}.parse(key, v);
-  }
-  std::string render(T v) const { return v == 0 ? "auto" : std::to_string(v); }
-};
-
-/// A number in [lo, hi].
-struct Num {
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  double parse(const std::string& key, const std::string& v) const {
-    double x = 0.0;
-    if (!Cli::parse_double(v, x)) reject(key, "a number", v);
-    if (x < lo || x > hi)
-      reject(key,
-             "a number in [" + format_num(lo) + ", " + format_num(hi) + "]",
-             v);
-    return x;
-  }
-  std::string render(double v) const { return format_num(v); }
-};
-
-struct Str {
-  std::string parse(const std::string&, const std::string& v) const {
-    return v;
-  }
-  std::string render(const std::string& v) const { return v; }
-};
-
 /// An online fault timeline. Parsed now so a malformed one fails at
 /// config-read time with its typed FaultError; the text is kept and
 /// resolved against the finalized network by topo::inject_faults().
@@ -105,66 +29,6 @@ struct Timeline : Str {
   std::string parse(const std::string&, const std::string& v) const {
     (void)topo::parse_fault_events(v);
     return v;
-  }
-};
-
-/// One name of an enum, through the enum's own parse/to_string pair.
-template <typename E>
-struct Enum {
-  E (*from)(const std::string&);
-  const char* (*name)(E);
-  E parse(const std::string&, const std::string& v) const { return from(v); }
-  std::string render(E v) const { return name(v); }
-};
-
-/// A comma-separated list of `Elem` values; blank items are rejected.
-template <typename Elem>
-struct List {
-  Elem elem;
-  std::size_t min_items = 0;
-  auto parse(const std::string& key, const std::string& v) const {
-    std::vector<decltype(elem.parse(key, v))> out;
-    std::stringstream ss(v);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      item = Cli::trim(item);
-      if (item.empty()) reject(key, "comma-separated items, none blank", v);
-      out.push_back(elem.parse(key, item));
-    }
-    if (out.size() < min_items) reject(key, "a comma-separated list", v);
-    return out;
-  }
-  template <typename V>
-  std::string render(const V& values) const {
-    std::string out;
-    for (const auto& x : values) {
-      if (!out.empty()) out += ",";
-      out += elem.render(x);
-    }
-    return out;
-  }
-};
-
-/// A positive token width: `N`, or the fraction `N/D` of a flit per cycle.
-struct Fraction {
-  std::pair<int, int> parse(const std::string& key,
-                            const std::string& v) const {
-    const auto slash = v.find('/');
-    long num = 0, den = 1;
-    const bool ok = slash == std::string::npos
-                        ? Cli::parse_long(v, num)
-                        : Cli::parse_long(v.substr(0, slash), num) &&
-                              Cli::parse_long(v.substr(slash + 1), den);
-    constexpr long kMax = std::numeric_limits<int>::max();
-    if (!ok || num < 1 || den < 1 || num > kMax || den > kMax)
-      reject(key, "a positive width `N` or fraction `N/D`", v);
-    return {static_cast<int>(num), static_cast<int>(den)};
-  }
-  template <typename W>
-  std::string render(const W& width) const {
-    const auto& [num, den] = width;
-    return den == 1 ? std::to_string(num)
-                    : std::to_string(num) + "/" + std::to_string(den);
   }
 };
 
@@ -197,7 +61,7 @@ ScenarioKey bound_key(const char* key, const char* help,
           .network = o.network,
           .set = [get, codec](ScenarioSpec& s, const std::string& name,
                               const std::string& value) {
-            get(s) = codec.parse(name, value);
+            get(s) = codec.parse("scenario key '" + name + "'", value);
           },
           .emit = [view, codec, o, name = std::string(key)](
                       const ScenarioSpec& s, KvMap& kv) {
@@ -339,11 +203,13 @@ std::span<const ScenarioKey> scenario_key_table() {
           "preset values", &ScenarioSpec::topo, /*network=*/true),
       fixed("mode", "Routing: `minimal` \\| `valiant` \\| `adaptive`",
             [](auto& s) -> auto& { return s.mode; },
-            Enum<RouteMode>{&route::parse_route_mode, &route::to_string},
+            Enum<RouteMode>{"minimal|valiant|adaptive", &route::parse_route_mode,
+                            &route::to_string},
             {.network = true}),
       fixed("scheme", "VC scheme: `baseline` \\| `reduced` \\| `reduced-safe`",
             [](auto& s) -> auto& { return s.scheme; },
-            Enum<VcScheme>{&route::parse_vc_scheme, &route::to_string},
+            Enum<VcScheme>{"baseline|reduced|reduced-safe",
+                           &route::parse_vc_scheme, &route::to_string},
             {.network = true}),
       fixed("traffic", "Traffic registry name (see Traffic patterns)",
             [](auto& s) -> auto& { return s.traffic; }, Str{}),
@@ -412,7 +278,8 @@ std::span<const ScenarioKey> scenario_key_table() {
             "Failed-link class: `any` \\| `intra` \\| `local` \\| `global` "
             "\\| `vertical`",
             [](auto& s) -> auto& { return s.fault.kind; },
-            Enum<topo::FaultKind>{&topo::parse_fault_kind, &topo::to_string},
+            Enum<topo::FaultKind>{"any|intra|local|global|vertical",
+                                  &topo::parse_fault_kind, &topo::to_string},
             {.network = true, .elide_default = true}),
       fixed("fault.seed", "Fault-set RNG seed (independent of `seed`)",
             [](auto& s) -> auto& { return s.fault.seed; },
@@ -437,7 +304,7 @@ std::span<const ScenarioKey> scenario_key_table() {
       fixed("fault.rescue",
             "Retransmit packets torn by an online failure (`0`: drop and "
             "count them)",
-            [](auto& s) -> auto& { return s.fault.rescue; }, Int<bool>{0},
+            [](auto& s) -> auto& { return s.fault.rescue; }, Bool{},
             {.network = true, .elide_default = true}),
       fixed("fault.plane",
             "Restrict cable failures to one plane of a multi-plane fabric "
@@ -464,7 +331,8 @@ std::span<const ScenarioKey> scenario_key_table() {
       fixed("plane.policy",
             "Plane selection: `hash` \\| `rr` \\| `adaptive` \\| `collective`",
             [](auto& s) -> auto& { return s.plane_policy; },
-            Enum<PlanePolicy>{&route::parse_plane_policy, &route::to_string},
+            Enum<PlanePolicy>{route::plane_policy_names(),
+                              &route::parse_plane_policy, &route::to_string},
             {.network = true, .when = planes_engaged}),
       fixed("wafer.count",
             "Wafer-on-wafer stack depth: that many copies of `topology` "
@@ -474,8 +342,10 @@ std::span<const ScenarioKey> scenario_key_table() {
             {.network = true,
              .elide_default = true,
              .def = "unset (classic single-fabric build)"}),
+      // Channel::latency is 8 bits wide.
       fixed("wafer.latency", "Vertical-bond channel latency, cycles",
-            [](auto& s) -> auto& { return s.wafer_latency; }, Int<int>{1},
+            [](auto& s) -> auto& { return s.wafer_latency; },
+            Int<int>{1, 255},
             {.network = true, .elide_default = true, .when = wafers_engaged}),
       fixed("wafer.width",
             "Vertical-bond token width, `N` or fraction `N/D` of a flit per "
@@ -493,7 +363,7 @@ std::span<const ScenarioKey> scenario_key_table() {
       fixed("tenants.isolation",
             "Also run each tenant alone on its placement and report the "
             "interference ratio (`0` disables the baselines)",
-            [](auto& s) -> auto& { return s.tenants_isolation; }, Int<bool>{0},
+            [](auto& s) -> auto& { return s.tenants_isolation; }, Bool{},
             {.elide_default = true}),
       tenant_key("workload",
                  "Tenant i's workload registry name (required for each "
@@ -726,33 +596,16 @@ SweepSeries run_scenario(const ScenarioSpec& spec) {
 
 workload::WorkloadRunConfig workload_run_config(const ScenarioSpec& spec,
                                                 KvMap* gen_opts) {
-  // Split the option map: runner/reporting keys are consumed here, the
-  // rest goes to the generator (which rejects leftovers itself).
-  const std::string ctx = spec.workload.empty()
-                              ? std::string("workload runner")
-                              : "workload '" + spec.workload + "'";
+  // Split the option map: the runner keys are read here, the rest goes to
+  // the generator (which rejects leftovers itself).
   workload::WorkloadRunConfig rc;
   rc.sim = spec.sim;
-  if (gen_opts) *gen_opts = spec.workload_opts;
-  KvReader o(spec.workload_opts, ctx);
-  rc.flit_bytes = o.get_double("flit_bytes", rc.flit_bytes);
-  if (!(rc.flit_bytes > 0.0))
-    throw std::invalid_argument(ctx + ": flit_bytes must be > 0");
-  rc.freq_ghz = o.get_double("freq_ghz", rc.freq_ghz);
-  if (!(rc.freq_ghz > 0.0))
-    throw std::invalid_argument(ctx + ": freq_ghz must be > 0");
-  if (const std::string* v = o.take("max_cycles")) {
-    long mc = 0;
-    if (!Cli::parse_long(*v, mc) || mc <= 0)
-      throw std::invalid_argument(ctx +
-                                  ": option 'max_cycles' expects a "
-                                  "positive cycle count, got '" +
-                                  *v + "'");
-    rc.max_cycles = static_cast<Cycle>(mc);
-  }
-  if (gen_opts)
-    for (const auto& d : workload::runner_option_docs())
-      gen_opts->erase(d.key);
+  KvMap rest;
+  rc = read_options(workload::runner_options(), rc, spec.workload_opts,
+                    spec.workload.empty() ? std::string("workload runner")
+                                          : "workload '" + spec.workload + "'",
+                    &rest);
+  if (gen_opts) *gen_opts = std::move(rest);
   return rc;
 }
 
@@ -916,11 +769,40 @@ SeriesResult series_of(const ScenarioSpec& spec,
   return to_series(spec, r);
 }
 
+/// The tenant run's series result, after warning about a fault event at
+/// or past the shared run's end, and about one the shared run reaches but
+/// a tenant's shorter isolation baseline does not: that tenant's
+/// interference ratio then compares two different fabrics.
+SeriesResult series_of(const ScenarioSpec& spec,
+                       const trace::MultiTenantResult& r) {
+  if (spec.fault.has_timeline()) {
+    const auto events = topo::load_timeline(spec.fault).events;
+    const Cycle end = r.completed ? r.cycles + 1 : r.cycles;
+    warn_unfired(spec, events, end, r.cycles, "");
+    for (const trace::TenantResult& t : r.tenants) {
+      if (t.isolated_ttc == 0) continue;  // no baseline ran
+      const Cycle iso_end =
+          t.isolated_completed ? t.isolated_ttc + 1 : t.isolated_ttc;
+      for (const topo::FaultEvent& e : events) {
+        if (e.at < iso_end || e.at >= end) continue;
+        log_warn("series '%s': fault event %s fires in the shared run but "
+                 "not in %s's isolation baseline, which ends at cycle %llu: "
+                 "its interference ratio compares two different fabrics",
+                 spec.label.c_str(), topo::to_string(e).c_str(),
+                 t.name.c_str(),
+                 static_cast<unsigned long long>(t.isolated_ttc));
+        break;
+      }
+    }
+  }
+  return trace::to_series(r);
+}
+
 }  // namespace
 
 SeriesResult run_series(const ScenarioSpec& spec) {
   if (spec.tenants > 0)
-    return trace::to_series(trace::run_tenant_scenario(spec));
+    return series_of(spec, trace::run_tenant_scenario(spec));
   if (spec.workload.empty()) return series_of(spec, run_scenario(spec));
   return series_of(spec, run_workload_scenario(spec));
 }

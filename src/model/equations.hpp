@@ -42,28 +42,6 @@ struct SwlessEquations {
   static SwlessEquations balanced(int m_, int wafers_b = 0);
 };
 
-/// Eq.(7) hop-count terms of the switch-less Dragonfly diameter:
-/// D = Hg + 2 Hl + (8m - 2) Hsr  (off-chip hops only).
-struct SwlessDiameter {
-  int global_hops = 1;
-  int local_hops = 2;
-  int short_reach_hops = 0;
-
-  static SwlessDiameter of(int m) {
-    return {1, 2, 8 * m - 2};
-  }
-  /// Traditional switch-based Dragonfly: Hg + 2 Hl + 2 H*l.
-  static SwlessDiameter switch_based() { return {1, 2 + 2, 0}; }
-
-  /// Latency estimate with Table II hop costs (ns), excluding time of
-  /// flight.
-  [[nodiscard]] double latency_ns(double hg_ns = 150, double hl_ns = 150,
-                                  double hsr_ns = 5) const {
-    return global_hops * hg_ns + local_hops * hl_ns +
-           short_reach_hops * hsr_ns;
-  }
-};
-
 /// Table II hop costs used across the energy/latency models.
 struct HopCost {
   double latency_ns;
@@ -80,6 +58,27 @@ struct HopCostTable {
   HopCost vertical{2.0, 0.5};
   /// The paper simplifies the average intra-C-group hop to 1 pJ/bit.
   double intra_cgroup_avg_pj = 1.0;
+};
+
+/// Eq.(7) hop-count terms of the switch-less Dragonfly diameter:
+/// D = Hg + 2 Hl + (8m - 2) Hsr  (off-chip hops only).
+struct SwlessDiameter {
+  int global_hops = 1;
+  int local_hops = 2;
+  int short_reach_hops = 0;
+
+  static SwlessDiameter of(int m) {
+    return {1, 2, 8 * m - 2};
+  }
+  /// Traditional switch-based Dragonfly: Hg + 2 Hl + 2 H*l.
+  static SwlessDiameter switch_based() { return {1, 2 + 2, 0}; }
+
+  /// Latency estimate with Table II hop costs (ns), excluding time of
+  /// flight.
+  [[nodiscard]] double latency_ns(const HopCostTable& t = {}) const {
+    return global_hops * t.global.latency_ns + local_hops * t.local.latency_ns +
+           short_reach_hops * t.short_reach.latency_ns;
+  }
 };
 
 }  // namespace sldf::model

@@ -20,7 +20,10 @@ NodeId Network::add_router(NodeKind kind) {
 
 ChanId Network::add_channel(NodeId src, NodeId dst, LinkType type, int latency,
                             int width_num, int width_den) {
-  if (latency < 1) throw std::invalid_argument("channel latency must be >= 1");
+  // Channel::latency is 8 bits wide.
+  if (latency < 1 || latency > 255)
+    throw std::invalid_argument("channel latency must be in [1, 255], got " +
+                                std::to_string(latency));
   if (width_num < 1 || width_den < 1)
     throw std::invalid_argument("channel width must be positive");
   Channel c;

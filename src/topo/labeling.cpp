@@ -14,6 +14,13 @@ const char* to_string(Labeling l) {
   return "?";
 }
 
+Labeling parse_labeling(const std::string& s) {
+  for (const auto l :
+       {Labeling::Snake, Labeling::RowMajor, Labeling::PerimeterArc})
+    if (s == to_string(l)) return l;
+  throw std::invalid_argument("unknown labeling '" + s + "'");
+}
+
 std::vector<std::int32_t> perimeter_positions(int mx, int my) {
   std::vector<std::int32_t> out;
   if (mx <= 0 || my <= 0) return out;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace sldf::topo {
@@ -18,6 +19,8 @@ enum class Labeling : std::uint8_t {
 };
 
 const char* to_string(Labeling l);
+/// Parses a to_string() name; throws std::invalid_argument on others.
+Labeling parse_labeling(const std::string& s);
 
 /// Returns label per position (index y*mx + x) for an mx-by-my mesh.
 /// Labels are a permutation of [0, mx*my).

@@ -185,6 +185,7 @@ MultiTenantResult run_tenants(sim::Network& net,
           workload::run_workload(net, built[i].graph, cfg);
       TenantResult& tr = out.tenants[i];
       tr.isolated_ttc = iso.cycles;
+      tr.isolated_completed = iso.completed;
       out.isolated_flit_hops += iso.flit_hops;
       out.isolated_delivered += iso.packets_delivered;
       if (iso.completed && tr.completed && iso.cycles > 0)

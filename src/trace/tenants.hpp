@@ -59,6 +59,7 @@ struct TenantResult {
   double p99_msg_cycles = 0.0;
   double gbps_per_chip = 0.0;
   Cycle isolated_ttc = 0;       ///< 0 when baselines are disabled.
+  bool isolated_completed = false;  ///< The baseline finished every message.
   /// shared TTC / isolated TTC (0 when baselines are disabled).
   double interference = 0.0;
 };

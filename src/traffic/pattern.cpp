@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/cli.hpp"
 #include "topo/hier.hpp"
 #include "traffic/allreduce.hpp"
 
@@ -119,65 +118,76 @@ NodeId WorstCaseTraffic::dest(const sim::Network&, NodeId src, Rng& rng) {
 
 namespace {
 
-// Pattern option defaults, shared by each factory's reader and its doc
-// entry so the generated reference cannot drift from the code.
-constexpr int kHotGroups = 4;
-constexpr const char* kRingScope = "wgroup";
-constexpr bool kRingBidir = false;
+// Each pattern's options struct; its rows are the options' one declaration.
+struct NoOptions {};
+struct Hotspot {
+  int hot_groups = 4;
+};
+struct Ring {
+  RingScope scope = RingScope::WGroup;
+  bool bidir = false;
+};
 
-TrafficRegistry::Factory permutation(const char* name, Permutation kind) {
-  return [name, kind](const sim::Network& net, const core::KvMap& opts) {
-    core::KvReader(opts, std::string("traffic '") + name + "'").finish();
-    return std::make_unique<PermutationTraffic>(net, kind);
-  };
+template <typename S, typename Make>
+void add_pattern(TrafficRegistry& reg, const char* name, const char* summary,
+                 std::vector<core::Option<S>> rows, Make make) {
+  reg.add(name, core::RegistryDoc{summary, core::option_docs(rows)},
+          [name, rows, make](const sim::Network& net, const core::KvMap& opts)
+              -> std::unique_ptr<sim::TrafficSource> {
+            return make(net, core::read_options(
+                                 rows, S{}, opts,
+                                 std::string("traffic '") + name + "'"));
+          });
+}
+
+void add_permutation(TrafficRegistry& reg, const char* name,
+                     const char* summary, Permutation kind) {
+  add_pattern<NoOptions>(reg, name, summary, {},
+                         [kind](const sim::Network& net, NoOptions) {
+                           return std::make_unique<PermutationTraffic>(net,
+                                                                       kind);
+                         });
 }
 
 }  // namespace
 
 TrafficRegistry::TrafficRegistry() {
-  add("uniform", "uniform random over all terminals",
-      [](const sim::Network& net, const core::KvMap& opts) {
-        core::KvReader(opts, "traffic 'uniform'").finish();
-        return std::make_unique<UniformTraffic>(net);
+  add_pattern<NoOptions>(*this, "uniform", "uniform random over all terminals",
+                         {}, [](const sim::Network& net, NoOptions) {
+                           return std::make_unique<UniformTraffic>(net);
+                         });
+  add_permutation(*this, "bit-reverse",
+                  "bit-reversal permutation over terminal indices",
+                  Permutation::BitReverse);
+  add_permutation(*this, "bit-shuffle",
+                  "bit-shuffle permutation over terminal indices",
+                  Permutation::BitShuffle);
+  add_permutation(*this, "bit-transpose",
+                  "bit-transpose permutation over terminal indices",
+                  Permutation::BitTranspose);
+  add_pattern<Hotspot>(
+      *this, "hotspot", "traffic confined to the first hot_groups W-groups",
+      {core::option<Hotspot>("hot_groups", &Hotspot::hot_groups,
+                             core::Int<int>{1},
+                             "W-groups that exchange traffic")},
+      [](const sim::Network& net, const Hotspot& o) {
+        return std::make_unique<HotspotTraffic>(net, o.hot_groups);
       });
-  add("bit-reverse", "bit-reversal permutation over terminal indices",
-      permutation("bit-reverse", Permutation::BitReverse));
-  add("bit-shuffle", "bit-shuffle permutation over terminal indices",
-      permutation("bit-shuffle", Permutation::BitShuffle));
-  add("bit-transpose", "bit-transpose permutation over terminal indices",
-      permutation("bit-transpose", Permutation::BitTranspose));
-  add("hotspot",
-      core::RegistryDoc{
-          "traffic confined to the first hot_groups W-groups",
-          {{"hot_groups", "int", std::to_string(kHotGroups),
-            "W-groups that exchange traffic"}}},
-      [](const sim::Network& net, const core::KvMap& opts) {
-        core::KvReader o(opts, "traffic 'hotspot'");
-        const int hot_groups = o.get_int("hot_groups", kHotGroups);
-        o.finish();
-        return std::make_unique<HotspotTraffic>(net, hot_groups);
-      });
-  add("worst-case", "every W-group i sends to W-group (i+1) mod g",
-      [](const sim::Network& net, const core::KvMap& opts) {
-        core::KvReader(opts, "traffic 'worst-case'").finish();
-        return std::make_unique<WorstCaseTraffic>(net);
-      });
-  add("ring-allreduce",
-      core::RegistryDoc{
-          "steady-state ring AllReduce streams (open-loop saturation "
-          "probe; the `ring-allreduce` *workload* runs it closed-loop)",
-          {{"scope", "cgroup|wgroup|system", kRingScope,
-            "chips forming one ring"},
-           {"bidir", "bool", kRingBidir ? "1" : "0",
-            "stream to both ring neighbours"}}},
-      [](const sim::Network& net, const core::KvMap& opts) {
-        core::KvReader o(opts, "traffic 'ring-allreduce'");
-        const std::string scope_s = o.get_str("scope", kRingScope);
-        const bool bidir = o.get_bool("bidir", kRingBidir);
-        o.finish();
-        const RingScope scope =
-            workload::parse_scope(scope_s, "traffic 'ring-allreduce'");
-        return std::make_unique<RingAllReduceTraffic>(net, scope, bidir);
+  add_pattern<NoOptions>(*this, "worst-case",
+                         "every W-group i sends to W-group (i+1) mod g", {},
+                         [](const sim::Network& net, NoOptions) {
+                           return std::make_unique<WorstCaseTraffic>(net);
+                         });
+  add_pattern<Ring>(
+      *this, "ring-allreduce",
+      "steady-state ring AllReduce streams (open-loop saturation probe; the "
+      "`ring-allreduce` *workload* runs it closed-loop)",
+      {core::option<Ring>("scope", &Ring::scope, workload::kScopeCodec,
+                          "chips forming one ring"),
+       core::option<Ring>("bidir", &Ring::bidir, core::Bool{},
+                          "stream to both ring neighbours")},
+      [](const sim::Network& net, const Ring& o) {
+        return std::make_unique<RingAllReduceTraffic>(net, o.scope, o.bidir);
       });
 }
 

@@ -68,14 +68,10 @@ const char* to_string(Scope s) {
   return "?";
 }
 
-Scope parse_scope(const std::string& s, const std::string& context) {
-  if (s == "cgroup") return Scope::CGroup;
-  if (s == "wgroup") return Scope::WGroup;
-  if (s == "system") return Scope::System;
-  throw std::invalid_argument(context +
-                              ": option 'scope' expects "
-                              "cgroup|wgroup|system, got '" +
-                              s + "'");
+Scope parse_scope(const std::string& s) {
+  for (const Scope scope : {Scope::CGroup, Scope::WGroup, Scope::System})
+    if (s == to_string(scope)) return scope;
+  throw std::invalid_argument("unknown scope '" + s + "'");
 }
 
 void narrow_external_messages(const sim::Network& net, WorkloadGraph& g) {

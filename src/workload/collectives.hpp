@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/codec.hpp"
 #include "workload/workload.hpp"
 
 namespace sldf::workload {
@@ -21,9 +22,14 @@ namespace sldf::workload {
 /// Which chips form one collective instance.
 enum class Scope : std::uint8_t { CGroup, WGroup, System };
 
-/// Parses "cgroup" | "wgroup" | "system"; `context` prefixes the error.
-Scope parse_scope(const std::string& s, const std::string& context);
+/// Parses a to_string() name; throws std::invalid_argument on others.
+Scope parse_scope(const std::string& s);
 const char* to_string(Scope s);
+
+/// The codec of every `scope` option (collective workloads and the
+/// ring-allreduce traffic pattern).
+inline constexpr core::Enum<Scope> kScopeCodec{"cgroup|wgroup|system",
+                                               &parse_scope, &to_string};
 
 /// Chips partitioned by `scope`, each group ordered by (C-group,
 /// Hamiltonian ring rank). Requires HierTopo topology info. A non-empty

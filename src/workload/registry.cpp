@@ -1,8 +1,7 @@
 #include "workload/registry.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <stdexcept>
+#include <limits>
 
 #include "common/error.hpp"
 #include "trace/trace.hpp"
@@ -12,36 +11,16 @@ namespace sldf::workload {
 
 namespace {
 
-std::uint64_t kib_to_flits(double kib, const WorkloadEnv& env,
-                           const char* name) {
-  if (!(kib > 0.0))
-    throw std::invalid_argument(std::string("workload '") + name +
-                                "': option 'kib' expects a size > 0");
+using core::option;
+
+std::uint64_t kib_to_flits(double kib, const WorkloadEnv& env) {
   const double flits = std::ceil(kib * 1024.0 / env.flit_bytes);
   return flits < 1.0 ? 1 : static_cast<std::uint64_t>(flits);
 }
 
-Scope read_scope(core::KvReader& o, const char* name, const char* def) {
-  return parse_scope(o.get_str("scope", def),
-                     std::string("workload '") + name + "'");
-}
-
-// Per-generator option defaults, shared by each factory's reader and its
-// doc entry so the generated reference cannot drift from the code.
-constexpr double kAllreduceKib = 256.0;  ///< AllReduce vector per chip.
-constexpr double kA2aKib = 16.0;         ///< All-to-all payload per pair.
-constexpr double kStencilKib = 64.0;     ///< Halo per face neighbour.
-constexpr const char* kAllreduceScope = "wgroup";
-constexpr const char* kA2aScope = "wgroup";
-constexpr const char* kStencilScope = "system";
-constexpr int kDefaultIters = 1;
-constexpr int kRingChunks = 1;
-constexpr int kA2aWindow = 1;
-constexpr bool kStencilPeriodic = true;
-constexpr int kRrRequests = 64;      ///< Request/reply pairs.
-constexpr double kRrReqKib = 1.0;    ///< Request payload.
-constexpr double kRrRepKib = 4.0;    ///< Reply payload.
-constexpr int kRrGap = 200;          ///< Mean request inter-arrival cycles.
+/// A size or a clock: > 0.
+constexpr core::Num kPositive{0.0, std::numeric_limits<double>::infinity(),
+                              true};
 
 /// Chips a trace-backed workload spans: the tenant placement when set,
 /// otherwise the first `want` live chips in chip-id order (all of them
@@ -60,132 +39,132 @@ std::vector<ChipId> replay_chips(const sim::Network& net,
   return chips;
 }
 
-std::string num_str(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
+std::string context(const char* name) {
+  return std::string("workload '") + name + "'";
 }
 
-core::OptionDoc scope_doc(const char* def) {
-  return {"scope", "cgroup|wgroup|system", def,
-          "chips forming one collective instance"};
+/// The collective generators' options. Each generator lists the rows it
+/// accepts and its own defaults.
+struct Collective {
+  double kib = 256.0;
+  Scope scope = Scope::WGroup;
+  int iters = 1;
+  int chunks = 1;
+  int window = 1;
+  bool periodic = true;
+};
+
+using CollectiveGen = WorkloadGraph (*)(const sim::Network&,
+                                        const Collective&,
+                                        std::uint64_t flits,
+                                        const std::vector<ChipId>& chips);
+
+void add_collective(WorkloadRegistry& reg, const char* name,
+                    const char* summary, Collective defaults,
+                    std::vector<core::Option<Collective>> rows,
+                    CollectiveGen gen) {
+  reg.add(name, core::RegistryDoc{summary, core::option_docs(rows, defaults)},
+          [name, defaults, rows, gen](const sim::Network& net,
+                                      const core::KvMap& opts,
+                                      const WorkloadEnv& env) {
+            const Collective o =
+                core::read_options(rows, defaults, opts, context(name));
+            return gen(net, o, kib_to_flits(o.kib, env), env.chips);
+          });
 }
-core::OptionDoc iters_doc() {
-  return {"iters", "int", std::to_string(kDefaultIters),
-          "back-to-back repetitions of the collective"};
-}
-core::OptionDoc kib_doc(double def, const char* what) {
-  return {"kib", "double", num_str(def), what};
-}
+
+struct Replay {
+  std::string file;
+};
+
+struct RequestReply {
+  int requests = 64;
+  double req_kib = 1.0;
+  double rep_kib = 4.0;
+  Cycle gap = 200;  ///< Mean request inter-arrival cycles.
+  std::uint64_t seed = 1;
+};
 
 }  // namespace
 
 WorkloadRegistry::WorkloadRegistry() {
-  add("ring-allreduce",
-      core::RegistryDoc{
-          "ring AllReduce: reduce-scatter + allgather, 2(N-1) pipelined "
-          "steps around each scope ring",
-          {kib_doc(kAllreduceKib, "AllReduce vector size per chip, KiB"),
-           scope_doc(kAllreduceScope), iters_doc(),
-           {"chunks", "int", std::to_string(kRingChunks),
-            "pipelined chunk-messages per ring step"}}},
-      [](const sim::Network& net, const core::KvMap& opts,
-         const WorkloadEnv& env) {
-        core::KvReader o(opts, "workload 'ring-allreduce'");
-        const double kib = o.get_double("kib", kAllreduceKib);
-        const Scope scope = read_scope(o, "ring-allreduce", kAllreduceScope);
-        const int chunks = o.get_int("chunks", kRingChunks);
-        const int iters = o.get_int("iters", kDefaultIters);
-        o.finish();
-        return ring_allreduce(net, scope,
-                              kib_to_flits(kib, env, "ring-allreduce"),
-                              chunks, iters, env.chips);
+  using C = Collective;
+  const auto kib = [](const char* help) {
+    return option<C>("kib", &C::kib, kPositive, help);
+  };
+  const auto allreduce_kib = kib("AllReduce vector size per chip, KiB");
+  const auto scope = option<C>("scope", &C::scope, kScopeCodec,
+                               "chips forming one collective instance");
+  const auto iters = option<C>("iters", &C::iters, core::Int<int>{1},
+                               "back-to-back repetitions of the collective");
+  add_collective(
+      *this, "ring-allreduce",
+      "ring AllReduce: reduce-scatter + allgather, 2(N-1) pipelined steps "
+      "around each scope ring",
+      {}, {allreduce_kib, scope, iters,
+           option<C>("chunks", &C::chunks, core::Int<int>{1},
+                     "pipelined chunk-messages per ring step")},
+      [](const sim::Network& net, const C& o, std::uint64_t flits,
+         const std::vector<ChipId>& chips) {
+        return ring_allreduce(net, o.scope, flits, o.chunks, o.iters, chips);
       });
-  add("halving-doubling-allreduce",
-      core::RegistryDoc{
-          "recursive halving-doubling AllReduce (2*log2 N steps, "
-          "non-power-of-two ranks fold in/out)",
-          {kib_doc(kAllreduceKib, "AllReduce vector size per chip, KiB"),
-           scope_doc(kAllreduceScope), iters_doc()}},
-      [](const sim::Network& net, const core::KvMap& opts,
-         const WorkloadEnv& env) {
-        core::KvReader o(opts, "workload 'halving-doubling-allreduce'");
-        const double kib = o.get_double("kib", kAllreduceKib);
-        const Scope scope =
-            read_scope(o, "halving-doubling-allreduce", kAllreduceScope);
-        const int iters = o.get_int("iters", kDefaultIters);
-        o.finish();
-        return halving_doubling_allreduce(
-            net, scope,
-            kib_to_flits(kib, env, "halving-doubling-allreduce"), iters,
-            env.chips);
+  add_collective(
+      *this, "halving-doubling-allreduce",
+      "recursive halving-doubling AllReduce (2*log2 N steps, "
+      "non-power-of-two ranks fold in/out)",
+      {}, {allreduce_kib, scope, iters},
+      [](const sim::Network& net, const C& o, std::uint64_t flits,
+         const std::vector<ChipId>& chips) {
+        return halving_doubling_allreduce(net, o.scope, flits, o.iters, chips);
       });
-  add("tree-allreduce",
-      core::RegistryDoc{
-          "binomial-tree AllReduce: reduce to rank 0, broadcast back "
-          "(full vector per hop)",
-          {kib_doc(kAllreduceKib, "AllReduce vector size per chip, KiB"),
-           scope_doc(kAllreduceScope), iters_doc()}},
-      [](const sim::Network& net, const core::KvMap& opts,
-         const WorkloadEnv& env) {
-        core::KvReader o(opts, "workload 'tree-allreduce'");
-        const double kib = o.get_double("kib", kAllreduceKib);
-        const Scope scope = read_scope(o, "tree-allreduce", kAllreduceScope);
-        const int iters = o.get_int("iters", kDefaultIters);
-        o.finish();
-        return tree_allreduce(net, scope,
-                              kib_to_flits(kib, env, "tree-allreduce"),
-                              iters, env.chips);
+  add_collective(
+      *this, "tree-allreduce",
+      "binomial-tree AllReduce: reduce to rank 0, broadcast back (full "
+      "vector per hop)",
+      {}, {allreduce_kib, scope, iters},
+      [](const sim::Network& net, const C& o, std::uint64_t flits,
+         const std::vector<ChipId>& chips) {
+        return tree_allreduce(net, o.scope, flits, o.iters, chips);
       });
-  add("all-to-all",
-      core::RegistryDoc{
-          "personalized all-to-all: N-1 shifted rounds per scope group",
-          {kib_doc(kA2aKib, "payload per chip pair, KiB"), scope_doc(kA2aScope),
-           iters_doc(),
-           {"window", "int", std::to_string(kA2aWindow),
-            "rounds in flight per chip (0 = unlimited)"}}},
-      [](const sim::Network& net, const core::KvMap& opts,
-         const WorkloadEnv& env) {
-        core::KvReader o(opts, "workload 'all-to-all'");
-        const double kib = o.get_double("kib", kA2aKib);
-        const Scope scope = read_scope(o, "all-to-all", kA2aScope);
-        const int window = o.get_int("window", kA2aWindow);
-        const int iters = o.get_int("iters", kDefaultIters);
-        o.finish();
-        return all_to_all(net, scope, kib_to_flits(kib, env, "all-to-all"),
-                          window, iters, env.chips);
+  add_collective(
+      *this, "all-to-all",
+      "personalized all-to-all: N-1 shifted rounds per scope group",
+      {.kib = 16.0},
+      {kib("payload per chip pair, KiB"), scope, iters,
+       option<C>("window", &C::window, core::Int<int>{0},
+                 "rounds in flight per chip (0 = unlimited)")},
+      [](const sim::Network& net, const C& o, std::uint64_t flits,
+         const std::vector<ChipId>& chips) {
+        return all_to_all(net, o.scope, flits, o.window, o.iters, chips);
       });
-  add("stencil-3d",
-      core::RegistryDoc{
-          "3D nearest-neighbour halo exchange on the most cubic grid of "
-          "each scope group",
-          {kib_doc(kStencilKib, "halo payload per face neighbour, KiB"),
-           scope_doc(kStencilScope), iters_doc(),
-           {"periodic", "bool", kStencilPeriodic ? "1" : "0",
-            "wrap the grid into a torus"}}},
-      [](const sim::Network& net, const core::KvMap& opts,
-         const WorkloadEnv& env) {
-        core::KvReader o(opts, "workload 'stencil-3d'");
-        const double kib = o.get_double("kib", kStencilKib);
-        const Scope scope = read_scope(o, "stencil-3d", kStencilScope);
-        const int iters = o.get_int("iters", kDefaultIters);
-        const bool periodic = o.get_bool("periodic", kStencilPeriodic);
-        o.finish();
-        return stencil3d(net, scope, kib_to_flits(kib, env, "stencil-3d"),
-                         iters, periodic, env.chips);
+  add_collective(
+      *this, "stencil-3d",
+      "3D nearest-neighbour halo exchange on the most cubic grid of each "
+      "scope group",
+      {.kib = 64.0, .scope = Scope::System},
+      {kib("halo payload per face neighbour, KiB"), scope, iters,
+       option<C>("periodic", &C::periodic, core::Bool{},
+                 "wrap the grid into a torus")},
+      [](const sim::Network& net, const C& o, std::uint64_t flits,
+         const std::vector<ChipId>& chips) {
+        return stencil3d(net, o.scope, flits, o.iters, o.periodic, chips);
       });
+
+  const std::vector<core::Option<Replay>> replay = {option<Replay>(
+      "file", &Replay::file, core::Str{"path"},
+      "trace file to replay; defaults to the trace.file scenario key",
+      "(trace.file)")};
   add("trace-replay",
       core::RegistryDoc{
           "replays an sldf-trace file: recorded issue timestamps + message "
           "deps onto the tenant placement (ranks -> chips)",
-          {{"file", "path", "(trace.file)",
-            "trace file to replay; defaults to the trace.file scenario "
-            "key"}}},
-      [](const sim::Network& net, const core::KvMap& opts,
-         const WorkloadEnv& env) {
-        core::KvReader o(opts, "workload 'trace-replay'");
-        const std::string file = o.get_str("file", env.trace_file.c_str());
-        o.finish();
+          core::option_docs(replay)},
+      [replay](const sim::Network& net, const core::KvMap& opts,
+               const WorkloadEnv& env) {
+        const std::string file =
+            core::read_options(replay, Replay{env.trace_file}, opts,
+                               context("trace-replay"))
+                .file;
         if (file.empty())
           throw ScenarioError(
               "workload 'trace-replay': no trace file (set trace.file or "
@@ -194,39 +173,34 @@ WorkloadRegistry::WorkloadRegistry() {
         return trace::to_graph(t, net, replay_chips(net, env, t.chips),
                                "workload 'trace-replay' (" + file + ")");
       });
+
+  using R = RequestReply;
+  const std::vector<core::Option<R>> rr = {
+      option<R>("requests", &R::requests, core::Int<int>{1},
+                "request/reply pairs"),
+      option<R>("req_kib", &R::req_kib, kPositive, "request payload, KiB"),
+      option<R>("rep_kib", &R::rep_kib, kPositive, "reply payload, KiB"),
+      option<R>("gap", &R::gap, core::Int<Cycle>{0},
+                "mean cycles between request arrivals"),
+      option<R>("seed", &R::seed, core::Int<std::uint64_t>{0},
+                "arrival/pairing seed; defaults to the trace.seed scenario "
+                "key",
+                "(trace.seed)"),
+  };
   add("request-reply",
       core::RegistryDoc{
           "seeded inference-serving mix: random client->server requests "
           "with issue timestamps, each reply gated on its request",
-          {{"requests", "int", std::to_string(kRrRequests),
-            "request/reply pairs"},
-           {"req_kib", "double", num_str(kRrReqKib),
-            "request payload, KiB"},
-           {"rep_kib", "double", num_str(kRrRepKib), "reply payload, KiB"},
-           {"gap", "int", std::to_string(kRrGap),
-            "mean cycles between request arrivals"},
-           {"seed", "int", "(trace.seed)",
-            "arrival/pairing seed; defaults to the trace.seed scenario "
-            "key"}}},
-      [](const sim::Network& net, const core::KvMap& opts,
-         const WorkloadEnv& env) {
-        core::KvReader o(opts, "workload 'request-reply'");
-        const int requests = o.get_int("requests", kRrRequests);
-        const double req_kib = o.get_double("req_kib", kRrReqKib);
-        const double rep_kib = o.get_double("rep_kib", kRrRepKib);
-        const int gap = o.get_int("gap", kRrGap);
-        const auto seed = static_cast<std::uint64_t>(
-            o.get_int("seed", static_cast<int>(env.trace_seed)));
-        o.finish();
-        if (gap < 0)
-          throw std::invalid_argument(
-              "workload 'request-reply': gap must be >= 0");
+          core::option_docs(rr)},
+      [rr](const sim::Network& net, const core::KvMap& opts,
+           const WorkloadEnv& env) {
+        const R o = core::read_options(rr, R{.seed = env.trace_seed}, opts,
+                                       context("request-reply"));
         const auto chips = replay_chips(net, env, -1);
         const trace::Trace t = trace::request_reply_trace(
-            static_cast<std::int32_t>(chips.size()), requests,
-            kib_to_flits(req_kib, env, "request-reply"),
-            kib_to_flits(rep_kib, env, "request-reply"),
-            static_cast<Cycle>(gap), seed);
+            static_cast<std::int32_t>(chips.size()), o.requests,
+            kib_to_flits(o.req_kib, env), kib_to_flits(o.rep_kib, env), o.gap,
+            o.seed);
         auto g = trace::to_graph(t, net, chips, "workload 'request-reply'");
         g.name = "request-reply";
         return g;
@@ -243,20 +217,18 @@ WorkloadGraph make_workload(const std::string& kind, const sim::Network& net,
   return WorkloadRegistry::instance().make(kind, net, opts, env);
 }
 
-const std::vector<core::OptionDoc>& runner_option_docs() {
-  // Defaults rendered from WorkloadRunConfig{} so they cannot drift.
-  static const std::vector<core::OptionDoc> docs = [] {
-    const WorkloadRunConfig d;
-    return std::vector<core::OptionDoc>{
-        {"flit_bytes", "double", num_str(d.flit_bytes),
-         "payload bytes per flit (sizes KiB -> flits; GB/s reporting)"},
-        {"freq_ghz", "double", num_str(d.freq_ghz),
-         "clock used to convert cycles to seconds"},
-        {"max_cycles", "int", std::to_string(d.max_cycles),
-         "abort horizon; hitting it reports completed = no"},
-    };
-  }();
-  return docs;
+const std::vector<core::Option<WorkloadRunConfig>>& runner_options() {
+  using W = WorkloadRunConfig;
+  static const std::vector<core::Option<W>> rows = {
+      option<W>("flit_bytes", &W::flit_bytes, kPositive,
+                "payload bytes per flit (sizes KiB -> flits; GB/s "
+                "reporting)"),
+      option<W>("freq_ghz", &W::freq_ghz, kPositive,
+                "clock used to convert cycles to seconds"),
+      option<W>("max_cycles", &W::max_cycles, core::Int<Cycle>{1},
+                "abort horizon; hitting it reports completed = no"),
+  };
+  return rows;
 }
 
 }  // namespace sldf::workload

@@ -58,9 +58,10 @@ class WorkloadRegistry
 WorkloadGraph make_workload(const std::string& kind, const sim::Network& net,
                             const core::KvMap& opts, const WorkloadEnv& env);
 
-/// The runner/reporting keys run_workload_scenario() consumes itself
-/// (`flit_bytes`, `freq_ghz`, `max_cycles`) — documented alongside the
-/// generator options in the generated reference.
-const std::vector<core::OptionDoc>& runner_option_docs();
+/// The runner/reporting keys every workload accepts (`flit_bytes`,
+/// `freq_ghz`, `max_cycles`), one row each over WorkloadRunConfig:
+/// core::workload_run_config() reads them, and the generated reference
+/// documents them alongside the generator options.
+const std::vector<core::Option<WorkloadRunConfig>>& runner_options();
 
 }  // namespace sldf::workload

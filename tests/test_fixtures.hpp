@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 
+#include "common/rng.hpp"
 #include "core/params.hpp"
 #include "route/cdg.hpp"
 #include "sim/network.hpp"
@@ -30,6 +32,31 @@ inline std::uint64_t fuzz_seed(std::uint64_t fixed_default) {
   if (const char* env = std::getenv("SLDF_FUZZ_SEED"))
     return std::strtoull(env, nullptr, 0);
   return fixed_default;
+}
+
+/// One mutant of `text` for the text-grammar fuzzers: one to three random
+/// edits (a byte flipped, inserted or erased, or the rest truncated), each
+/// new byte drawn from `alphabet` half the time and from all 256 values
+/// otherwise.
+inline std::string mutate(std::string text, Rng& rng,
+                          const std::string& alphabet) {
+  const auto byte = [&] {
+    return rng.below(2) == 0 ? alphabet[rng.below(alphabet.size())]
+                             : static_cast<char>(rng.below(256));
+  };
+  for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+    const std::size_t at = text.empty() ? 0 : rng.below(text.size());
+    const std::uint64_t op = rng.below(4);
+    if (op == 0 && !text.empty())
+      text[at] = byte();  // flip
+    else if (op == 1)
+      text.insert(at, 1, byte());
+    else if (op == 2 && !text.empty())
+      text.erase(at, 1);
+    else if (op == 3)
+      text.resize(at);  // truncate
+  }
+  return text;
 }
 
 /// Flit/packet conservation audit over a finished run's ledger: everything

@@ -234,11 +234,6 @@ TEST(TimelineParse, MutantsParseOrThrowFaultError) {
   SCOPED_TRACE("SLDF_FUZZ_SEED=" + std::to_string(seed));
   Rng rng(seed);
   const std::string alphabet = "fail@repair:chip=;#\n 0123456789.-eE+x";
-  const auto byte = [&] {
-    return rng.below(2) == 0
-               ? alphabet[rng.below(alphabet.size())]
-               : static_cast<char>(rng.below(256));
-  };
   std::size_t parsed = 0, rejected = 0;
   const auto feed = [&](const std::string& text, auto&& parse) {
     try {
@@ -252,20 +247,8 @@ TEST(TimelineParse, MutantsParseOrThrowFaultError) {
     }
   };
   for (int i = 0; i < 5000; ++i) {
-    std::string m = seeds[rng.below(seeds.size())];
-    for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
-      const std::size_t at = m.empty() ? 0 : rng.below(m.size());
-      const std::uint64_t op = rng.below(4);
-      if (op == 0 && !m.empty())
-        m[at] = byte();  // flip
-      else if (op == 1)
-        m.insert(at, 1, byte());
-      else if (op == 2 && !m.empty())
-        m.erase(at, 1);
-      else if (op == 3)
-        m.resize(at);  // truncate
-
-    }
+    const std::string m = sldf::testing::mutate(
+        seeds[rng.below(seeds.size())], rng, alphabet);
     feed(m, [](const std::string& t) { (void)topo::parse_fault_events(t); });
     feed(m, [](const std::string& t) {
       std::istringstream in("sldf-faults 2\n" + t);

@@ -4,15 +4,21 @@
 // unknown names/keys/values.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
+#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "test_fixtures.hpp"
 #include "traffic/pattern.hpp"
 
 using namespace sldf;
@@ -303,6 +309,36 @@ TEST(KeyTable, SweepAndQueueCountsArePositive) {
   EXPECT_EQ(s.effective_rates().size(), 1u);
 }
 
+// wafer.latency is a channel latency: Channel::latency is 8 bits wide.
+TEST(KeyTable, WaferLatencyFitsTheChannel) {
+  ScenarioSpec s;
+  try {
+    s.set("wafer.latency", "300");
+    ADD_FAILURE() << "wafer.latency = 300 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'wafer.latency'"),
+              std::string::npos)
+        << e.what();
+  }
+  s.set("wafer.latency", "255");
+  EXPECT_EQ(s.wafer_latency, 255);
+}
+
+// Every boolean key takes 0/1 and true/false and prints 0/1.
+TEST(KeyTable, BooleansTakeEverySpelling) {
+  for (const char* key : {"fault.rescue", "tenants.isolation"}) {
+    ScenarioSpec s;
+    s.set(key, "false");
+    EXPECT_EQ(s.to_kv().at(key), "0") << key;
+    s.set(key, "true");
+    EXPECT_EQ(s.to_kv().count(key), 0u) << key << " = 1 is the default";
+    s.set(key, "0");
+    s.set(key, "1");
+    EXPECT_TRUE(s.fault.rescue && s.tenants_isolation) << key;
+    EXPECT_THROW(s.set(key, "2"), std::invalid_argument) << key;
+  }
+}
+
 // ----------------------------------------------------------------- parsing ---
 
 TEST(ScenarioParse, CliFlagsBecomeSpec) {
@@ -396,6 +432,53 @@ TEST(ScenarioParse, SyntaxErrorsReportLineNumbers) {
                std::invalid_argument);
 }
 
+// Mutation fuzz of the scenario grammar over every shipped config: each
+// mutant parses or fails with a typed error (std::invalid_argument or a
+// ScenarioError such as a FaultError), never another exception or a
+// crash. Mutants are only parsed: a mutated `topo.g` or `plane.count`
+// could ask for millions of routers.
+TEST(ScenarioParse, ConfigMutantsParseOrThrowTypedError) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> configs;
+  for (const char* dir : {"configs", "configs/bench"})
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(SLDF_SOURCE_DIR) / dir)) {
+      if (entry.path().extension() != ".conf") continue;
+      std::ifstream in(entry.path());
+      std::stringstream text;
+      text << in.rdbuf();
+      configs.push_back(text.str());
+    }
+  ASSERT_GE(configs.size(), 20u) << "configs not found";
+
+  const std::uint64_t seed = sldf::testing::fuzz_seed(0xc0f1a5);
+  SCOPED_TRACE("SLDF_FUZZ_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  const std::string alphabet = "=[]#;,./@:-_ \n0123456789abcdefgilmnoprstuwx";
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::Error);  // mutants repeat keys: mute the warnings
+  std::size_t parsed = 0, rejected = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string m = sldf::testing::mutate(
+        configs[rng.below(configs.size())], rng, alphabet);
+    try {
+      (void)core::parse_scenario_text(m);
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const ScenarioError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant threw an untyped error: " << e.what()
+                    << "\n" << m;
+    }
+  }
+  set_log_level(level);
+  // Both outcomes occur, so the mutants reach the codecs' edges.
+  EXPECT_GT(parsed, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
 TEST(ScenarioParse, MissingFileThrows) {
   EXPECT_THROW(core::load_scenario_file("/nonexistent/sldf.conf"),
                std::runtime_error);
@@ -451,6 +534,43 @@ TEST(TopologyRegistry, UnknownNameAndParameterThrow) {
   EXPECT_THROW(core::TopologyRegistry::instance().build("tiny-swless", net,
                                                         bad_value),
                std::invalid_argument);
+}
+
+// Each topology option is range-checked against the field that stores it:
+// `g` is an int, and a link latency ends up in Channel::latency's 8 bits.
+TEST(TopologyRegistry, OptionsFitTheirFields) {
+  const auto build = [](const char* topology, const std::string& key,
+                        const char* value) {
+    core::TopoConfig cfg;
+    cfg.params[key] = value;
+    sim::Network net;
+    core::TopologyRegistry::instance().build(topology, net, cfg);
+  };
+  const struct {
+    const char* topology;
+    const char* key;
+    const char* value;
+  } bad[] = {{"tiny-swless", "g", "4294967301"},
+             {"tiny-swless", "lr_latency", "300"},
+             {"tiny-swless", "onchip_latency", "0"},
+             {"tiny-swless", "io_converters", "2"},
+             {"swdf", "global_latency", "256"},
+             {"cgroup-mesh", "sr_latency", "300"},
+             {"crossbar", "term_latency", "300"}};
+  for (const auto& b : bad) {
+    try {
+      build(b.topology, b.key, b.value);
+      ADD_FAILURE() << b.topology << " accepted " << b.key << " = "
+                    << b.value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("option '") + b.key +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  build("tiny-swless", "lr_latency", "255");
+  build("tiny-swless", "io_converters", "false");
 }
 
 TEST(TopologyRegistry, RejectsUnsupportedModeAndScheme) {

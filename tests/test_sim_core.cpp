@@ -83,6 +83,20 @@ TEST(SimCore, ZeroLoadLatencyIsDeterministic) {
   EXPECT_TRUE(r1.drained);
 }
 
+// Channel::latency is 8 bits wide: a longer latency must fail the build
+// instead of wrapping (300 cycles would run as 44).
+TEST(SimCore, ChannelLatencyFitsItsEightBits) {
+  Network net;
+  const NodeId a = net.add_router(NodeKind::Core);
+  const NodeId b = net.add_router(NodeKind::Core);
+  EXPECT_THROW(net.add_channel(a, b, LinkType::OnChip, 0),
+               std::invalid_argument);
+  EXPECT_THROW(net.add_channel(a, b, LinkType::OnChip, 256),
+               std::invalid_argument);
+  EXPECT_EQ(net.chan(net.add_channel(a, b, LinkType::OnChip, 255)).latency,
+            255);
+}
+
 TEST(SimCore, LatencyGrowsWithChannelLatency) {
   double lat[2];
   for (int i = 0; i < 2; ++i) {

@@ -4,6 +4,8 @@
 // failure modes (dependency cycles, malformed graphs).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
 #include "topo/hier.hpp"
@@ -332,6 +334,49 @@ TEST(WorkloadRegistry, UnknownOptionThrows) {
       make_workload("ring-allreduce", net, {{"bogus", "1"}}, env),
       std::invalid_argument);
   EXPECT_THROW(make_workload("nope", net, {}, env), std::invalid_argument);
+}
+
+// The request-reply seed is 64 bits wide like trace.seed: a seed that
+// differs from 1 only above bit 31 must change the arrivals, not wrap to 1.
+TEST(WorkloadRegistry, RequestReplySeedsTakeTheFullUnsignedRange) {
+  const auto net = tiny_net();
+  const auto arrivals = [&net](const char* key, const char* seed) {
+    core::ScenarioSpec spec;
+    spec.topology = "tiny-swless";
+    spec.workload = "request-reply";
+    spec.set(key, seed);
+    std::vector<std::tuple<ChipId, ChipId, Cycle>> out;
+    for (const auto& m : core::make_workload_graph(spec, net).messages)
+      out.emplace_back(m.src, m.dst, m.issue);
+    return out;
+  };
+  for (const char* key : {"trace.seed", "workload.seed"})
+    EXPECT_NE(arrivals(key, "4294967297"), arrivals(key, "1")) << key;
+  EXPECT_THROW(arrivals("workload.seed", "-1"), std::invalid_argument);
+}
+
+// Runner keys are range-checked like every option: sizes and clocks are
+// positive, the horizon is a positive cycle count.
+TEST(WorkloadScenario, RunnerKeysRejectOutOfRangeValues) {
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{{"flit_bytes", "0"},
+                                                        {"freq_ghz", "nan"},
+                                                        {"max_cycles", "0"},
+                                                        {"max_cycles", "-5"},
+                                                        {"kib", "0"}}) {
+    core::ScenarioSpec spec;
+    spec.topology = "tiny-swless";
+    spec.workload = "all-to-all";
+    spec.workload_opts[key] = value;
+    try {
+      (void)core::make_workload_graph(spec, tiny_net());
+      ADD_FAILURE() << key << "=" << value << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("option '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(WorkloadScenario, KeysRoundTrip) {

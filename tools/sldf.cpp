@@ -37,6 +37,7 @@
 #include "common/parallel.hpp"
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
+#include "sim/simulator.hpp"
 #include "trace/trace.hpp"
 #include "traffic/pattern.hpp"
 #include "workload/registry.hpp"
@@ -104,7 +105,7 @@ void print_usage() {
       "  --shards=N shards each simulation across N threads (deterministic\n"
       "  engine; results are bit-identical for every N). auto/0 (default)\n"
       "  uses SLDF_SHARDS if set, else the usable cores on cycles after one\n"
-      "  that moved at least 2560 flits or walked at least 1280 routers (1\n"
+      "  that moved at least %llu flits or walked at least %zu routers (1\n"
       "  per worker when points or series run concurrently). Use shards for\n"
       "  one big point, threads for many.\n"
       "\n"
@@ -118,7 +119,8 @@ void print_usage() {
       "  All jobs execute in ONE simulation; the report is per-tenant TTC,\n"
       "  p50/p99 message latency, GB/s/chip, and (with tenants.isolation=1,\n"
       "  the default) the interference ratio vs running alone.\n",
-      line.c_str());
+      line.c_str(), static_cast<unsigned long long>(sim::kShardGateFlits),
+      sim::kShardGateRouters);
 }
 
 void print_entry_options(const std::vector<core::OptionDoc>& options) {
@@ -144,7 +146,7 @@ void print_registries() {
   std::printf(
       "\nworkloads (closed-loop; options: workload.<opt>=value,\n"
       "plus runner keys accepted by every workload):\n");
-  print_entry_options(workload::runner_option_docs());
+  print_entry_options(core::option_docs(workload::runner_options()));
   print_registry(workload::WorkloadRegistry::instance());
   std::printf(
       "\nroute modes:  minimal | valiant | adaptive\n"
