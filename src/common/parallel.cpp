@@ -28,7 +28,6 @@ unsigned usable_cores() {
 
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& fn) {
-  if (threads == 0) threads = usable_cores();
   threads = std::min(threads, n);
   if (threads <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);

@@ -1,6 +1,6 @@
 // Host parallelism: the one usable-core count behind every `auto` thread or
-// shard default, and parallel_for for independent tasks (sweep points,
-// scenario series). Each task owns its Network/Rng, so runs stay
+// shard default, and parallel_for for independent tasks (the simulations
+// of core::run_batch). Each task owns its Network/Rng, so runs stay
 // deterministic regardless of scheduling.
 #pragma once
 
@@ -15,10 +15,10 @@ namespace sldf {
 /// least 1. The one core count behind every `auto` thread/shard default.
 unsigned usable_cores();
 
-/// Runs fn(i) for i in [0, n) on `threads` threads (0 = usable_cores(),
-/// the calling thread included), handing out indices in ascending order,
-/// and returns once all have finished. The first exception a task throws
-/// propagates out of parallel_for after the rest have run.
+/// Runs fn(i) for i in [0, n) on `threads` threads (the calling thread
+/// included), handing out indices in ascending order, and returns once all
+/// have finished. The first exception a task throws propagates out of
+/// parallel_for after the rest have run.
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& fn);
 

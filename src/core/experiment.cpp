@@ -18,12 +18,11 @@ sim::SimConfig worker_config(sim::SimConfig sc, unsigned workers) {
   return sc;
 }
 
-sim::SimConfig point_config(const SweepConfig& cfg, std::size_t i,
-                            unsigned threads) {
+sim::SimConfig point_config(const SweepConfig& cfg, std::size_t i) {
   sim::SimConfig sc = cfg.base;
   sc.inj_rate_per_chip = cfg.rates[i];
   sc.seed = cfg.base.seed + i;
-  return worker_config(sc, threads);
+  return sc;
 }
 
 std::vector<double> linspace_rates(double max, int n) {
@@ -33,19 +32,6 @@ std::vector<double> linspace_rates(double max, int n) {
     r.push_back(max * static_cast<double>(i) / static_cast<double>(n));
   return r;
 }
-
-namespace {
-
-/// The early-stop rule: the point's latency exceeds stop_latency_factor x
-/// the zero-load (first point) latency.
-bool saturated(const SweepConfig& cfg, const SweepSeries& s,
-               const SweepPoint& pt) {
-  const double zero_load = s.points.front().res.avg_latency;
-  return cfg.stop_latency_factor > 0 && zero_load > 0 &&
-         pt.res.avg_latency > zero_load * cfg.stop_latency_factor;
-}
-
-}  // namespace
 
 SweepSeries run_points(const std::string& label, sim::Network& net,
                        sim::TrafficSource& traffic, const SweepConfig& cfg) {
@@ -57,46 +43,9 @@ SweepSeries run_points(const std::string& label, sim::Network& net,
   for (std::size_t i = 0; i < cfg.rates.size(); ++i) {
     SweepPoint& pt = series.points.emplace_back();
     pt.rate = cfg.rates[i];
-    pt.res = sim::run_sim(ctx, net, point_config(cfg, i, 1), traffic);
-    if (saturated(cfg, series, pt)) break;  // the paper's curves end here too
-  }
-  return series;
-}
-
-SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
-                      const TrafficFactory& make_traffic,
-                      const SweepConfig& cfg) {
-  // Workers beyond the point count would only idle, and would keep a lone
-  // point from sharding over the cores they leave unused.
-  const auto threads = static_cast<unsigned>(
-      std::min<std::size_t>(resolve_threads(cfg.threads),
-                            std::max<std::size_t>(cfg.rates.size(), 1)));
-  if (threads <= 1) {
-    sim::Network net;
-    make_net(net);
-    auto traffic = make_traffic(net);
-    return run_points(label, net, *traffic, cfg);
-  }
-
-  // Parallel: every point owns a freshly built network (deterministic).
-  // Each task writes only its own series.points[i], so no locking is needed.
-  SweepSeries series;
-  series.label = label;
-  series.points.resize(cfg.rates.size());
-  parallel_for(cfg.rates.size(), threads, [&](std::size_t i) {
-    sim::Network net;
-    make_net(net);
-    auto traffic = make_traffic(net);
-    SweepPoint& pt = series.points[i];
-    pt.rate = cfg.rates[i];
-    pt.res = sim::run_sim(net, point_config(cfg, i, threads), *traffic);
-  });
-  // Apply the early-stop rule post hoc for consistent output.
-  for (std::size_t i = 0; i < series.points.size(); ++i) {
-    if (saturated(cfg, series, series.points[i])) {
-      series.points.resize(i + 1);
-      break;
-    }
+    pt.res = sim::run_sim(ctx, net, point_config(cfg, i), traffic);
+    if (cfg.saturated(series.points.front().res, pt.res))
+      break;  // the paper's curves end here too
   }
   return series;
 }

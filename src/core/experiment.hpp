@@ -16,7 +16,6 @@
 
 namespace sldf::core {
 
-using NetFactory = std::function<void(sim::Network&)>;
 using TrafficFactory =
     std::function<std::unique_ptr<sim::TrafficSource>(const sim::Network&)>;
 
@@ -26,26 +25,27 @@ struct SweepConfig {
   /// Stop the sweep once avg latency exceeds this multiple of the
   /// zero-load (first point) latency. 0 disables early stopping.
   double stop_latency_factor = 8.0;
-  /// Number of worker threads; each builds its own network. 1 = serial
-  /// (network + engine context built once and reused across points);
-  /// 0 = auto (usable_cores()).
-  unsigned threads = 1;
+
+  /// The early-stop rule: `pt`'s latency exceeds stop_latency_factor x the
+  /// zero-load latency, `first`'s (the sweep's first point).
+  [[nodiscard]] bool saturated(const sim::SimResult& first,
+                               const sim::SimResult& pt) const {
+    return stop_latency_factor > 0 && first.avg_latency > 0 &&
+           pt.avg_latency > first.avg_latency * stop_latency_factor;
+  }
 };
 
 /// `sc` for one of `workers` concurrent runs (>= 1) sharing the host. With
 /// more than one worker the workers already fill the cores, so an `auto`
 /// shard count resolves as if each worker had one core
 /// (sim::resolve_shards(shards, 1)): workers x shards never exceeds the
-/// cores unless `shards` or `SLDF_SHARDS` asks for it explicitly. Sweep
-/// points (point_config) and `sldf --series-threads` series of every kind
-/// resolve through it.
+/// cores unless `shards` or `SLDF_SHARDS` asks for it explicitly. Every
+/// simulation of run_batch() resolves through it.
 sim::SimConfig worker_config(sim::SimConfig sc, unsigned workers);
 
-/// The engine config of sweep point `i` when the sweep runs on `threads`
-/// workers (resolved, >= 1): `base` with the point's rate and seed
-/// (base seed + i), through worker_config().
-sim::SimConfig point_config(const SweepConfig& cfg, std::size_t i,
-                            unsigned threads);
+/// The engine config of sweep point `i`: `base` with the point's rate and
+/// seed (base seed + i).
+sim::SimConfig point_config(const SweepConfig& cfg, std::size_t i);
 
 struct SweepPoint {
   double rate = 0.0;
@@ -57,14 +57,9 @@ struct SweepSeries {
   std::vector<SweepPoint> points;
 };
 
-/// Runs one latency/throughput sweep.
-SweepSeries run_sweep(const std::string& label, const NetFactory& make_net,
-                      const TrafficFactory& make_traffic,
-                      const SweepConfig& cfg);
-
 /// Runs cfg's points in order on one already-built network, reusing one
 /// engine context, and stops after the first point past the early-stop
-/// rule: run_sweep's serial path, and run_series's on a cached network.
+/// rule: run_series's sweep on `sldf --serve`'s cached network.
 SweepSeries run_points(const std::string& label, sim::Network& net,
                        sim::TrafficSource& traffic, const SweepConfig& cfg);
 

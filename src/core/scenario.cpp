@@ -1,7 +1,12 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <exception>
 #include <fstream>
+#include <limits>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +16,7 @@
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/strfmt.hpp"
 #include "sim/network.hpp"
 #include "topo/composite.hpp"
@@ -159,6 +165,9 @@ ScenarioKey tenant_opts(const char* help, const char* def) {
           }};
 }
 
+/// An offered load: finite and not negative.
+constexpr Num kLoad{0.0, std::numeric_limits<double>::max()};
+
 bool rates_unset(const ScenarioSpec& s) { return s.rates.empty(); }
 bool planes_engaged(const ScenarioSpec& s) { return s.plane_count > 0; }
 bool wafers_engaged(const ScenarioSpec& s) { return s.wafer_count > 0; }
@@ -227,10 +236,10 @@ std::span<const ScenarioKey> scenario_key_table() {
                  "(see Workloads)",
                  "workload defaults", &ScenarioSpec::workload_opts),
       fixed("rates", "Explicit offered loads, comma-separated (rate sweeps)",
-            [](auto& s) -> auto& { return s.rates; }, List<Num>{},
+            [](auto& s) -> auto& { return s.rates; }, List<Num>{kLoad},
             {.elide_default = true, .def = "unset"}),
       fixed("max_rate", "With `points`, linspace(0, max] when `rates` is unset",
-            [](auto& s) -> auto& { return s.max_rate; }, Num{},
+            [](auto& s) -> auto& { return s.max_rate; }, kLoad,
             {.when = rates_unset}),
       fixed("points", "Sweep points when `rates` is unset",
             [](auto& s) -> auto& { return s.points; }, Int<int>{1},
@@ -238,19 +247,15 @@ std::span<const ScenarioKey> scenario_key_table() {
       fixed("stop_factor",
             "Early-stop when latency exceeds this x zero-load latency",
             [](auto& s) -> auto& { return s.stop_latency_factor; }, Num{}),
-      fixed("threads",
-            "Sweep-point parallelism within one series (`auto`/0 = usable "
-            "cores)",
-            [](auto& s) -> auto& { return s.threads; }, AutoCount<unsigned>{}),
-      // Orthogonal to `threads`: threads parallelizes across sweep points,
-      // shards inside each simulation (sim::resolve_shards).
+      // Orthogonal to `sldf --threads`, which runs simulations side by
+      // side: shards parallelize inside each one (sim::resolve_shards).
       fixed("shards",
             "Intra-simulation engine shards — N threads per simulation, "
             "bit-identical results for every N (`auto`/0 = `SLDF_SHARDS` env, "
             "else the usable cores, used only on cycles after one that moved "
             "at least `sim::kShardGateFlits` flits or walked at least "
-            "`sim::kShardGateRouters` routers; 1 per worker when "
-            "`threads` > 1)",
+            "`sim::kShardGateRouters` routers; 1 per simulation when "
+            "`sldf --threads` > 1)",
             [](auto& s) -> auto& { return s.sim.shards; }, AutoCount<int>{}),
       fixed("warmup", "Warmup cycles (Table IV: 5000)",
             [](auto& s) -> auto& { return s.sim.warmup; }, Int<Cycle>{0}),
@@ -580,18 +585,7 @@ SweepConfig sweep_config(const ScenarioSpec& spec) {
   cfg.rates = spec.effective_rates();
   cfg.base = spec.sim;
   cfg.stop_latency_factor = spec.stop_latency_factor;
-  cfg.threads = spec.threads;
   return cfg;
-}
-
-SweepSeries run_scenario(const ScenarioSpec& spec) {
-  if (!spec.workload.empty())
-    throw std::invalid_argument(
-        "run_scenario: spec selects workload '" + spec.workload +
-        "' — use run_workload_scenario()");
-  return run_sweep(
-      spec.label, [&spec](sim::Network& net) { build_network(net, spec); },
-      traffic_factory(spec), sweep_config(spec));
 }
 
 workload::WorkloadRunConfig workload_run_config(const ScenarioSpec& spec,
@@ -798,13 +792,122 @@ SeriesResult series_of(const ScenarioSpec& spec,
   return trace::to_series(r);
 }
 
+/// One spec of a batch and what its simulations left, each result or
+/// error set once it ran: a rate sweep (`points` not empty) runs one per
+/// rate, a workload or a tenant spec one.
+struct Job {
+  const ScenarioSpec* spec;
+  SweepConfig cfg;
+  std::vector<std::optional<SweepPoint>> points;
+  std::vector<std::exception_ptr> errors;
+  workload::WorkloadResult workload;
+  trace::MultiTenantResult tenants;
+
+  explicit Job(const ScenarioSpec& s)
+      : spec(&s),
+        cfg(sweep_config(s)),
+        points(s.tenants > 0 || !s.workload.empty() ? 0 : cfg.rates.size()),
+        errors(std::max<std::size_t>(points.size(), 1)) {}
+  /// Whether an earlier point failed or is past the stop rule, which cuts
+  /// point i from the series. Read under the batch's lock.
+  [[nodiscard]] bool cut_before(std::size_t i) const {
+    for (std::size_t j = 0; j < i; ++j)
+      if (errors[j] || (points[0] && points[j] &&
+                        cfg.saturated(points[0]->res, points[j]->res)))
+        return true;
+    return false;
+  }
+};
+
+/// Runs the jobs' simulations in one pool of `threads` workers (0 = the
+/// usable cores), handed out in job order and a sweep's in rate order, so
+/// one worker runs them as a serial loop would.
+void run_jobs(std::vector<Job>& jobs, unsigned threads) {
+  std::vector<std::pair<Job*, std::size_t>> tasks;
+  for (Job& job : jobs)
+    for (std::size_t i = 0; i < job.errors.size(); ++i)
+      tasks.emplace_back(&job, i);
+  // Workers beyond the task count would only idle, and would keep a lone
+  // simulation from sharding over the cores they leave unused.
+  const auto workers = static_cast<unsigned>(
+      std::min<std::size_t>(resolve_threads(threads), tasks.size()));
+  std::mutex mu;
+  parallel_for(tasks.size(), workers, [&](std::size_t k) {
+    auto [job, i] = tasks[k];
+    if (const std::lock_guard lock(mu); job->cut_before(i)) return;
+    ScenarioSpec spec = *job->spec;
+    spec.sim = worker_config(spec.sim, workers);
+    try {
+      if (spec.tenants > 0) {
+        job->tenants = trace::run_tenant_scenario(spec);
+      } else if (!spec.workload.empty()) {
+        job->workload = run_workload_scenario(spec);
+      } else {
+        sim::Network net;
+        build_network(net, spec);
+        SweepPoint pt{job->cfg.rates[i],
+                      sim::run_sim(net, point_config(sweep_config(spec), i),
+                                   *traffic_factory(spec)(net))};
+        const std::lock_guard lock(mu);
+        job->points[i] = std::move(pt);
+      }
+    } catch (...) {
+      const std::lock_guard lock(mu);
+      job->errors[i] = std::current_exception();
+    }
+  });
+}
+
+/// A sweep job's points in rate order, cut after the first past the stop
+/// rule (the paper's curves end there too); rethrows the first failure.
+SweepSeries sweep_of(const Job& job) {
+  SweepSeries series{job.spec->label, {}};
+  for (std::size_t i = 0; i < job.points.size(); ++i) {
+    if (job.errors[i]) std::rethrow_exception(job.errors[i]);
+    const SweepPoint& pt = series.points.emplace_back(*job.points[i]);
+    if (job.cfg.saturated(series.points[0].res, pt.res)) break;
+  }
+  return series;
+}
+
+/// The job's series result; rethrows its failure.
+SeriesResult series_of(const Job& job) {
+  if (!job.points.empty()) return series_of(*job.spec, sweep_of(job));
+  if (job.errors[0]) std::rethrow_exception(job.errors[0]);
+  if (job.spec->tenants > 0) return series_of(*job.spec, job.tenants);
+  return series_of(*job.spec, job.workload);
+}
+
 }  // namespace
 
+SweepSeries run_scenario(const ScenarioSpec& spec, unsigned threads) {
+  std::vector<Job> jobs{Job(spec)};
+  if (jobs[0].points.empty())
+    throw std::invalid_argument("run_scenario: series '" + spec.label +
+                                "' is not a rate sweep; use run_series()");
+  run_jobs(jobs, threads);
+  return sweep_of(jobs[0]);
+}
+
+std::vector<SeriesOutcome> run_batch(const std::vector<ScenarioSpec>& specs,
+                                     unsigned threads) {
+  std::vector<Job> jobs(specs.begin(), specs.end());
+  run_jobs(jobs, threads);
+  std::vector<SeriesOutcome> out(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    try {
+      out[i].result = series_of(jobs[i]);
+    } catch (const std::exception& e) {
+      out[i].error = e.what();
+    }
+  }
+  return out;
+}
+
 SeriesResult run_series(const ScenarioSpec& spec) {
-  if (spec.tenants > 0)
-    return series_of(spec, trace::run_tenant_scenario(spec));
-  if (spec.workload.empty()) return series_of(spec, run_scenario(spec));
-  return series_of(spec, run_workload_scenario(spec));
+  std::vector<Job> jobs{Job(spec)};
+  run_jobs(jobs, 1);
+  return series_of(jobs[0]);
 }
 
 SeriesResult run_series(const ScenarioSpec& spec, sim::Network& net) {

@@ -1,7 +1,7 @@
 // Declarative scenario layer: one ScenarioSpec names everything the paper's
 // evaluation grid varies — topology preset (+ param overrides), routing
 // mode, VC scheme, traffic pattern (+ options), and the sweep — and
-// run_scenario() executes it through the registries. Specs parse from
+// run_batch() executes specs through the registries. Specs parse from
 // `--key=value` CLI flags and from a `key = value` config-file format with
 // `[series NAME]` sections, so every figure is a config file instead of a
 // hand-wired main().
@@ -33,7 +33,7 @@ struct ScenarioSpec {
   KvMap traffic_opts;  ///< Pattern options, config keys `traffic.<opt>`.
   /// WorkloadRegistry key; non-empty switches the scenario from open-loop
   /// rate sweeps to one closed-loop message-level run (rates/max_rate/
-  /// points/stop_factor/threads are then ignored).
+  /// points/stop_factor are then ignored).
   std::string workload;
   KvMap workload_opts;  ///< Generator + runner options, keys `workload.<opt>`.
   /// Fault injection (config keys `fault.rate` / `fault.kind` /
@@ -92,7 +92,6 @@ struct ScenarioSpec {
   double max_rate = 1.0;
   int points = 6;
   double stop_latency_factor = 8.0;  ///< See SweepConfig.
-  unsigned threads = 1;  ///< Sweep-point parallelism (0 = auto; see set()).
   sim::SimConfig sim;                ///< Cycle counts, packet length, seed.
 
   /// Applies one `key = value` setting through its scenario_key_table()
@@ -172,14 +171,13 @@ void build_network(sim::Network& net, const ScenarioSpec& spec);
 /// The spec's traffic pattern on a built network.
 TrafficFactory traffic_factory(const ScenarioSpec& spec);
 
-/// The spec's sweep: its rates, engine config, early-stop factor and
-/// point parallelism.
+/// The spec's sweep: its rates, engine config and early-stop factor.
 SweepConfig sweep_config(const ScenarioSpec& spec);
 
 /// Runs the spec's sweep through the registries (label, net, traffic,
-/// rates, sim config all from the spec). Requires a rate-sweep spec
-/// (workload empty).
-SweepSeries run_scenario(const ScenarioSpec& spec);
+/// rates, sim config all from the spec) on run_batch()'s pool of
+/// `threads` workers. Requires a rate-sweep spec (no workload or tenants).
+SweepSeries run_scenario(const ScenarioSpec& spec, unsigned threads = 1);
 
 /// Builds the runner config from spec.sim + the runner keys in
 /// spec.workload_opts (`workload.flit_bytes` / `.freq_ghz` /
@@ -226,11 +224,24 @@ SeriesResult to_series(const ScenarioSpec& spec,
 /// workload name, so a misspelled name fails before any series runs.
 std::vector<std::string> series_header(const ScenarioSpec& spec);
 
-/// Runs the spec as the kind its keys select — a multi-tenant run
-/// (`tenants` > 0), a closed-loop workload or a rate sweep — and reports
-/// it as one SeriesResult. A fault event at or past the cycle a sweep
-/// point's or workload's run ended never fired: this warns once per
-/// series, naming the first such event and the run's last cycle.
+/// One series of a batch: its result, or why it failed.
+struct SeriesOutcome {
+  SeriesResult result;
+  std::string error;  ///< Empty when the series ran.
+};
+
+/// Runs each spec as the kind its keys select — a multi-tenant run
+/// (`tenants` > 0), a closed-loop workload or a rate sweep — and returns
+/// its SeriesResult or error, in `specs` order. Each sweep point, workload
+/// run and tenant run is one simulation on a network of its own, all run
+/// by one pool of `threads` workers (0 = usable_cores()) through
+/// worker_config(). A sweep is cut after its first failed or saturated
+/// point, so every thread count reports what one worker runs. Warns once
+/// per series about a fault event at or past the cycle its run ended:
+/// that event never fired.
+std::vector<SeriesOutcome> run_batch(const std::vector<ScenarioSpec>& specs,
+                                     unsigned threads);
+/// run_batch()'s one-spec, one-worker case; a failure throws.
 SeriesResult run_series(const ScenarioSpec& spec);
 /// The same on an already-built network of the spec (`sldf --serve`'s
 /// cached one), sweep points in order (run_points). Multi-tenant specs

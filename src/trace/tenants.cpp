@@ -1,9 +1,7 @@
 #include "trace/tenants.hpp"
 
 #include <algorithm>
-#include <sstream>
 
-#include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -16,29 +14,15 @@ namespace {
 /// `tenant<i>.chips` value: a comma means an explicit id list, otherwise
 /// a count to allocate.
 void parse_chips(const std::string& value, TenantSpec& t) {
-  if (value.find(',') != std::string::npos) {
-    std::stringstream ss(value);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      item = Cli::trim(item);
-      if (item.empty()) continue;
-      long v = 0;
-      if (!Cli::parse_long(item, v) || v < 0)
-        throw ScenarioError(t.name + ".chips: expected a chip id, got '" +
-                            item + "'");
-      t.explicit_chips.push_back(static_cast<ChipId>(v));
-    }
-    if (t.explicit_chips.empty())
-      throw ScenarioError(t.name + ".chips: empty chip list");
-    return;
+  const std::string what = "scenario key '" + t.name + ".chips'";
+  try {
+    if (value.find(',') != std::string::npos)
+      t.explicit_chips = core::List<core::Int<ChipId>>{{0}}.parse(what, value);
+    else
+      t.count = core::Int<int>{1}.parse(what, value);
+  } catch (const std::invalid_argument& e) {
+    throw ScenarioError(e.what());
   }
-  long v = 0;
-  if (!Cli::parse_long(value, v) || v < 1)
-    throw ScenarioError(t.name +
-                        ".chips: expected a chip count >= 1 or a "
-                        "comma-separated id list, got '" +
-                        value + "'");
-  t.count = static_cast<int>(v);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/strfmt.hpp"
 #include "trace/trace.hpp"
 #include "workload/collectives.hpp"
 
@@ -13,8 +14,14 @@ namespace {
 
 using core::option;
 
-std::uint64_t kib_to_flits(double kib, const WorkloadEnv& env) {
+/// `kib` KiB in flits of the env's size; a payload past 2^64 - 1 flits
+/// is rejected naming `option` of workload `name`.
+std::uint64_t kib_to_flits(double kib, const WorkloadEnv& env,
+                           const char* name, const char* option) {
   const double flits = std::ceil(kib * 1024.0 / env.flit_bytes);
+  if (!(flits < 0x1p64))
+    core::reject(strf("workload '%s': option '%s'", name, option),
+                 "a payload of at most 2^64 - 1 flits", core::format_num(kib));
   return flits < 1.0 ? 1 : static_cast<std::uint64_t>(flits);
 }
 
@@ -69,7 +76,8 @@ void add_collective(WorkloadRegistry& reg, const char* name,
                                       const WorkloadEnv& env) {
             const Collective o =
                 core::read_options(rows, defaults, opts, context(name));
-            return gen(net, o, kib_to_flits(o.kib, env), env.chips);
+            return gen(net, o, kib_to_flits(o.kib, env, name, "kib"),
+                       env.chips);
           });
 }
 
@@ -199,7 +207,8 @@ WorkloadRegistry::WorkloadRegistry() {
         const auto chips = replay_chips(net, env, -1);
         const trace::Trace t = trace::request_reply_trace(
             static_cast<std::int32_t>(chips.size()), o.requests,
-            kib_to_flits(o.req_kib, env), kib_to_flits(o.rep_kib, env), o.gap,
+            kib_to_flits(o.req_kib, env, "request-reply", "req_kib"),
+            kib_to_flits(o.rep_kib, env, "request-reply", "rep_kib"), o.gap,
             o.seed);
         auto g = trace::to_graph(t, net, chips, "workload 'request-reply'");
         g.name = "request-reply";

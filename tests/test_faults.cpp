@@ -358,14 +358,13 @@ TEST(FaultScenario, RepeatRunsAndThreadCountsAreBitIdentical) {
   spec.fault.seed = 5;
   const auto serial1 = core::run_scenario(spec);
   const auto serial2 = core::run_scenario(spec);
-  auto par = spec;
-  par.threads = 0;  // auto
-  par.sim = core::worker_config(par.sim, 2);  // as one of two series
-  const auto parallel = core::run_scenario(par);
+  const auto parallel = core::run_scenario(spec, 0);  // auto
+  const auto two = core::run_scenario(spec, 2);  // 1 shard per simulation
   ASSERT_EQ(serial1.points.size(), serial2.points.size());
   ASSERT_EQ(serial1.points.size(), parallel.points.size());
+  ASSERT_EQ(serial1.points.size(), two.points.size());
   for (std::size_t i = 0; i < serial1.points.size(); ++i) {
-    for (const auto* other : {&serial2, &parallel}) {
+    for (const auto* other : {&serial2, &parallel, &two}) {
       EXPECT_EQ(serial1.points[i].res.accepted,
                 other->points[i].res.accepted);
       EXPECT_EQ(serial1.points[i].res.avg_latency,

@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/params.hpp"
+#include "core/scenario.hpp"
 #include "model/equations.hpp"
 #include "route/routing_modes.hpp"
 #include "topo/dragonfly.hpp"
@@ -232,23 +233,28 @@ TEST(Integration, AllReduceOnMeshExceedsSwitch) {
 }
 
 TEST(Integration, SweepHarnessStopsAtSaturation) {
-  core::SweepConfig cfg;
-  cfg.rates = core::linspace_rates(3.0, 6);
-  cfg.base = quick_cfg(0);
-  cfg.stop_latency_factor = 4.0;
-  const auto series = core::run_sweep(
-      "test",
-      [](sim::Network& n) {
-        topo::build_swless_dragonfly(
-            n, small_swless(VcScheme::Baseline, RouteMode::Minimal, 3));
-      },
-      [](const sim::Network& n) { return traffic::make_pattern("uniform", n); },
-      cfg);
-  EXPECT_GE(series.points.size(), 2u);
-  EXPECT_LE(series.points.size(), 6u);
-  // Latency must be monotone-ish increasing along the sweep.
-  EXPECT_GT(series.points.back().res.avg_latency,
-            series.points.front().res.avg_latency);
+  // small_swless(Baseline, Minimal, 3) as the `swless` preset's overrides.
+  core::ScenarioSpec spec;
+  spec.label = "test";
+  spec.topology = "swless";
+  spec.topo = {{"a", "2"},           {"b", "2"},
+               {"chip_gx", "2"},     {"chip_gy", "2"},
+               {"noc_x", "1"},       {"noc_y", "1"},
+               {"ports_per_chiplet", "6"},
+               {"local_ports", "3"}, {"global_ports", "3"},
+               {"g", "3"}};
+  spec.rates = core::linspace_rates(3.0, 6);
+  spec.sim = quick_cfg(0);
+  spec.stop_latency_factor = 4.0;
+  // One worker never runs a point past the stop; two cut it after the run.
+  for (const unsigned threads : {1u, 2u}) {
+    const auto series = core::run_scenario(spec, threads);
+    EXPECT_GE(series.points.size(), 2u);
+    EXPECT_LE(series.points.size(), 6u);
+    // Latency must be monotone-ish increasing along the sweep.
+    EXPECT_GT(series.points.back().res.avg_latency,
+              series.points.front().res.avg_latency);
+  }
 }
 
 TEST(Integration, DoubledMeshWidthRaisesGlobalThroughput) {

@@ -13,7 +13,6 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
 #include "sim/network.hpp"
@@ -39,7 +38,6 @@ ScenarioSpec full_spec() {
   s.traffic_opts["bidir"] = "1";
   s.rates = {0.125, 0.25, 0.5};
   s.stop_latency_factor = 6.5;
-  s.threads = 2;
   s.sim.warmup = 123;
   s.sim.measure = 456;
   s.sim.drain = 78;
@@ -84,16 +82,12 @@ TEST(ScenarioSpec, LinspaceWhenNoExplicitRates) {
   EXPECT_DOUBLE_EQ(rates.back(), 1.0);
 }
 
-TEST(ScenarioSpec, ThreadsAcceptsAutoAndCounts) {
+// How many simulations run at once is `sldf --threads`, not part of a
+// spec: the results do not depend on it.
+TEST(ScenarioSpec, ThreadsIsNoScenarioKey) {
   ScenarioSpec s;
-  s.set("threads", "4");
-  EXPECT_EQ(s.threads, 4u);
-  s.set("threads", "auto");
-  EXPECT_EQ(s.threads, 0u);  // 0 = usable cores at run time
-  EXPECT_EQ(s.to_kv().at("threads"), "auto");
-  EXPECT_EQ(ScenarioSpec::from_kv(s.to_kv()).threads, 0u);
-  EXPECT_THROW(s.set("threads", "-2"), std::invalid_argument);
-  EXPECT_THROW(s.set("threads", "many"), std::invalid_argument);
+  EXPECT_THROW(s.set("threads", "4"), std::invalid_argument);
+  EXPECT_EQ(s.to_kv().count("threads"), 0u);
   EXPECT_GE(core::resolve_threads(0), 1u);
   EXPECT_EQ(core::resolve_threads(3), 3u);
 }
@@ -147,7 +141,6 @@ const std::map<std::string, KeySample>& key_samples() {
     add("max_rate", {"", "0.75", {}});
     add("points", {"", "3", {}});
     add("stop_factor", {"", "6.5", {}});
-    add("threads", {"", "3", {}});
     add("shards", {"", "2", {}});
     add("warmup", {"", "123", {}});
     add("measure", {"", "456", {}});
@@ -322,6 +315,30 @@ TEST(KeyTable, WaferLatencyFitsTheChannel) {
   }
   s.set("wafer.latency", "255");
   EXPECT_EQ(s.wafer_latency, 255);
+}
+
+// An offered load is finite and not negative; any other fails at parse
+// time, naming its key.
+TEST(KeyTable, OfferedLoadsAreFiniteAndNotNegative) {
+  for (const char* key : {"rates", "max_rate"}) {
+    for (const char* bad : {"-0.5", "inf", "-inf", "nan", "1e999"}) {
+      SCOPED_TRACE(std::string(key) + " = " + bad);
+      ScenarioSpec s;
+      try {
+        s.set(key, bad);
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  ScenarioSpec s;
+  s.set("rates", "0,0.5");
+  EXPECT_EQ(s.rates, (std::vector<double>{0.0, 0.5}));
+  s.set("max_rate", "0");
+  EXPECT_EQ(s.max_rate, 0.0);
 }
 
 // Every boolean key takes 0/1 and true/false and prints 0/1.
@@ -667,21 +684,21 @@ TEST(RunScenario, ParallelSeriesMatchSerial) {
   a.label = "a";
   b.label = "b";
   b.sim.seed = 2;
-  const std::vector<ScenarioSpec> specs = {a, b};
-  // `sldf --series-threads 2`'s pool: each series on its own worker, its
+  // `sldf --threads 2`'s pool: both series' points on two workers, each
   // engine config resolved through worker_config().
-  std::vector<core::SweepSeries> parallel(specs.size());
-  parallel_for(specs.size(), 2, [&](std::size_t i) {
-    ScenarioSpec spec = specs[i];
-    spec.sim = core::worker_config(spec.sim, 2);
-    parallel[i] = core::run_scenario(spec);
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto serial = core::run_scenario(specs[i]);
-    EXPECT_EQ(serial.label, parallel[i].label);
-    ASSERT_EQ(serial.points.size(), parallel[i].points.size());
-    EXPECT_DOUBLE_EQ(serial.points[0].res.avg_latency,
-                     parallel[i].points[0].res.avg_latency);
+  const auto parallel = core::run_batch({a, b}, 2);
+  ASSERT_EQ(parallel.size(), 2u);
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    const ScenarioSpec& spec = i == 0 ? a : b;
+    ASSERT_EQ(parallel[i].error, "");
+    const core::SeriesResult& got = parallel[i].result;
+    const auto serial = core::run_scenario(spec);
+    EXPECT_EQ(serial.label, got.label);
+    ASSERT_EQ(serial.points.size(), got.rows.size());
+    EXPECT_EQ(core::cell_values(core::sweep_cells(serial.label,
+                                                  serial.points[0])),
+              core::cell_values(got.rows[0]));
+    EXPECT_EQ(core::run_series(spec).totals.flit_hops, got.totals.flit_hops);
   }
 }
 
@@ -689,6 +706,51 @@ TEST(RunScenario, UnknownTopologyInSpecThrows) {
   core::ScenarioSpec s;
   s.topology = "hypercube";
   EXPECT_THROW(core::run_scenario(s), std::invalid_argument);
+}
+
+// One pool runs every simulation of a batch: at every thread count each
+// sweep is cut after its first saturated point (here 0.6, so 0.9 never
+// reports) and a failed simulation fails only its own series.
+TEST(RunBatch, EveryThreadCountReportsTheSerialSeries) {
+  ScenarioSpec sweep;
+  sweep.label = "sweep";
+  sweep.topology = "tiny-swless";
+  sweep.rates = {0.05, 0.3, 0.6, 0.9};
+  sweep.sim.warmup = 500;
+  sweep.sim.measure = 1000;
+  sweep.sim.drain = 500;
+  ScenarioSpec bad = sweep;
+  bad.label = "bad";
+  bad.topo["bogus"] = "1";
+  ScenarioSpec other = sweep;
+  other.label = "other";
+  other.sim.seed = 2;
+  const std::vector<ScenarioSpec> specs = {sweep, bad, other};
+  const auto serial = core::run_batch(specs, 1);
+  ASSERT_EQ(serial.size(), 3u);
+  EXPECT_EQ(serial[0].error, "");
+  EXPECT_EQ(serial[0].result.rows.size(), 3u);
+  EXPECT_EQ(serial[0].result.totals.points, 3u);
+  EXPECT_NE(serial[1].error.find("unknown option 'bogus'"), std::string::npos)
+      << serial[1].error;
+  EXPECT_TRUE(serial[1].result.rows.empty());
+  EXPECT_EQ(serial[2].error, "");
+  for (const unsigned threads : {2u, 3u, 0u}) {
+    SCOPED_TRACE(threads);
+    const auto par = core::run_batch(specs, threads);
+    ASSERT_EQ(par.size(), serial.size());
+    for (std::size_t i = 0; i < par.size(); ++i) {
+      const core::SeriesResult& a = serial[i].result;
+      const core::SeriesResult& b = par[i].result;
+      EXPECT_EQ(par[i].error, serial[i].error);
+      EXPECT_EQ(a.rows, b.rows);
+      EXPECT_EQ(a.table, b.table);
+      EXPECT_EQ(a.totals.points, b.totals.points);
+      EXPECT_EQ(a.totals.cycles, b.totals.cycles);
+      EXPECT_EQ(a.totals.flit_hops, b.totals.flit_hops);
+      EXPECT_EQ(a.totals.delivered, b.totals.delivered);
+    }
+  }
 }
 
 // ------------------------------------------------------------- run_series ---

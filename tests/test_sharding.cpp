@@ -188,21 +188,23 @@ TEST(ResolveShards, SweepWorkersResolveAutoToOne) {
   core::SweepConfig cfg;
   cfg.rates = {0.1, 0.2};
   cfg.base.seed = 7;
-  const sim::SimConfig serial = core::point_config(cfg, 1, 1);
+  const sim::SimConfig serial =
+      core::worker_config(core::point_config(cfg, 1), 1);
   EXPECT_EQ(serial.shards, 0);  // a lone worker keeps auto
   EXPECT_EQ(serial.seed, 8u);
   EXPECT_EQ(serial.inj_rate_per_chip, 0.2);
-  EXPECT_EQ(core::point_config(cfg, 0, 2).shards, 1);
+  EXPECT_EQ(core::worker_config(core::point_config(cfg, 0), 2).shards, 1);
   cfg.base.shards = 3;  // explicit counts are honoured
-  EXPECT_EQ(core::point_config(cfg, 0, 2).shards, 3);
+  EXPECT_EQ(core::worker_config(core::point_config(cfg, 0), 2).shards, 3);
   cfg.base.shards = 0;
   setenv("SLDF_SHARDS", "2", 1);  // so is the env override
-  EXPECT_EQ(core::point_config(cfg, 0, 2).shards, 2);
+  EXPECT_EQ(core::worker_config(core::point_config(cfg, 0), 2).shards, 2);
 }
 
-// One rule for sweep points and for `sldf --series-threads` series of
-// every kind: a lone worker keeps its config; with two workers `auto`
-// resolves to one shard, while an explicit count or SLDF_SHARDS wins.
+// One rule for every simulation of `sldf --threads`'s pool (sweep points,
+// workload and tenant runs): a lone worker keeps its config; with two
+// workers `auto` resolves to one shard, while an explicit count or
+// SLDF_SHARDS wins.
 TEST(ResolveShards, WorkerConfigSharesTheCores) {
   ScopedShardsEnv env(nullptr);
   sim::SimConfig sc;

@@ -337,20 +337,14 @@ TEST(SimCore, ReusedContextBitIdenticalToFreshContext) {
 }
 
 TEST(SimCore, SerialAndParallelSweepsBitIdentical) {
-  auto make_net = [](Network& net) {
-    build_pair(net, 4, 1, 1, /*nvcs=*/2, /*buf=*/8);
-  };
-  auto make_traffic = [](const Network&) {
-    return std::unique_ptr<TrafficSource>(new FixedTraffic(1));
-  };
-  core::SweepConfig cfg;
-  cfg.rates = {0.1, 0.4, 0.8};
-  cfg.base = determinism_cfg();
-  cfg.stop_latency_factor = 0.0;  // keep every point in both runs
-  cfg.threads = 1;
-  const auto serial = core::run_sweep("s", make_net, make_traffic, cfg);
-  cfg.threads = 4;
-  const auto parallel = core::run_sweep("p", make_net, make_traffic, cfg);
+  core::ScenarioSpec spec;
+  spec.topology = "tiny-swless";
+  spec.rates = {0.1, 0.4, 0.8};
+  spec.sim = determinism_cfg();
+  spec.stop_latency_factor = 0.0;  // keep every point in both runs
+  const auto serial = core::run_scenario(spec, 1);
+  const auto parallel = core::run_scenario(spec, 4);
+  ASSERT_EQ(serial.points.size(), 3u);
   ASSERT_EQ(serial.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
     EXPECT_EQ(serial.points[i].rate, parallel.points[i].rate);

@@ -176,6 +176,31 @@ TEST(TenantKeys, ExplicitChipListAndErrors) {
                std::invalid_argument);
 }
 
+// A chip count (an int) or id (a ChipId) past its field fails naming the
+// key and the allowed range, instead of wrapping to a smaller value.
+TEST(TenantKeys, ChipsFitTheirFields) {
+  for (const auto& [chips, range] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"4294967298", "[1, 2147483647]"},
+           {"0", "[1, 2147483647]"},
+           {"0,4294967297", "[0, 2147483647]"},
+           {"3,-1", "[0, 2147483647]"}}) {
+    SCOPED_TRACE(chips);
+    core::ScenarioSpec spec;
+    spec.set("tenants", "1");
+    spec.set("tenant0.workload", "all-to-all");
+    spec.set("tenant0.chips", chips);
+    try {
+      (void)tenant_specs(spec);
+      ADD_FAILURE() << "accepted";
+    } catch (const ScenarioError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'tenant0.chips'"), std::string::npos) << what;
+      EXPECT_NE(what.find(range), std::string::npos) << what;
+    }
+  }
+}
+
 // ---- fault-emptied chip groups (structured error) ------------------------
 
 TEST(TenantFaults, EmptiedScopeGroupIsScenarioError) {

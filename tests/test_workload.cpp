@@ -214,22 +214,30 @@ TEST(WorkloadRun, IdleSkipBitIdenticalOnClosedLoopDrainTail) {
   }
 }
 
-TEST(WorkloadRun, ThreadsKeyDoesNotAffectResults) {
-  // A workload series runs one closed-loop simulation regardless of the
-  // sweep-parallelism key; threads=1 and threads=auto must be
-  // bit-identical.
+TEST(WorkloadRun, ThreadCountDoesNotAffectResults) {
+  // A workload series is one closed-loop simulation, one task of the
+  // batch's pool; 1 worker, 2 workers (a rate sweep beside it) and
+  // auto must agree.
   core::ScenarioSpec spec;
   spec.topology = "tiny-swless";
   spec.workload = "ring-allreduce";
   spec.workload_opts["scope"] = "cgroup";
   spec.workload_opts["kib"] = "8";
-  spec.threads = 1;
-  const auto a = core::run_workload_scenario(spec);
-  spec.threads = 0;  // auto
-  const auto b = core::run_workload_scenario(spec);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.flit_hops, b.flit_hops);
-  EXPECT_EQ(a.gbps_per_chip, b.gbps_per_chip);
+  core::ScenarioSpec sweep;
+  sweep.topology = "tiny-swless";
+  sweep.rates = {0.1, 0.2};
+  sweep.sim.warmup = 50;
+  sweep.sim.measure = 100;
+  sweep.sim.drain = 100;
+  const auto a = core::run_batch({spec}, 1);
+  for (const unsigned threads : {0u, 2u}) {
+    const auto b = core::run_batch({sweep, spec}, threads);
+    ASSERT_EQ(a[0].error, "");
+    ASSERT_EQ(b[1].error, "");
+    EXPECT_EQ(a[0].result.totals.cycles, b[1].result.totals.cycles);
+    EXPECT_EQ(a[0].result.totals.flit_hops, b[1].result.totals.flit_hops);
+    EXPECT_EQ(a[0].result.rows, b[1].result.rows);  // gbps_per_chip included
+  }
 }
 
 TEST(WorkloadRun, ReportsPhasesAndBandwidth) {
@@ -334,6 +342,33 @@ TEST(WorkloadRegistry, UnknownOptionThrows) {
       make_workload("ring-allreduce", net, {{"bogus", "1"}}, env),
       std::invalid_argument);
   EXPECT_THROW(make_workload("nope", net, {}, env), std::invalid_argument);
+}
+
+// A payload whose flit count does not fit 64 bits is rejected naming its
+// option: converting such a double to std::uint64_t is undefined.
+TEST(WorkloadRegistry, PayloadsPastSixtyFourBitsOfFlitsAreRejected) {
+  const auto net = tiny_net();
+  const WorkloadEnv env;
+  using Case = std::pair<const char*, const char*>;
+  for (const auto& [name, key] :
+       std::vector<Case>{{"all-to-all", "kib"},
+                         {"ring-allreduce", "kib"},
+                         {"request-reply", "req_kib"},
+                         {"request-reply", "rep_kib"}}) {
+    SCOPED_TRACE(std::string(name) + "." + key);
+    try {
+      (void)make_workload(name, net, {{key, "1e30"}}, env);
+      ADD_FAILURE() << "1e30 KiB accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("workload '") + name +
+                                           "': option '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // 2^40 KiB is 2^46 flits of 16 bytes: it fits.
+  EXPECT_NO_THROW(
+      (void)make_workload("all-to-all", net, {{"kib", "1099511627776"}}, env));
 }
 
 // The request-reply seed is 64 bits wide like trace.seed: a seed that

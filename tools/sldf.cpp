@@ -34,7 +34,6 @@
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
-#include "common/parallel.hpp"
 #include "core/docgen.hpp"
 #include "core/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -47,8 +46,8 @@ using namespace sldf;
 namespace {
 
 const std::vector<std::string> kDriverFlags = {
-    "config", "out",        "series-threads", "list", "doc-keys",
-    "print",  "serve",      "emit-trace",     "phases", "help"};
+    "config", "out",   "threads",    "list",   "doc-keys",
+    "print",  "serve", "emit-trace", "phases", "help"};
 
 void print_usage() {
   std::printf(
@@ -58,7 +57,9 @@ void print_usage() {
       "  --config FILE        load a scenario file (supports [series NAME]\n"
       "                       sections; CLI keys override every series)\n"
       "  --out FILE.csv       append all series to a CSV file\n"
-      "  --series-threads N   run N series concurrently (default 1)\n"
+      "  --threads N|auto     run N simulations at once: sweep points,\n"
+      "                       workload runs and tenant runs of every series\n"
+      "                       (default 1; auto/0 = the usable cores)\n"
       "  --list               list topologies/patterns/workloads with their\n"
       "                       options and defaults, then exit\n"
       "  --doc-keys           print the generated Markdown scenario\n"
@@ -98,16 +99,12 @@ void print_usage() {
       "  inter-wafer cables (one vertical hop max); mutually exclusive\n"
       "  with plane.count.\n"
       "\n"
-      "  --threads=N runs N sweep points of every series concurrently\n"
-      "  (N=auto or 0 picks the usable core count); it overrides the\n"
-      "  config file's threads key, like any scenario key.\n"
-      "\n"
       "  --shards=N shards each simulation across N threads (deterministic\n"
       "  engine; results are bit-identical for every N). auto/0 (default)\n"
       "  uses SLDF_SHARDS if set, else the usable cores on cycles after one\n"
       "  that moved at least %llu flits or walked at least %zu routers (1\n"
-      "  per worker when points or series run concurrently). Use shards for\n"
-      "  one big point, threads for many.\n"
+      "  per simulation when --threads runs more than one). Use shards for\n"
+      "  one big point, --threads for many.\n"
       "\n"
       "  workload=NAME switches a series from open-loop rate sweeps to one\n"
       "  closed-loop message-level run reporting completion cycles and\n"
@@ -290,6 +287,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "sldf: warning: unknown flag --%s (ignored)\n",
                      key.c_str());
 
+    const unsigned threads =
+        core::AutoCount<unsigned>{}.parse("--threads", cli.get("threads", "1"));
+
     // Resolve the series: config file first, CLI keys override each series.
     std::vector<core::ScenarioSpec> series;
     if (cli.has("config")) {
@@ -345,30 +345,11 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Concurrent series share the cores: each runs `auto` shards as 1.
-    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
-        std::max(cli.get_int("series-threads", 1), 1L), series.size()));
-    std::printf("sldf: running %zu series (%u in flight)\n\n", series.size(),
-                workers);
-
-    // Run with per-series isolation: a failure (e.g. an option typo that
-    // only surfaces at build time) is reported but never discards the
-    // results of series that completed.
-    struct Outcome {
-      core::SeriesResult result;
-      std::string error;
-    };
-    std::vector<Outcome> outcomes(series.size());
+    std::printf("sldf: running %zu series (threads=%u)\n\n", series.size(),
+                core::resolve_threads(threads));
     const auto t0 = std::chrono::steady_clock::now();
-    parallel_for(series.size(), workers, [&](std::size_t i) {
-      core::ScenarioSpec spec = series[i];
-      spec.sim = core::worker_config(spec.sim, workers);
-      try {
-        outcomes[i].result = core::run_series(spec);
-      } catch (const std::exception& e) {
-        outcomes[i].error = e.what();
-      }
-    });
+    const std::vector<core::SeriesOutcome> outcomes =
+        core::run_batch(series, threads);
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -376,7 +357,7 @@ int main(int argc, char** argv) {
     int failures = 0;
     core::SeriesTotals totals;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const Outcome& o = outcomes[i];
+      const core::SeriesOutcome& o = outcomes[i];
       if (!o.error.empty()) {
         ++failures;
         std::fprintf(stderr, "sldf: series '%s' failed: %s\n",
@@ -386,7 +367,7 @@ int main(int argc, char** argv) {
       totals += o.result.totals;
     }
     if (phases && std::any_of(outcomes.begin(), outcomes.end(),
-                              [](const Outcome& o) {
+                              [](const core::SeriesOutcome& o) {
                                 return o.result.phases.has_value();
                               })) {
       print_phases_header();
