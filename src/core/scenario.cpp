@@ -165,8 +165,8 @@ ScenarioKey tenant_opts(const char* help, const char* def) {
           }};
 }
 
-/// An offered load: finite and not negative.
-constexpr Num kLoad{0.0, std::numeric_limits<double>::max()};
+/// An offered load or a latency factor: finite and not negative.
+constexpr Num kNonNegative{0.0, std::numeric_limits<double>::max()};
 
 bool rates_unset(const ScenarioSpec& s) { return s.rates.empty(); }
 bool planes_engaged(const ScenarioSpec& s) { return s.plane_count > 0; }
@@ -236,17 +236,18 @@ std::span<const ScenarioKey> scenario_key_table() {
                  "(see Workloads)",
                  "workload defaults", &ScenarioSpec::workload_opts),
       fixed("rates", "Explicit offered loads, comma-separated (rate sweeps)",
-            [](auto& s) -> auto& { return s.rates; }, List<Num>{kLoad},
+            [](auto& s) -> auto& { return s.rates; }, List<Num>{kNonNegative},
             {.elide_default = true, .def = "unset"}),
       fixed("max_rate", "With `points`, linspace(0, max] when `rates` is unset",
-            [](auto& s) -> auto& { return s.max_rate; }, kLoad,
+            [](auto& s) -> auto& { return s.max_rate; }, kNonNegative,
             {.when = rates_unset}),
       fixed("points", "Sweep points when `rates` is unset",
             [](auto& s) -> auto& { return s.points; }, Int<int>{1},
             {.when = rates_unset}),
       fixed("stop_factor",
             "Early-stop when latency exceeds this x zero-load latency",
-            [](auto& s) -> auto& { return s.stop_latency_factor; }, Num{}),
+            [](auto& s) -> auto& { return s.stop_latency_factor; },
+            kNonNegative),
       // Orthogonal to `sldf --threads`, which runs simulations side by
       // side: shards parallelize inside each one (sim::resolve_shards).
       fixed("shards",

@@ -115,7 +115,8 @@ void Simulator::apply_fault_step(const FaultStep& fs) {
   // injection ports), so the channel regains full capacity on repair.
   const auto refund = [&](const Network::CreditReturn& cr, std::uint32_t v) {
     if (cr.src != kInvalidNode &&
-        return_credit<false>(cr.credit_port(), Network::kOvcLane0 + v, cr.src))
+        return_credit<false>(cr.credit_port(), Network::kOvcLane0 + v, cr.src,
+                             nullptr))
       wake_router(cr.src);
   };
   for (auto& slot : ctx_->wheel) {
@@ -197,13 +198,14 @@ void Simulator::apply_fault_step(const FaultStep& fs) {
             if (drop_requester(rec, k, rr > k ? rr - 1 : rr) == 0)
               clear_bit(ctx_->port_pending, pflat);
             // Wake parked waiters so one of them can claim the freed VC.
-            if (wake_waiters<false>(pflat * nvc + ovc)) wake_router(rid);
+            if (wake_waiters<false>(pflat * nvc + ovc, nullptr))
+              wake_router(rid);
           }
         } else {  // Routed: parked on a waiter chain, or pending re-scan
           if (!dying_port) unlink_waiter(pflat * nvc + ovc, ix);
           ctx_->ivc_wait_next[ix] = kNoWaiter;
         }
-        if (release_ivc<false>(ix))
+        if (release_ivc<false>(ix, nullptr))
           wake_router(rid);  // re-route survivors next cycle
         else
           clear_bit(ctx_->ivc_pending, ix);

@@ -138,13 +138,14 @@ void Simulator::inject_terminal(std::size_t ti, ShardScratch* ss) {
   const std::uint32_t ix = t.inj_base + static_cast<std::uint32_t>(t.inj_vc);
   if (net_.fifos().full(ix)) return;
   push_flit<Sharded>(ix, t.node,
-                     Flit(pid, t.pushed == 0, t.pushed + 1 == p.len));
+                     Flit(pid, t.pushed == 0, t.pushed + 1 == p.len), ss);
   if (++t.pushed != p.len) return;
   t.queue.pop_front();
   t.pushed = 0;
   if (!t.queue.empty()) return;
   if constexpr (Sharded) {
-    clear_bit<true>(ctx_->inj_pending, static_cast<std::uint32_t>(ti));
+    clear_bit<true>(ctx_->inj_pending, static_cast<std::uint32_t>(ti),
+                    ss->inj_words);
     ++ss->inj_drained;
   } else {
     inj_unmark(ti);

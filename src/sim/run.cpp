@@ -306,6 +306,20 @@ void Simulator::run_team(ShardPhase phase) {
   if (!team_) {
     if (ctx_->shard_scratch.size() < static_cast<std::size_t>(shards_))
       ctx_->shard_scratch.resize(static_cast<std::size_t>(shards_));
+    // Each shard's boundary words, over its routers [lo, hi), their input
+    // VCs and output ports (the per-router offsets have an entry at the
+    // router count) and its terminals.
+    for (std::size_t k = 0; k < static_cast<std::size_t>(shards_); ++k) {
+      const auto lo = static_cast<NodeId>(shard_bounds_[k]);
+      const auto hi = static_cast<NodeId>(shard_bounds_[k + 1]);
+      ShardScratch& sc = ctx_->shard_scratch[k];
+      sc.active_words = ShardWords::of(shard_bounds_[k], shard_bounds_[k + 1]);
+      sc.ivc_words = ShardWords::of(net_.in_vc_index(lo, 0, 0),
+                                    net_.in_vc_index(hi, 0, 0));
+      sc.port_words = ShardWords::of(net_.out_port_index(lo, 0),
+                                     net_.out_port_index(hi, 0));
+      sc.inj_words = ShardWords::of(term_bounds_[k], term_bounds_[k + 1]);
+    }
     team_ = std::make_unique<ShardTeam>(*this, shards_);
   }
   team_->run_phase(phase);

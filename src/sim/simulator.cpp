@@ -52,6 +52,7 @@ void Simulator::deliver_impl(std::uint32_t lo, std::uint32_t hi,
   std::uint32_t* const cr = idx.data() + n;
   std::size_t nf = 0;
   std::size_t nc = 0;
+  const ShardWords active_words = Sharded ? ss->active_words : ShardWords{};
   for (std::size_t i = 0; i < n; ++i) {
     const WheelEvent& ev = slot[i];
     bool mine = true;
@@ -67,7 +68,7 @@ void Simulator::deliver_impl(std::uint32_t lo, std::uint32_t hi,
     if (j + kPf < nf)  // vc_flat indexes the VC arrays
       __builtin_prefetch(fifos.word_addr(slot[fl[j + kPf]].vc_flat));
     const WheelEvent& ev = slot[fl[j]];
-    push_flit<Sharded>(ev.vc_flat, ev.node, ev.flit);
+    push_flit<Sharded>(ev.vc_flat, ev.node, ev.flit, ss);
   }
   // Pass 2: credit returns. A credit can unblock the output port that owns
   // the VC, so return_credit wakes it if it has requesters. A credit
@@ -78,8 +79,9 @@ void Simulator::deliver_impl(std::uint32_t lo, std::uint32_t hi,
                                        Network::kPortLaneBits));
     const WheelEvent& ev = slot[cr[j]];
     return_credit<Sharded>(ev.vc_flat >> Network::kPortLaneBits,
-                           ev.vc_flat & Network::kLaneMask, ev.node);
-    set_bit<Sharded>(ctx_->active, static_cast<std::uint32_t>(ev.node));
+                           ev.vc_flat & Network::kLaneMask, ev.node, ss);
+    set_bit<Sharded>(ctx_->active, static_cast<std::uint32_t>(ev.node),
+                     active_words);
   }
   if constexpr (!Sharded) slot.clear();
 }
@@ -109,7 +111,9 @@ void Simulator::commit_tail(PacketId pid) {
 
 template <bool Sharded>
 void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
-  (void)ss;  // unused by the serial instantiation
+  // This shard's boundary words of the two pending bitmaps (see set_bit).
+  const ShardWords ivc_words = Sharded ? ss->ivc_words : ShardWords{};
+  const ShardWords port_words = Sharded ? ss->port_words : ShardWords{};
   // True when this call leaves any pending bit set for this router (so the
   // work flag must stay armed for next cycle).
   bool leftover = false;
@@ -163,13 +167,13 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
           ow |= 1;  // busy
           // Always wake the port: a parked (stalled) port may be grantable
           // through this new requester even while the others are blocked.
-          set_bit<Sharded>(ctx_->port_pending, pflat);
+          set_bit<Sharded>(ctx_->port_pending, pflat, port_words);
           std::uint16_t* reqs = Network::ovc16(rec) + nvc;
           reqs[rec[0] & 0xff] = static_cast<std::uint16_t>((pi << 8) | vi);
           ++rec[0];  // ++count (u8, max nvc requesters — never carries)
           fifos.set_meta(ix, (meta & ~0xffu) |
                                  static_cast<std::uint32_t>(IvcState::Active));
-          clear_bit<Sharded>(ctx_->ivc_pending, ix);
+          clear_bit<Sharded>(ctx_->ivc_pending, ix, ivc_words);
         } else {
           // Busy: park on the output VC's waiter chain instead of
           // re-polling every cycle. The tail flit that frees the VC
@@ -179,7 +183,7 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
               pflat * nvc + Network::ivc_vc_of(meta);
           ctx_->ivc_wait_next[ix] = ctx_->ovc_waiters[ovcflat];
           ctx_->ovc_waiters[ovcflat] = ix;
-          clear_bit<Sharded>(ctx_->ivc_pending, ix);
+          clear_bit<Sharded>(ctx_->ivc_pending, ix, ivc_words);
         }
       }
     }
@@ -252,7 +256,7 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
           // channels (width < 1) stay live: time alone refills their
           // token bucket.
           if (is_eject || ((link_meta >> 16) & 0xff) >= (link_meta >> 24)) {
-            clear_bit<Sharded>(ctx_->port_pending, pflat);
+            clear_bit<Sharded>(ctx_->port_pending, pflat, port_words);
             port_left = false;
           }
           break;
@@ -301,14 +305,15 @@ void Simulator::process_router_impl(NodeId rid, ShardScratch* ss) {
         if (f.tail()) {
           release_ovc(rec, out_vc);
           // Wake every VC parked on this output VC (see the VA else-branch).
-          if (wake_waiters<Sharded>(pflat * nvc + out_vc)) leftover = true;
-          if (release_ivc<Sharded>(ix)) {  // the next head is waiting
+          if (wake_waiters<Sharded>(pflat * nvc + out_vc, ss))
+            leftover = true;
+          if (release_ivc<Sharded>(ix, ss)) {  // the next head is waiting
             __builtin_prefetch(&ctx_->pool[fifos.front(ix).pkt()]);  // RC
             leftover = true;
           }
           // The cursor stays at `chosen`, now the next requester's slot.
           if (drop_requester(rec, chosen, chosen) == 0) {
-            clear_bit<Sharded>(ctx_->port_pending, pflat);
+            clear_bit<Sharded>(ctx_->port_pending, pflat, port_words);
             port_left = false;
             break;  // no requesters left for the remaining budget
           }
@@ -358,6 +363,7 @@ WalkCount Simulator::walk_impl(std::uint32_t lo, std::uint32_t hi,
   // walk itself sets no bit but the keep-alive of the router it just ran,
   // and the bits of words it has not reached yet are stable.
   WalkCount count;
+  const ShardWords active_words = Sharded ? ss->active_words : ShardWords{};
   const std::uint32_t wend = lo < hi ? ((hi - 1) >> 6) + 1 : 0;
   const auto next_word = [&](std::uint32_t w) {
     while (w < wend && masked_word<Sharded>(ctx_->active, w, lo, hi) == 0)
@@ -367,7 +373,8 @@ WalkCount Simulator::walk_impl(std::uint32_t lo, std::uint32_t hi,
   for (std::uint32_t w = next_word(lo >> 6), wnext = 0; w < wend;
        w = wnext) {
     std::uint64_t bits =
-        take_bits<Sharded>(ctx_->active, w, range_mask(w, lo, hi));
+        take_bits<Sharded>(ctx_->active, w, range_mask(w, lo, hi),
+                           active_words);
     count.walked += static_cast<std::size_t>(std::popcount(bits));
     wnext = next_word(w + 1);
     std::uint64_t kept = 0;
@@ -395,7 +402,7 @@ WalkCount Simulator::walk_impl(std::uint32_t lo, std::uint32_t hi,
     }
     if (!kept) continue;
     count.kept += static_cast<std::size_t>(std::popcount(kept));
-    if constexpr (Sharded)
+    if (Sharded && active_words.shared(w))
       std::atomic_ref<std::uint64_t>(ctx_->active[w])
           .fetch_or(kept, std::memory_order_relaxed);
     else
@@ -452,10 +459,10 @@ void Simulator::commit_shards() {
 // delivery, injection and router phases run, never in what they do:
 //
 //   1. Delivery. Each shard drains the slot's events addressed to its own
-//      routers, flits then credits (their state is shard-local; shared
-//      boundary words of the pending and active bitmaps take atomic bit
-//      ops). Setting a bit is idempotent, so the active set does not
-//      depend on who delivered first.
+//      routers, flits then credits (their state is shard-local; only the
+//      boundary words of the pending and active bitmaps, which two shards
+//      can share, take locked bit ops). Setting a bit is idempotent, so
+//      the active set does not depend on who delivered first.
 //   2. Generation stays serial, after delivery: the RNG stream, pool ids
 //      and (adaptive) init_packet credit reads observe the identical
 //      engine state.
@@ -463,12 +470,12 @@ void Simulator::commit_shards() {
 //      each non-empty source queue of the terminals on its routers (shards
 //      are chip-aligned and terminals ascend by node, so that is one
 //      contiguous terminal range; emptied queues clear their inj_pending
-//      bit atomically and are tallied per shard), then walks the active
-//      bits of its own contiguous router range in ascending id. Per-router
-//      work is shard-local (routing reads only immutable topology, the
-//      packet, and the router's own SoA slices); the only cross-router
-//      effects — wheel pushes and tail deliveries — are buffered per
-//      shard, and keep-alive bits go straight back into the bitmap.
+//      bit and are tallied per shard), then walks the active bits of its
+//      own contiguous router range in ascending id. Per-router work is
+//      shard-local (routing reads only immutable topology, the packet,
+//      and the router's own SoA slices); the only cross-router effects —
+//      wheel pushes and tail deliveries — are buffered per shard, and
+//      keep-alive bits go straight back into the bitmap.
 //   4. Commit. The driving thread appends shard 0's buffered events and
 //      tails, then shard 1's, and so on: shards own ascending id ranges, so
 //      this concatenation is the serial walk's wheel-slot event order,

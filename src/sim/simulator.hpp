@@ -214,10 +214,33 @@ struct WalkCount {
   std::size_t kept = 0;
 };
 
+/// The first and last 64-bit word of a bitmap that one shard's index range
+/// covers: the only words of that range another shard can also write. The
+/// default (an empty range) names no word.
+struct ShardWords {
+  std::uint32_t first = ~0u;
+  std::uint32_t last = ~0u;
+  /// The words bits [begin, end) live in.
+  static ShardWords of(std::uint32_t begin, std::uint32_t end) {
+    return begin < end ? ShardWords{begin >> 6, (end - 1) >> 6}
+                       : ShardWords{};
+  }
+  [[nodiscard]] bool shared(std::uint32_t w) const {
+    return w == first || w == last;
+  }
+};
+
 /// Per-shard scratch (sharded engine only). Cache-line aligned so shards
 /// never false-share their counters; all vectors keep their high-water
 /// capacities across cycles and runs.
 struct alignas(64) ShardScratch {
+  /// Boundary words of each bitmap a shard phase writes, over this shard's
+  /// routers, their input VCs, their output ports and their terminals.
+  /// Set when the team starts; only these words take locked RMWs.
+  ShardWords active_words;
+  ShardWords ivc_words;
+  ShardWords port_words;
+  ShardWords inj_words;
   std::vector<std::uint32_t> deliver_idx;  ///< Delivery split scratch.
   std::vector<PendingEvent> events;  ///< Deferred wheel pushes, in order.
   std::vector<PacketId> tails;       ///< Delivered tail packets, in order.
@@ -291,13 +314,14 @@ inline constexpr std::uint32_t kNoWaiter = 0xffffffffu;
 /// team only when the cycle before it moved at least kShardGateFlits flits
 /// (channel hops plus ejections) or walked at least kShardGateRouters
 /// routers (consecutive cycles do close to the same work). Below both a
-/// parallel cycle's fixed costs (two team hand-offs, the commit, atomic
-/// bit traffic) outweigh the split work. A cycle's work has two parts,
-/// and each fabric is heavy in one: a switch-based router moves several
-/// flits a cycle, while a loaded switch-less fabric walks many routers
-/// that each move few (radix16-swless g=11 at 0.9 with faults walks about
-/// 1,740 routers and moves about 830 flits). Measured on a 2-core host;
-/// docs/PERFORMANCE.md has the crossover tables.
+/// parallel cycle's fixed costs (two team hand-offs, the commit) outweigh
+/// the split work. A cycle's work has two parts, and each fabric is heavy
+/// in one: a switch-based router moves several flits a cycle, while a
+/// loaded switch-less fabric walks many routers that each move few
+/// (radix16-swless g=11 at 0.9 with faults walks about 1,740 routers and
+/// moves about 830 flits). Measured on a 2-core host while every
+/// shard-phase bit op was still locked; docs/PERFORMANCE.md has the
+/// crossover tables.
 inline constexpr std::uint64_t kShardGateFlits = 2560;
 inline constexpr std::size_t kShardGateRouters = 1280;
 
@@ -454,8 +478,8 @@ class Simulator {
   /// One-flit injection over terminals [lo, hi) with a non-empty source
   /// queue (inj_pending), in ascending terminal order. The serial engine
   /// injects over every terminal; a shard over the terminals on its own
-  /// routers, with atomic ops on the inj_pending words it may share with a
-  /// neighbour shard and the emptied queues tallied in `ss`.
+  /// routers, locking only its boundary words of inj_pending (see
+  /// set_bit), with the emptied queues tallied in `ss`.
   template <bool Sharded>
   void inject_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
   /// Pushes the next flit of terminal `ti`'s head packet into its
@@ -486,8 +510,8 @@ class Simulator {
   void check_terminal_layout() const;
   /// Drains the current wheel slot: flit arrivals first, then credits.
   /// The `Sharded` instantiation delivers only the events addressed to
-  /// routers [lo, hi) (shard-local state, atomic bit ops on the words it
-  /// may share with a neighbour shard).
+  /// routers [lo, hi) (shard-local state; its bit ops lock only the
+  /// boundary words `ss` names).
   template <bool Sharded>
   void deliver_impl(std::uint32_t lo, std::uint32_t hi, ShardScratch* ss);
   /// Cycle of the next fault-timeline step (~0 when none is left): the one
@@ -503,9 +527,10 @@ class Simulator {
   void drop_packet(PacketId pid);
   /// The router pipeline (RC/VA/SA/ST) for one router. `Sharded`
   /// instantiations buffer every cross-router effect (wheel pushes, tail
-  /// deliveries, order-sensitive stats) into `ss` and use atomic bit ops
-  /// on the pending masks (shards sharing a 64-bit boundary word);
-  /// the serial instantiation is the original in-place hot path.
+  /// deliveries, order-sensitive stats) into `ss` and lock only its
+  /// boundary words of the pending masks (the 64-bit words a neighbour
+  /// shard's range may share); the serial instantiation is the original
+  /// in-place hot path.
   template <bool Sharded>
   void process_router_impl(NodeId rid, ShardScratch* ss);
   /// The router walk over active routers [lo, hi) in ascending id: takes
@@ -551,23 +576,26 @@ class Simulator {
 
   // ---- engine state transitions (sim/transitions.hpp) ----
   // Defined once; the pipeline and the fault step both call them. `Atomic`
-  // instantiations serve the shard phases (see set_bit).
+  // instantiations serve the shard phases: `ss` is the running shard's
+  // scratch, whose boundary words take locked RMWs (see set_bit). The
+  // serial engine and the fault step pass nullptr.
   /// Buffers flit `f` in input VC `ix` of router `node` (delivery or
   /// injection): arms RC/VA for a fresh head at an Idle VC, SA for a
   /// refilled Active one, counts the flit and activates `node`.
   template <bool Atomic>
-  void push_flit(std::uint32_t ix, NodeId node, Flit f);
+  void push_flit(std::uint32_t ix, NodeId node, Flit f, ShardScratch* ss);
   /// One credit back on u16 lane `lane` of output port `pflat` (router
   /// `node`'s); wakes SA and returns true when the port has requesters.
   template <bool Atomic>
-  bool return_credit(std::uint32_t pflat, std::uint32_t lane, NodeId node);
+  bool return_credit(std::uint32_t pflat, std::uint32_t lane, NodeId node,
+                     ShardScratch* ss);
   /// Re-arms every input VC parked on output VC `ovcflat`; false if none.
   template <bool Atomic>
-  bool wake_waiters(std::uint32_t ovcflat);
+  bool wake_waiters(std::uint32_t ovcflat, ShardScratch* ss);
   /// Returns input VC `ix` to Idle with no owner; true (pending bit armed)
   /// when the next packet's head is already buffered.
   template <bool Atomic>
-  bool release_ivc(std::uint32_t ix);
+  bool release_ivc(std::uint32_t ix, ShardScratch* ss);
   /// Frees output VC `vc` of port record `rec` (clears its busy bit).
   static void release_ovc(std::uint32_t* rec, std::uint32_t vc);
   /// Removes SA requester `k` of port record `rec`, sets the round-robin

@@ -12,30 +12,36 @@
 
 namespace sldf::sim {
 
-/// Bitmask ops (pending VCs and ports, active routers). Shard compute
-/// phases touch only their own routers' bits, but two shards' router, VC
-/// and port index ranges can share one 64-bit boundary word, so the
-/// `Atomic` instantiations use relaxed RMW (distinct-bit ORs/ANDs commute
-/// — the final word value is independent of interleaving, keeping the
-/// engine deterministic). The serial engine and the serial phases of a
-/// sharded cycle use the plain instantiations.
+/// Bitmask ops (pending VCs and ports, active routers, pending injection).
+/// A shard phase writes only the bits of its own routers, their VCs and
+/// ports, and their terminals, and each of those index ranges is one
+/// contiguous run: two shards can meet only in the first or last word of
+/// their ranges (`edge`, the shard's ShardWords of that bitmap). There
+/// the `Atomic` instantiations take a relaxed locked RMW (distinct-bit
+/// ORs/ANDs commute, so the word's final value is independent of the
+/// interleaving and the engine stays deterministic); on every other word
+/// of its range the shard is the only writer and the RMW is plain. The
+/// serial engine and the serial phases of a sharded cycle use the plain
+/// instantiations, which ignore `edge`.
 template <bool Atomic = false>
-inline void set_bit(std::vector<std::uint64_t>& w, std::uint32_t i) {
-  if constexpr (Atomic) {
+inline void set_bit(std::vector<std::uint64_t>& w, std::uint32_t i,
+                    ShardWords edge = {}) {
+  const std::uint64_t m = 1ULL << (i & 63);
+  if (Atomic && edge.shared(i >> 6))
     std::atomic_ref<std::uint64_t>(w[i >> 6])
-        .fetch_or(1ULL << (i & 63), std::memory_order_relaxed);
-  } else {
-    w[i >> 6] |= 1ULL << (i & 63);
-  }
+        .fetch_or(m, std::memory_order_relaxed);
+  else
+    w[i >> 6] |= m;
 }
 template <bool Atomic = false>
-inline void clear_bit(std::vector<std::uint64_t>& w, std::uint32_t i) {
-  if constexpr (Atomic) {
+inline void clear_bit(std::vector<std::uint64_t>& w, std::uint32_t i,
+                      ShardWords edge = {}) {
+  const std::uint64_t m = 1ULL << (i & 63);
+  if (Atomic && edge.shared(i >> 6))
     std::atomic_ref<std::uint64_t>(w[i >> 6])
-        .fetch_and(~(1ULL << (i & 63)), std::memory_order_relaxed);
-  } else {
-    w[i >> 6] &= ~(1ULL << (i & 63));
-  }
+        .fetch_and(~m, std::memory_order_relaxed);
+  else
+    w[i >> 6] &= ~m;
 }
 
 /// The bits of word `w` whose indices fall inside [begin, end).
@@ -64,64 +70,71 @@ inline std::uint64_t masked_word(const std::vector<std::uint64_t>& words,
   return bits & range_mask(w, begin, end);
 }
 
-/// Clears the `mask` bits of word `w` and returns the ones that were set.
+/// Clears the `mask` bits of word `w` and returns the ones that were set
+/// (locked only on a boundary word, as set_bit).
 template <bool Atomic = false>
 inline std::uint64_t take_bits(std::vector<std::uint64_t>& words,
-                               std::uint32_t w, std::uint64_t mask) {
-  if constexpr (Atomic) {
+                               std::uint32_t w, std::uint64_t mask,
+                               ShardWords edge = {}) {
+  if (Atomic && edge.shared(w))
     return std::atomic_ref<std::uint64_t>(words[w])
                .fetch_and(~mask, std::memory_order_relaxed) &
            mask;
-  } else {
-    const std::uint64_t bits = words[w] & mask;
-    words[w] &= ~mask;
-    return bits;
-  }
+  const std::uint64_t bits = words[w] & mask;
+  words[w] &= ~mask;
+  return bits;
 }
 
 template <bool Atomic>
-inline void Simulator::push_flit(std::uint32_t ix, NodeId node, Flit f) {
+inline void Simulator::push_flit(std::uint32_t ix, NodeId node, Flit f,
+                                 ShardScratch* ss) {
   FlitFifoArena& fifos = net_.fifos();
   assert(!fifos.full(ix) && "credit protocol violated");
   fifos.push(ix, f);
   if (fifos.size(ix) == 1) {
     const std::uint32_t meta = fifos.meta(ix);
     if (Network::ivc_state_of(meta) == IvcState::Idle) {
-      set_bit<Atomic>(ctx_->ivc_pending, ix);  // fresh head: needs RC/VA
+      // A fresh head: needs RC/VA.
+      set_bit<Atomic>(ctx_->ivc_pending, ix,
+                      Atomic ? ss->ivc_words : ShardWords{});
       __builtin_prefetch(&ctx_->pool[f.pkt()]);  // RC reads it next cycle
     } else {
       // Refilled an Active VC: its output port may have been parked on an
       // empty FIFO — wake it for SA.
       assert(Network::ivc_state_of(meta) == IvcState::Active);
       const auto port = static_cast<PortIx>(Network::ivc_port_of(meta));
-      set_bit<Atomic>(ctx_->port_pending, net_.out_port_index(node, port));
+      set_bit<Atomic>(ctx_->port_pending, net_.out_port_index(node, port),
+                      Atomic ? ss->port_words : ShardWords{});
     }
     mark_work(node);
   }
   ctx_->ract[static_cast<std::size_t>(node)] += 2;  // +1 buffered flit
-  set_bit<Atomic>(ctx_->active, static_cast<std::uint32_t>(node));
+  set_bit<Atomic>(ctx_->active, static_cast<std::uint32_t>(node),
+                  Atomic ? ss->active_words : ShardWords{});
 }
 
 template <bool Atomic>
 inline bool Simulator::return_credit(std::uint32_t pflat, std::uint32_t lane,
-                                     NodeId node) {
+                                     NodeId node, ShardScratch* ss) {
   std::uint32_t* rec = net_.port_rec(pflat);
   // ++credits (bit 0 of the lane is the busy flag). The whole port record
   // shares one cache line, so the requester check is free after the bump.
   reinterpret_cast<std::uint16_t*>(rec)[lane] += 2;
   if ((rec[0] & 0xff) == 0) return false;
-  set_bit<Atomic>(ctx_->port_pending, pflat);
+  set_bit<Atomic>(ctx_->port_pending, pflat,
+                  Atomic ? ss->port_words : ShardWords{});
   mark_work(node);
   return true;
 }
 
 template <bool Atomic>
-inline bool Simulator::wake_waiters(std::uint32_t ovcflat) {
+inline bool Simulator::wake_waiters(std::uint32_t ovcflat, ShardScratch* ss) {
   std::uint32_t wix = ctx_->ovc_waiters[ovcflat];
   if (wix == kNoWaiter) return false;
   ctx_->ovc_waiters[ovcflat] = kNoWaiter;
+  const ShardWords edge = Atomic ? ss->ivc_words : ShardWords{};
   do {
-    set_bit<Atomic>(ctx_->ivc_pending, wix);
+    set_bit<Atomic>(ctx_->ivc_pending, wix, edge);
     const std::uint32_t nx = ctx_->ivc_wait_next[wix];
     ctx_->ivc_wait_next[wix] = kNoWaiter;
     wix = nx;
@@ -130,13 +143,15 @@ inline bool Simulator::wake_waiters(std::uint32_t ovcflat) {
 }
 
 template <bool Atomic>
-inline bool Simulator::release_ivc(std::uint32_t ix) {
+inline bool Simulator::release_ivc(std::uint32_t ix, ShardScratch* ss) {
   FlitFifoArena& fifos = net_.fifos();
   fifos.set_meta(ix,
                  Network::pack_ivc(kInvalidPort, kInvalidVc, IvcState::Idle));
   ctx_->ivc_pkt[ix] = kInvalidPacket;
   if (fifos.empty(ix)) return false;
-  set_bit<Atomic>(ctx_->ivc_pending, ix);  // the next head needs RC/VA
+  // The next head needs RC/VA.
+  set_bit<Atomic>(ctx_->ivc_pending, ix,
+                  Atomic ? ss->ivc_words : ShardWords{});
   return true;
 }
 

@@ -341,6 +341,28 @@ TEST(KeyTable, OfferedLoadsAreFiniteAndNotNegative) {
   EXPECT_EQ(s.max_rate, 0.0);
 }
 
+// Only 0 turns the early stop off: a negative or infinite factor would do
+// the same silently, so it fails at parse time, naming its key.
+TEST(KeyTable, StopFactorIsFiniteAndNotNegative) {
+  for (const char* bad : {"-3", "inf", "-inf", "nan", "1e999"}) {
+    SCOPED_TRACE(std::string("stop_factor = ") + bad);
+    ScenarioSpec s;
+    try {
+      s.set("stop_factor", bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'stop_factor'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ScenarioSpec s;
+  s.set("stop_factor", "0");
+  EXPECT_EQ(s.stop_latency_factor, 0.0);
+  s.set("stop_factor", "2.5");
+  EXPECT_EQ(s.stop_latency_factor, 2.5);
+}
+
 // Every boolean key takes 0/1 and true/false and prints 0/1.
 TEST(KeyTable, BooleansTakeEverySpelling) {
   for (const char* key : {"fault.rescue", "tenants.isolation"}) {

@@ -113,6 +113,73 @@ TEST(ShardBounds, RequiresFinalizeAndValidCount) {
   EXPECT_THROW(built.shard_bounds(0), std::invalid_argument);
 }
 
+// A shard phase takes a locked RMW only on the first and last word of its
+// range of each bitmap, so the partition must leave no other word shared:
+// a word inside two shards' ranges is the first or last word of both, and
+// every other word of a shard's range lies in no other shard's range.
+TEST(ShardBounds, OnlyBoundaryWordsAreShared) {
+  auto net = tiny_net();
+  auto traffic = traffic::make_pattern("uniform", net, {});
+  const std::vector<NodeId>& terms = net.terminals();
+  // Index in bitmap `m` of the first bit of router `r` (r may be the
+  // router count): active routers, pending input VCs, pending output
+  // ports, pending injection (terminals ascend by node).
+  const auto index_at = [&](int m, std::uint32_t r) -> std::uint32_t {
+    const auto node = static_cast<NodeId>(r);
+    switch (m) {
+      case 0: return r;
+      case 1: return net.in_vc_index(node, 0, 0);
+      case 2: return net.out_port_index(node, 0);
+      default:
+        return static_cast<std::uint32_t>(
+            std::lower_bound(terms.begin(), terms.end(), node) -
+            terms.begin());
+    }
+  };
+  constexpr sim::ShardWords sim::ShardScratch::* kWords[] = {
+      &sim::ShardScratch::active_words, &sim::ShardScratch::ivc_words,
+      &sim::ShardScratch::port_words, &sim::ShardScratch::inj_words};
+  std::size_t shared = 0;
+  for (const int s : {2, 3, 5}) {
+    sim::SimContext ctx;
+    sim::Simulator engine(net, short_cfg(s), *traffic, ctx);
+    engine.step();
+    ASSERT_TRUE(engine.team_started());
+    ASSERT_EQ(engine.shards(), s);
+    const auto b = net.shard_bounds(s);
+    for (int m = 0; m < 4; ++m) {
+      SCOPED_TRACE(::testing::Message() << s << " shards, bitmap " << m);
+      const auto words = [&](std::size_t k) {
+        return ctx.shard_scratch[k].*kWords[m];
+      };
+      // The words shard k's range [begin, end) covers, as [lo, hi].
+      const auto span = [&](std::size_t k) {
+        const std::uint32_t begin = index_at(m, b[k]);
+        const std::uint32_t end = index_at(m, b[k + 1]);
+        return begin < end ? std::pair{begin >> 6, (end - 1) >> 6}
+                           : std::pair{1u, 0u};
+      };
+      for (std::size_t k = 0; k < static_cast<std::size_t>(s); ++k) {
+        const auto [lo, hi] = span(k);
+        if (lo <= hi) {
+          EXPECT_EQ(words(k).first, lo) << "shard " << k;
+          EXPECT_EQ(words(k).last, hi) << "shard " << k;
+        }
+        for (std::uint32_t w = lo; w <= hi; ++w)
+          for (std::size_t j = 0; j < static_cast<std::size_t>(s); ++j) {
+            const auto [jlo, jhi] = span(j);
+            if (j == k || w < jlo || w > jhi) continue;
+            ++shared;
+            EXPECT_TRUE(words(k).shared(w) && words(j).shared(w))
+                << "word " << w << " of shards " << k << " and " << j;
+          }
+      }
+    }
+  }
+  // Bounds that never split a word would leave nothing to check.
+  EXPECT_GT(shared, 0u);
+}
+
 // ---- resolve_shards ------------------------------------------------------
 
 namespace {
